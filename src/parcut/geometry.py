@@ -16,8 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInteriorError, UnboundedError
-from .lp import OPTIMAL, small_lp
+from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import DEFAULT_TOL, Tol
+
+# angle bins of the start sample of `chebyshev_lp`, and rows it adds per round
+_LP_BATCH = 64
+# the lifted row t >= 0
+_FLOOR = ((0.0, 0.0, -1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,16 +72,22 @@ class WidthResult:
     opposite_vertex: int
 
 
-def _convex_hull_ccw(points: np.ndarray, tol: Tol) -> np.ndarray:
-    """Monotone chain with strict turns; drops interior and collinear points."""
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) < 3:
+def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
+    """Indices of the hull corners of `points`, counterclockwise.
+
+    Monotone chain with strict turns: drops interior and collinear points,
+    and of exact duplicates keeps the lowest index.
+    """
+    x, y = points[:, 0], points[:, 1]
+    order = np.lexsort((np.arange(len(points)), y, x))
+    xs, ys = x[order], y[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    order = order[first]
+    if len(order) < 3:
         raise EmptyInteriorError("fewer than 3 distinct points")
-    span = max(
-        pts[-1][0] - pts[0][0],
-        max(p[1] for p in pts) - min(p[1] for p in pts),
-        1.0,
-    )
+    pts = [(px, py, k) for (px, py), k in zip(points[order].tolist(), order.tolist())]
+    span = max(float(xs[-1] - xs[0]), float(ys.max() - ys.min()), 1.0)
     # Collinearity cutoff sits near machine precision on purpose: double
     # cross products carry ~1e-16 * span^2 of noise, while the thinnest
     # legitimate corners (regular 2^16-gon) are ~1e-12 * span^2.
@@ -100,32 +111,33 @@ def _convex_hull_ccw(points: np.ndarray, tol: Tol) -> np.ndarray:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise EmptyInteriorError("points are collinear")
-    return np.array(hull)
+    return np.array([p[2] for p in hull])
 
 
-def _intersect_rows(a1, b1, a2, b2):
-    det = a1[0] * a2[1] - a1[1] * a2[0]
-    if abs(det) < 1e-300:
-        return None
-    return np.array(
-        [(b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det]
-    )
+def _corners(A: np.ndarray, b: np.ndarray):
+    """Crossing of each row with the next one (cyclically): corner k of
+    the polygon {A x <= b} when every row supports an edge.  Returns the
+    corners and the 2x2 determinants they were solved with."""
+    A2 = np.roll(A, -1, axis=0)
+    b2 = np.roll(b, -1)
+    det = A[:, 0] * A2[:, 1] - A[:, 1] * A2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = np.stack(
+            [(b * A2[:, 1] - b2 * A[:, 1]) / det, (A[:, 0] * b2 - A2[:, 0] * b) / det],
+            axis=1,
+        )
+    return X, det
 
 
 def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
     """Rotate rows to the canonical start and recompute corner vertices."""
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
     start = int(np.argmin(ang))
-    A = np.vstack([A[start:], A[:start]])
-    b = np.concatenate([b[start:], b[:start]])
-    m = len(b)
-    verts = np.empty((m, 2))
-    for j in range(m):
-        k = (j + 1) % m
-        v = _intersect_rows(A[j], b[j], A[k], b[k])
-        if v is None:
-            raise EmptyInteriorError("adjacent rows are parallel")
-        verts[j] = v
+    A = np.roll(A, -start, axis=0)
+    b = np.roll(b, -start)
+    verts, det = _corners(A, b)
+    if np.any(np.abs(det) < 1e-300):
+        raise EmptyInteriorError("adjacent rows are parallel")
     return HPolygon(A, b, verts)
 
 
@@ -139,27 +151,27 @@ def canonicalize(obj, tol: Tol = DEFAULT_TOL, interior=None) -> HPolygon:
     if isinstance(obj, HPolygon):
         return _canonicalize_rows(obj.A, obj.b, tol, interior)
     if isinstance(obj, VPolygon):
-        return _canonicalize_vertices(obj.vertices, tol)
+        return _canonicalize_vertices(obj.vertices)
     if isinstance(obj, tuple) and len(obj) == 2:
         return _canonicalize_rows(
             np.asarray(obj[0], float), np.asarray(obj[1], float), tol, interior
         )
-    return _canonicalize_vertices(np.asarray(obj, float), tol)
+    return _canonicalize_vertices(np.asarray(obj, float))
 
 
-def _canonicalize_vertices(vertices: np.ndarray, tol: Tol) -> HPolygon:
-    hull = _convex_hull_ccw(vertices, tol)
-    k = len(hull)
-    A = np.empty((k, 2))
-    b = np.empty(k)
-    for j in range(k):
-        p, q = hull[j], hull[(j + 1) % k]
-        d = q - p
-        n = np.array([d[1], -d[0]])
-        n /= np.linalg.norm(n)
-        A[j] = n
-        b[j] = n @ p
-    return _finish_hpolygon(A, b)
+def _canonicalize_vertices(vertices: np.ndarray) -> HPolygon:
+    hull = vertices[_convex_hull_ccw(vertices)]
+    d = np.roll(hull, -1, axis=0) - hull
+    A = np.stack([d[:, 1], -d[:, 0]], axis=1)
+    # row-wise dot products as stacked 1x2 @ 2x1 products: matmul runs the
+    # vector dot of `a @ p` on each pair, so every row rounds as it would
+    # one at a time, where elementwise products and sums round differently
+    A /= np.sqrt(_rowdot(A, A))[:, None]
+    return _finish_hpolygon(A, _rowdot(A, hull))
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 def _canonicalize_rows(A: np.ndarray, b: np.ndarray, tol: Tol, interior=None) -> HPolygon:
@@ -168,46 +180,35 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray, tol: Tol, interior=None) ->
     if A.shape[0] != b.shape[0] or A.shape[1] != 2:
         raise ValueError("need an m x 2 matrix and an m-vector")
 
-    keep_rows = []
-    keep_off = []
-    for a, off in zip(A, b):
-        n = math.hypot(a[0], a[1])
-        if n <= 1e-300:
-            if off < -tol.slack(abs(off)):
-                raise EmptyInteriorError("contradictory trivial row")
-            continue  # 0.x <= b with b >= 0 says nothing
-        if abs(n - 1.0) > tol.slack(1.0):
-            keep_rows.append((a[0] / n, a[1] / n))
-            keep_off.append(off / n)
-        else:
-            keep_rows.append((a[0], a[1]))
-            keep_off.append(off)
-    if not keep_rows:
+    norm = np.hypot(A[:, 0], A[:, 1])
+    trivial = norm <= 1e-300
+    if np.any(b[trivial] < -(tol.abs + tol.rel * np.abs(b[trivial]))):
+        raise EmptyInteriorError("contradictory trivial row")
+    # 0.x <= b with b >= 0 says nothing; unit rows are kept bit for bit
+    A, b, norm = A[~trivial], b[~trivial], norm[~trivial]
+    if len(b) == 0:
         raise UnboundedError("no effective half-planes")
+    rescale = np.abs(norm - 1.0) > tol.slack(1.0)
+    A = np.where(rescale[:, None], A / norm[:, None], A)
+    b = np.where(rescale, b / norm, b)
 
     # Feasibility / interior first (a contradictory system is EmptyInterior
     # even when it also fails to bound); the Chebyshev LP decides it unless
     # the caller already knows a strictly interior point.
-    scale = max(1.0, max(abs(v) for v in keep_off))
+    scale = max(1.0, float(np.abs(b).max()))
     c = None
     if interior is not None:
         cand = np.asarray(interior, float)
-        depths = [
-            off - (a[0] * cand[0] + a[1] * cand[1])
-            for a, off in zip(keep_rows, keep_off)
-        ]
-        if min(depths) > tol.slack(scale):
+        if (b - (A[:, 0] * cand[0] + A[:, 1] * cand[1])).min() > tol.slack(scale):
             c = cand
     if c is None:
-        rows3 = [((a[0], a[1], 1.0), off) for a, off in zip(keep_rows, keep_off)]
-        res = small_lp(rows3, (0.0, 0.0, 1.0), tol=tol)
+        res = chebyshev_lp(A, b, tol=tol)
         if res.status == OPTIMAL and res.value <= tol.slack(scale):
             raise EmptyInteriorError("region is empty or lower-dimensional")
 
-    ang = sorted(math.atan2(a[1], a[0]) % (2 * math.pi) for a in keep_rows)
-    gaps = [ang[(i + 1) % len(ang)] - ang[i] for i in range(len(ang) - 1)]
-    gaps.append(2 * math.pi - (ang[-1] - ang[0]))
-    if max(gaps) >= math.pi - 1e-12:
+    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+    s = np.sort(ang)
+    if max(np.diff(s).max(initial=0.0), 2 * math.pi - (s[-1] - s[0])) >= math.pi - 1e-12:
         raise UnboundedError("normals leave a half-plane uncovered")
     if c is None:
         if res.status != OPTIMAL:
@@ -216,26 +217,10 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray, tol: Tol, interior=None) ->
 
     # Polar dual: row (a, b) -> point a / (b - a.c); irredundant rows are
     # exactly the hull vertices of the dual cloud, in matching CCW order.
-    duals = []
-    for i, (a, off) in enumerate(zip(keep_rows, keep_off)):
-        depth = off - (a[0] * c[0] + a[1] * c[1])
-        duals.append((a[0] / depth, a[1] / depth, i))
-    hull = _convex_hull_ccw(np.array([(d[0], d[1]) for d in duals]), tol)
-    hull_map: dict[tuple[float, float], int] = {}
-    for x, y, i in duals:
-        if (x, y) not in hull_map:
-            hull_map[(x, y)] = i  # exact duplicates: lowest index wins
-    hull_set = {(float(p[0]), float(p[1])) for p in hull}
-    chosen = sorted(
-        {hull_map[p] for p in hull_set},
-        key=lambda i: math.atan2(keep_rows[i][1], keep_rows[i][0]) % (2 * math.pi),
-    )
-
-    A2 = np.array([keep_rows[i] for i in chosen])
-    b2 = np.array([keep_off[i] for i in chosen])
-    if len(chosen) < 3:
-        raise EmptyInteriorError("degenerate region")
-    return _finish_hpolygon(A2, b2)
+    depth = b - (A[:, 0] * c[0] + A[:, 1] * c[1])
+    chosen = _convex_hull_ccw(A / depth[:, None])
+    chosen = chosen[np.argsort(ang[chosen], kind="stable")]
+    return _finish_hpolygon(A[chosen], b[chosen])
 
 
 def directional_width(P: VPolygon | HPolygon, v) -> float:
@@ -283,42 +268,80 @@ def inner_body(P: HPolygon, t: float, tol: Tol = DEFAULT_TOL, interior=None) -> 
         return None
 
 
+def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL, seed: int = 0):
+    """Maximize t subject to A x + t <= b and the lifted rows `extras`.
+
+    With unit rows of A this is the largest disk, of radius t centred at
+    x, inside {A x <= b}; `extras` are ((a_x, a_y, a_t), offset) rows such
+    as the floor t >= 0.  Returns the LpResult of `small_lp`.
+
+    Solved by constraint generation: start from the first and the last
+    row, in angle order, of each of _LP_BATCH equal angle bins, plus every
+    extra row, then add the rows the optimum violates, most violated first,
+    until it violates none.  An optimum of a subset that is feasible for
+    every row is optimal for all of them.  The start rows bound the LP
+    whenever all rows do: consecutive start normals lie within one bin or
+    are consecutive normals of the rows, so no two are pi or more apart.
+    An unbounded start (possible only by rounding) falls back to every
+    row.  Up to 2 * _LP_BATCH rows it is a single LP over all rows.
+    """
+    m = len(b)
+    if m <= 2 * _LP_BATCH:
+        used = np.ones(m, dtype=bool)
+    else:
+        ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+        order = np.argsort(ang, kind="stable")
+        bins = np.minimum((ang[order] * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
+        change = np.nonzero(np.diff(bins))[0]
+        used = np.zeros(m, dtype=bool)
+        used[order[[0, m - 1]]] = True
+        used[order[change]] = True
+        used[order[change + 1]] = True
+    extras = list(extras)
+    while True:
+        idx = np.nonzero(used)[0]
+        rows = [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A[idx].tolist(), b[idx].tolist())]
+        res = small_lp(rows + extras, (0.0, 0.0, 1.0), tol=tol, seed=seed)
+        if res.status == UNBOUNDED and not used.all():
+            used[:] = True
+            continue
+        if res.status != OPTIMAL:
+            return res
+        x, y, t = res.point
+        ax = A[:, 0] * x
+        ay = A[:, 1] * y
+        excess = ax + ay + t - b
+        slack = tol.abs + tol.rel * (np.abs(b) + np.abs(ax) + np.abs(ay) + abs(t))
+        new = np.nonzero((excess > slack) & ~used)[0]
+        if len(new) == 0:
+            return res
+        used[new[np.argsort(excess[new] - slack[new])[::-1][:_LP_BATCH]]] = True
+
+
 def inradius_incenter(P: HPolygon, tol: Tol = DEFAULT_TOL, seed: int = 0):
     """Largest inscribed-disk radius and one center achieving it."""
-    rows = [((a[0], a[1], 1.0), off) for a, off in zip(P.A, P.b)]
-    rows.append(((0.0, 0.0, -1.0), 0.0))
-    res = small_lp(rows, (0.0, 0.0, 1.0), tol=tol, seed=seed)
+    res = chebyshev_lp(P.A, P.b, [_FLOOR], tol, seed)
     if res.status != OPTIMAL:
         raise EmptyInteriorError("polygon has no inscribed disk")
     return float(res.value), (float(res.point[0]), float(res.point[1]))
 
 
 def diameter(P: HPolygon) -> float:
-    """Largest vertex-to-vertex distance (rotating calipers)."""
-    verts = P.vertices.tolist()
-    m = len(verts)
-    if m == 1:
-        return 0.0
-    best = 0.0
-    j = 1
-    for i in range(m):
-        px, py = verts[i]
-        qx, qy = verts[(i + 1) % m]
-        ex = qx - px
-        ey = qy - py
-        jx, jy = verts[j]
-        while True:
-            jn = j + 1 if j + 1 < m else 0
-            nx, ny = verts[jn]
-            if ex * (ny - jy) - ey * (nx - jx) > 0:
-                j, jx, jy = jn, nx, ny
-            else:
-                break
-        for wx, wy in (verts[j], verts[(j + 1) % m]):
-            d = math.hypot(wx - px, wy - py)
-            if d > best:
-                best = d
-    return best
+    """Largest vertex-to-vertex distance, over the antipodal vertex pairs.
+
+    Every antipodal pair has a vertex on an edge whose antipodal vertex
+    (found as in `min_width`) is the other one, so each edge's two ends are
+    measured to that vertex and its two neighbours.
+    """
+    A, V = P.A, P.vertices
+    m = P.m
+    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+    opp = (ang + math.pi) % (2 * math.pi)
+    j = np.searchsorted(ang, opp, side="right") - 1
+    far = V[(j[:, None] + np.array([-1, 0, 1])) % m]  # (m, 3, 2)
+    ends = np.stack([np.roll(V, 1, axis=0), V], axis=1)  # edge k: vertices k-1, k
+    d = far[:, None, :, :] - ends[:, :, None, :]
+    return float(np.hypot(d[..., 0], d[..., 1]).max())
 
 
 def clip_halfplane(vertices: np.ndarray, a, off: float, eps: float = 1e-12) -> np.ndarray:

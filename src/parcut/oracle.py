@@ -22,6 +22,9 @@ from .tolerance import DEFAULT_TOL, Tol
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Bisections stop once the bracket is at most `bisection_tol` times
+    its upper end, so the error is relative whatever the polygon's scale."""
+
     bisection_tol: float = 1e-12
     max_iter: int = 200
     seed: int = 0
@@ -75,11 +78,11 @@ def _row_alive(P: HPolygon, i: int, t: float, tol: Tol) -> bool:
 def oracle_Mi(P: HPolygon, i: int, cfg: OracleConfig = OracleConfig(), tol: Tol = DEFAULT_TOL) -> float:
     """Largest offset at which row i is still non-redundant, by bisection."""
     r, _ = inradius_incenter(P, tol)
-    lo, hi = 0.0, r * (1.0 + 1e-9) + cfg.bisection_tol
+    lo, hi = 0.0, r * (1.0 + 1e-9 + cfg.bisection_tol)
     if _row_alive(P, i, hi, tol):
         return min(hi, r)
     for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol:
+        if hi - lo <= cfg.bisection_tol * hi:
             break
         mid = 0.5 * (lo + hi)
         if _row_alive(P, i, mid, tol):
@@ -143,7 +146,7 @@ def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig(), tol: T
     c = 2.0 * (n - 1)
     lo, hi = 0.0, r
     for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol:
+        if hi - lo <= cfg.bisection_tol * hi:
             break
         mid = 0.5 * (lo + hi)
         w = _edge_widths(P, mid, center, tol)

@@ -57,8 +57,11 @@ from .errors import (
     VerificationFailedError,
 )
 from .geometry import (
+    _FLOOR,
     HPolygon,
+    _corners,
     canonicalize,
+    chebyshev_lp,
     clip_halfplane,
     diameter,
     inner_body,
@@ -66,15 +69,13 @@ from .geometry import (
     min_width,
 )
 from .hierarchy import Hierarchy, build_hierarchy
-from .lp import OPTIMAL, UNBOUNDED, small_lp
+from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
 from .queries import QueryStats, facet_max_t, lp_max, lp_max_constrained, lp_max_section
 from .tolerance import DEFAULT_TOL, Tol
 
 # lifetimes or roots closer than this, relative to the largest offset, are
 # equal up to rounding; tied roots break by lowest index
 _TIE_REL = 1e-13
-# rows per constraint-generation round of the piece inradius LP
-_LP_BATCH = 64
 
 
 @dataclass
@@ -274,21 +275,6 @@ def _diagnostics(P: HPolygon, n: int, H: Hierarchy, M: np.ndarray, tol: Tol, sta
 # rho from the lifetimes
 
 
-def _corners(A: np.ndarray, b: np.ndarray):
-    """Crossing of each row with the next one (cyclically): corner k of
-    the polygon {A x <= b} when every row supports an edge.  Returns the
-    corners and the 2x2 determinants they were solved with."""
-    A2 = np.roll(A, -1, axis=0)
-    b2 = np.roll(b, -1)
-    det = A[:, 0] * A2[:, 1] - A[:, 1] * A2[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X = np.stack(
-            [(b * A2[:, 1] - b2 * A[:, 1]) / det, (A[:, 0] * b2 - A2[:, 0] * b) / det],
-            axis=1,
-        )
-    return X, det
-
-
 def _antipodes(ang: np.ndarray, S: np.ndarray) -> np.ndarray:
     """For each row of S, the corner (S[k], S[k+1]) whose normal cone holds
     the opposite normal: where A_i.x is smallest over that polygon."""
@@ -475,49 +461,54 @@ def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = Non
     ]
 
 
-def _cut_inradius(P: HPolygon, extras, tol: Tol) -> float | None:
-    """Inradius of P cut by the lifted slab rows `extras`, or None if empty.
+def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol) -> list[float]:
+    """Inradius of each piece of P between consecutive cut offsets along v.
 
-    The lifted LP (maximize t with A x + t <= b) is solved by constraint
-    generation: start from the first and the last row of each of _LP_BATCH
-    equal angle bins, then add the rows the optimum violates, most violated
-    first, until it violates none.  An optimum of a subset that is feasible
-    for every row is optimal for all of them.  The start rows bound the LP:
-    consecutive start normals lie within one bin or are consecutive normals
-    of P, so no two are pi or more apart.  Up to 2 * _LP_BATCH rows it is a
-    single LP over all rows.
+    P's boundary is split at the cuts in one sorted pass.  Edge k runs
+    from vertex k-1 to vertex k and spans [lo_k, hi_k] along v, so it meets
+    the pieces from the first whose upper cut is >= lo_k to the last whose
+    lower cut is <= hi_k: two binary searches on the offsets.  The test is
+    widened by vtol, because an extra row of P is valid for a piece but a
+    missing one is not.  A piece's inradius LP reads only its own edges'
+    rows and its one or two slab rows, and its vertex cycle is its own
+    edges' endpoints (a convex polygon inside P holding the piece) clipped
+    by its slab rows: about m + 2n rows and vertices over all pieces.
     """
-    A, b = P.A, P.b
+    A, b, V = P.A, P.b, P.vertices
     m = P.m
-    if m <= 2 * _LP_BATCH:
-        used = np.ones(m, dtype=bool)
-    else:
-        ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
-        bins = np.minimum((ang * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
-        change = np.nonzero(np.diff(bins))[0]
-        used = np.zeros(m, dtype=bool)
-        used[[0, m - 1]] = True
-        used[change] = True
-        used[change + 1] = True
-    floor = ((0.0, 0.0, -1.0), 0.0)
-    while True:
-        idx = np.nonzero(used)[0]
-        rows = [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A[idx].tolist(), b[idx].tolist())]
-        res = small_lp(rows + [floor] + extras, (0.0, 0.0, 1.0), tol=tol)
-        if res.status == UNBOUNDED and not used.all():
-            used[:] = True  # only rounding leaves the start rows open: take every row
-            continue
+    k = len(offsets)
+    if np.any(np.diff(offsets) < 0):
+        raise VerificationFailedError("pieces", "cuts are out of order along the direction")
+    proj = V[:, 0] * v[0] + V[:, 1] * v[1]
+    prev = np.roll(proj, 1)
+    first = np.searchsorted(offsets, np.minimum(prev, proj) - vtol, side="left")
+    last = np.searchsorted(offsets, np.maximum(prev, proj) + vtol, side="right")
+    count = last - first + 1
+    edge = np.repeat(np.arange(m), count)
+    piece = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - first, count)
+    order = np.argsort(piece, kind="stable")  # edges stay in index order
+    edge = edge[order]
+    bounds = np.searchsorted(piece[order], np.arange(k + 2))
+
+    vx, vy = float(v[0]), float(v[1])
+    inradii = []
+    for j in range(k + 1):
+        E = edge[bounds[j]:bounds[j + 1]]
+        verts = V[np.union1d((E - 1) % m, E)]
+        extras = [_FLOOR]
+        if j > 0:
+            verts = clip_halfplane(verts, -v, -offsets[j - 1])
+            extras.append(((-vx, -vy, 1.0), -float(offsets[j - 1])))
+        if j < k:
+            verts = clip_halfplane(verts, v, offsets[j])
+            extras.append(((vx, vy, 1.0), float(offsets[j])))
+        if len(verts) < 3:
+            raise VerificationFailedError("pieces", "degenerate piece produced")
+        res = chebyshev_lp(A[E], b[E], extras, tol)
         if res.status != OPTIMAL:
-            return None
-        x, y, t = res.point
-        ax = A[:, 0] * x
-        ay = A[:, 1] * y
-        excess = ax + ay + t - b
-        slack = tol.abs + tol.rel * (np.abs(b) + np.abs(ax) + np.abs(ay) + abs(t))
-        new = np.nonzero((excess > slack) & ~used)[0]
-        if len(new) == 0:
-            return float(res.value)
-        used[new[np.argsort(excess[new] - slack[new])[::-1][:_LP_BATCH]]] = True
+            raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
+        inradii.append(float(res.value))
+    return inradii
 
 
 def verify_solution(
@@ -535,6 +526,12 @@ def verify_solution(
     (a) width(inner_rho) + 2 rho = 2 n rho, (b) cutting P yields n pieces
     with max inradius rho (none exceeding it), (c) the smallest width gap
     over edges vanishes at rho.  Raises VerificationFailedError otherwise.
+
+    It reads only P and the claim, never the solver's state, in
+    O((m + n) log m): the inner body comes from a Chebyshev LP by
+    constraint generation and a dual hull, and P's boundary is split at
+    the cuts in one sorted pass, so that each piece's inradius LP reads
+    only its own edges (`_piece_inradii`).
     """
     diam = _diam if _diam is not None else diameter(P)
     vtol = 1e-8 * max(diam, 1.0)
@@ -557,28 +554,8 @@ def verify_solution(
     if abs(min_fi_residual) > vtol:
         raise VerificationFailedError("min-fi", f"min_i f_i(rho) = {min_fi_residual:g}")
 
-    vv = np.asarray(direction, float)
-    pieces = []
-    verts = P.vertices
-    for cut in cuts:
-        pieces.append(clip_halfplane(verts, vv, cut.offset))
-        verts = clip_halfplane(verts, -vv, -cut.offset)
-    pieces.append(verts)
-
-    vrow = (float(vv[0]), float(vv[1]))
-    inradii = []
-    for j, piece in enumerate(pieces):
-        if len(piece) < 3:
-            raise VerificationFailedError("pieces", "degenerate piece produced")
-        extras = []
-        if j > 0:
-            extras.append(((-vrow[0], -vrow[1], 1.0), -float(cuts[j - 1].offset)))
-        if j < len(pieces) - 1:
-            extras.append(((vrow[0], vrow[1], 1.0), float(cuts[j].offset)))
-        r = _cut_inradius(P, extras, tol)
-        if r is None:
-            raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
-        inradii.append(r)
+    offsets = np.array([float(cut.offset) for cut in cuts])
+    inradii = _piece_inradii(P, np.asarray(direction, float), offsets, vtol, tol)
     if len(inradii) != n:
         raise VerificationFailedError("pieces", f"{len(inradii)} pieces, wanted {n}")
     max_r = max(inradii)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from parcut.errors import EmptyInteriorError, UnboundedError
+from parcut.lp import OPTIMAL, small_lp
+from parcut.oracle import random_polygon
 from parcut.geometry import (
     HPolygon,
     VPolygon,
     canonicalize,
+    chebyshev_lp,
     clip_halfplane,
     diameter,
     directional_width,
@@ -151,7 +154,148 @@ def _clip_loop(vertices, a, off, eps=1e-12):
     return np.array(out).reshape(-1, 2)
 
 
+def _diameter_loop(P):
+    """Reference: rotating calipers, one edge at a time."""
+    verts = P.vertices.tolist()
+    m = len(verts)
+    best = 0.0
+    j = 1
+    for i in range(m):
+        px, py = verts[i]
+        qx, qy = verts[(i + 1) % m]
+        ex = qx - px
+        ey = qy - py
+        jx, jy = verts[j]
+        while True:
+            jn = j + 1 if j + 1 < m else 0
+            nx, ny = verts[jn]
+            if ex * (ny - jy) - ey * (nx - jx) > 0:
+                j, jx, jy = jn, nx, ny
+            else:
+                break
+        for wx, wy in (verts[j], verts[(j + 1) % m]):
+            best = max(best, math.hypot(wx - px, wy - py))
+    return best
+
+
+def _hull_loop(points):
+    """Reference: monotone chain over the sorted set of distinct points."""
+    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    span = max(pts[-1][0] - pts[0][0], max(p[1] for p in pts) - min(p[1] for p in pts), 1.0)
+    eps = 1e-14 * span * span
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= eps:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    return np.array(build(pts)[:-1] + build(reversed(pts))[:-1])
+
+
+def _finish_loop(A, b):
+    """Reference: rotate to the smallest normal angle, then one corner at a time."""
+    start = int(np.argmin(np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)))
+    A = np.vstack([A[start:], A[:start]])
+    b = np.concatenate([b[start:], b[:start]])
+    m = len(b)
+    verts = np.empty((m, 2))
+    for j in range(m):
+        a1, b1, a2, b2 = A[j], b[j], A[(j + 1) % m], b[(j + 1) % m]
+        det = a1[0] * a2[1] - a1[1] * a2[0]
+        verts[j] = ((b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det)
+    return A, b, verts
+
+
+def _canonicalize_vertices_loop(points):
+    """Reference: the vertex path one edge at a time."""
+    hull = _hull_loop(points)
+    k = len(hull)
+    A = np.empty((k, 2))
+    b = np.empty(k)
+    for j in range(k):
+        p, q = hull[j], hull[(j + 1) % k]
+        d = q - p
+        n = np.array([d[1], -d[0]])
+        n /= np.linalg.norm(n)
+        A[j] = n
+        b[j] = n @ p
+    return _finish_loop(A, b)
+
+
+def _canonicalize_rows_loop(A, b):
+    """Reference: the row path one row at a time, its interior point from
+    one LP over every row (unit rows only)."""
+    res = small_lp([((a[0], a[1], 1.0), off) for a, off in zip(A, b)], (0.0, 0.0, 1.0))
+    c = res.point[:2]
+    duals = {}
+    for i, (a, off) in enumerate(zip(A, b)):
+        depth = off - (a[0] * c[0] + a[1] * c[1])
+        duals.setdefault((a[0] / depth, a[1] / depth), i)
+    chosen = sorted(
+        {duals[(float(p[0]), float(p[1]))] for p in _hull_loop(np.array(list(duals)))},
+        key=lambda i: math.atan2(A[i][1], A[i][0]) % (2 * math.pi),
+    )
+    return _finish_loop(A[chosen], b[chosen])
+
+
+def _test_polygons(rng):
+    polys = [regular_polygon(m) for m in (3, 4, 6, 64, 1024, 65536)]
+    polys += [canonicalize(rng.normal(size=(int(rng.integers(3, 60)), 2)) * 10 ** rng.uniform(-3, 3)) for _ in range(30)]
+    polys += [random_polygon(int(rng.integers(3, 3000)), seed=k, model=("circle", "ellipse", "smoothed")[k % 3]) for k in range(12)]
+    return polys
+
+
 class TestAgainstLoops:
+    def test_diameter(self):
+        rng = np.random.default_rng(23)
+        for P in _test_polygons(rng):
+            assert diameter(P) == pytest.approx(_diameter_loop(P), rel=1e-15)
+
+    def test_canonicalize_vertices(self):
+        # the same arithmetic, so the same bits
+        rng = np.random.default_rng(24)
+        clouds = [P.vertices for P in _test_polygons(rng)]
+        clouds += [rng.normal(size=(int(rng.integers(3, 500)), 2)) + rng.normal(size=2) * 100 for _ in range(30)]
+        clouds += [np.round(rng.normal(size=(40, 2)), 1) for _ in range(10)]  # duplicates, collinear runs
+        for pts in clouds:
+            P = canonicalize(pts)
+            for got, ref in zip((P.A, P.b, P.vertices), _canonicalize_vertices_loop(pts)):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_canonicalize_rows(self):
+        # shuffled rows of P plus redundant ones give P's rows back, bit for bit
+        rng = np.random.default_rng(25)
+        for P in [P for P in _test_polygons(rng) if P.m <= 4096]:
+            extra = rng.normal(size=(P.m // 2 + 1, 2))
+            extra /= np.linalg.norm(extra, axis=1)[:, None]
+            A = np.vstack([P.A, extra])
+            lift = rng.uniform(0.01, 1.0, len(extra)) * np.abs(P.b).max()
+            b = np.concatenate([P.b, (extra @ P.vertices.T).max(axis=1) + lift])
+            perm = rng.permutation(len(b))
+            Q = canonicalize((A[perm], b[perm]))
+            for got, ref in zip((Q.A, Q.b, Q.vertices), _canonicalize_rows_loop(A[perm], b[perm])):
+                assert got.tobytes() == ref.tobytes()
+            assert Q.A.tobytes() == P.A.tobytes() and Q.b.tobytes() == P.b.tobytes()
+
+    def test_chebyshev_lp_on_unsorted_rows(self):
+        # the start sample comes from the rows in angle order, whatever order they come in
+        rng = np.random.default_rng(26)
+        for k in range(6):
+            P = random_polygon(300 + 200 * k, seed=40 + k, model=("circle", "ellipse", "smoothed")[k % 3])
+            perm = rng.permutation(P.m)
+            rows = [((a[0], a[1], 1.0), off) for a, off in zip(P.A[perm], P.b[perm])]
+            ref = small_lp(rows, (0.0, 0.0, 1.0))
+            got = chebyshev_lp(P.A[perm], P.b[perm])
+            assert got.status == ref.status == OPTIMAL
+            assert got.value == pytest.approx(ref.value, abs=1e-12)
+
     def test_min_width(self):
         rng = np.random.default_rng(21)
         polys = [regular_polygon(m) for m in (3, 4, 6, 64, 1024)]

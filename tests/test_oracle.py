@@ -96,6 +96,13 @@ class TestOracleSolve:
         assert abs(coarse - fine) <= 1e-4
         assert abs(coarse - fine) > 1e-10  # the coarse run really stopped early
 
+    def test_stop_is_relative_on_thin_rectangle(self):
+        # rho = 2.5e-5 here, so a stop at an absolute 1e-12 leaves 1e-8 relative
+        P = canonicalize([(0, 0), (10, 0), (10, 0.01), (0, 0.01)])
+        rho, _ = oracle_solve(P, 200)
+        ref = solve(P, 200).rho
+        assert abs(rho - ref) <= 1e-8 * ref
+
     def test_max_iter_caps_the_bisection(self):
         P = random_polygon(24, seed=3)
         r, _ = inradius_incenter(P)

@@ -5,13 +5,18 @@ import pytest
 
 from parcut.dome import bounded_core, build_dome, face_lattice, perturb
 from parcut.errors import InvalidPieceCountError, NotQualifiedError, OutOfRangeError, VerificationFailedError
-from parcut.geometry import canonicalize, inradius_incenter, regular_polygon
+from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
 from parcut.hierarchy import build_hierarchy
 from parcut.oracle import random_polygon
 from parcut.solver import Cut, eval_fi, place_cuts, root_lp, solve, verify_solution
 from parcut.tolerance import Tol
 
 SQ3 = math.sqrt(3.0)
+
+
+def _cut_inradius(P, extras):
+    """Inradius of P cut by the lifted slab rows `extras`, as verify solves it."""
+    return chebyshev_lp(P.A, P.b, [((0.0, 0.0, -1.0), 0.0)] + extras, Tol()).value
 
 
 def unit_square():
@@ -247,7 +252,6 @@ class TestVerify:
     def test_cut_inradius_matches_full_lp(self):
         # reference: one LP over every polygon row plus the slab rows
         from parcut.lp import small_lp
-        from parcut.solver import _cut_inradius
 
         rng = np.random.default_rng(13)
         for trial in range(8):
@@ -260,14 +264,13 @@ class TestVerify:
                 extras = [((-v[0], -v[1], 1.0), -lo), ((v[0], v[1], 1.0), hi)]
                 rows = [((a[0], a[1], 1.0), b) for a, b in zip(P.A, P.b)]
                 ref = small_lp(rows + [((0.0, 0.0, -1.0), 0.0)] + extras, (0.0, 0.0, 1.0))
-                assert _cut_inradius(P, extras, Tol()) == pytest.approx(ref.value, abs=1e-12)
+                assert _cut_inradius(P, extras) == pytest.approx(ref.value, abs=1e-12)
 
     def test_cut_inradius_bounded_on_uneven_normals(self):
         # a finely cut arc closed by one flat base: the base, the last row,
         # is the only normal below the x-axis, so a start sample that misses
         # it leaves the lifted LP unbounded
         from parcut.lp import small_lp
-        from parcut.solver import _cut_inradius
 
         for k in (199, 200, 300):
             th = np.linspace(0.0, math.pi, k + 1)
@@ -276,14 +279,14 @@ class TestVerify:
             v = (1.0, 0.0)
             for extras in ([], [((v[0], v[1], 1.0), 0.1)], [((-v[0], -v[1], 1.0), -0.1)]):
                 ref = small_lp(rows + [((0.0, 0.0, -1.0), 0.0)] + extras, (0.0, 0.0, 1.0))
-                assert _cut_inradius(P, extras, Tol()) == pytest.approx(ref.value, abs=1e-12)
+                assert _cut_inradius(P, extras) == pytest.approx(ref.value, abs=1e-12)
             for n in (1, 2):
                 s = solve(P, n)
                 assert s.verification.ok
                 assert s.verification.max_piece_inradius == pytest.approx(s.rho, abs=1e-9)
 
     def test_cut_inradius_unbounded_sample_takes_every_row(self, monkeypatch):
-        import parcut.solver as solver_mod
+        import parcut.geometry as geometry_mod
         from parcut.lp import UNBOUNDED, LpResult, small_lp
 
         calls = []
@@ -295,9 +298,9 @@ class TestVerify:
             return small_lp(rows, *args, **kwargs)
 
         P = regular_polygon(1000)
-        ref = solver_mod._cut_inradius(P, [], Tol())
-        monkeypatch.setattr(solver_mod, "small_lp", first_unbounded)
-        assert solver_mod._cut_inradius(P, [], Tol()) == pytest.approx(ref, abs=1e-12)
+        ref = _cut_inradius(P, [])
+        monkeypatch.setattr(geometry_mod, "small_lp", first_unbounded)
+        assert _cut_inradius(P, []) == pytest.approx(ref, abs=1e-12)
         assert calls[1] == P.m + 1
 
     def test_corrupted_cut_fails_pieces(self):

@@ -1,0 +1,189 @@
+"""verify_solution against the all-rows reference it replaced.
+
+The reference clips P at every cut in turn, solves each piece's inradius
+LP over every row of P, and finds the inner body's interior point with one
+LP over every row.  The verification under test splits P's boundary at the
+cuts and gives each piece's LP only its own edges.
+"""
+
+import numpy as np
+import pytest
+
+from parcut.errors import EmptyInteriorError, VerificationFailedError
+from parcut.geometry import canonicalize, clip_halfplane, min_width, regular_polygon
+from parcut.lp import OPTIMAL, small_lp
+from parcut.oracle import random_polygon
+from parcut.solver import Cut, _piece_inradii, solve, verify_solution
+from parcut.tolerance import DEFAULT_TOL
+
+FLOOR = ((0.0, 0.0, -1.0), 0.0)
+
+
+def _lifted(A, b):
+    return [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A.tolist(), b.tolist())]
+
+
+def _diameter_ref(P):
+    V = P.vertices
+    return max(float(np.hypot(*(V - p).T).max()) for p in V)
+
+
+def _pieces_ref(P, v, offsets):
+    """Clip chain and one LP over every row of P for each piece."""
+    pieces = []
+    verts = P.vertices
+    for off in offsets:
+        pieces.append(clip_halfplane(verts, v, off))
+        verts = clip_halfplane(verts, -v, -off)
+    pieces.append(verts)
+    rows = _lifted(P.A, P.b)
+    radii = []
+    for j, piece in enumerate(pieces):
+        if len(piece) < 3:
+            raise VerificationFailedError("pieces", "degenerate piece produced")
+        extras = [FLOOR]
+        if j > 0:
+            extras.append(((-v[0], -v[1], 1.0), -offsets[j - 1]))
+        if j < len(pieces) - 1:
+            extras.append(((v[0], v[1], 1.0), offsets[j]))
+        res = small_lp(rows + extras, (0.0, 0.0, 1.0))
+        if res.status != OPTIMAL:
+            raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
+        radii.append(res.value)
+    return radii
+
+
+def _verify_ref(P, n, rho, direction, cuts, tol=DEFAULT_TOL):
+    """The verification as it was: returns the piece inradii or raises."""
+    vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+    b = P.b - rho
+    res = small_lp(_lifted(P.A, b), (0.0, 0.0, 1.0))
+    inner = None
+    if res.status == OPTIMAL and res.value > tol.slack(max(1.0, float(np.abs(b).max()))):
+        try:
+            inner = canonicalize((P.A, b), tol, interior=res.point[:2])
+        except EmptyInteriorError:
+            pass
+    if inner is None:
+        r = small_lp(_lifted(P.A, P.b) + [FLOOR], (0.0, 0.0, 1.0)).value
+        if rho > r + vtol:
+            raise VerificationFailedError("width", "rho exceeds the inradius")
+        width_inner = 0.0
+    else:
+        width_inner = min_width(inner).width
+    if abs(width_inner + 2 * rho - 2 * n * rho) > vtol:
+        raise VerificationFailedError("width", "width residual")
+    if abs(width_inner - 2 * (n - 1) * rho) > vtol:
+        raise VerificationFailedError("min-fi", "gap residual")
+    radii = _pieces_ref(P, np.asarray(direction, float), [float(c.offset) for c in cuts])
+    if len(radii) != n:
+        raise VerificationFailedError("pieces", "piece count")
+    if max(radii) > rho + vtol or max(radii) < rho - vtol:
+        raise VerificationFailedError("pieces", "max piece inradius")
+    return radii
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerificationFailedError as exc:
+        return exc.clause
+
+
+# (m, n, model) spanning m = 8..2000, n = 1..300 and the three models,
+# kept to a few seconds of reference LPs
+CASES = [
+    (8, 1, "circle"), (8, 300, "ellipse"), (12, 5, "smoothed"), (30, 7, "circle"),
+    (64, 2, "ellipse"), (60, 150, "smoothed"), (120, 300, "circle"), (256, 32, "ellipse"),
+    (1000, 12, "smoothed"), (1000, 20, "circle"), (2000, 2, "ellipse"), (2000, 6, "smoothed"),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("m,n,model", CASES)
+    def test_piece_inradii_and_tampered_claims(self, m, n, model):
+        P = random_polygon(m, seed=500 + m + n, model=model)
+        s = solve(P, n, diagnostics=False)
+        rep = verify_solution(P, n, s.rho, s.direction, s.cuts)
+        ref = _verify_ref(P, n, s.rho, s.direction, s.cuts)
+        assert len(rep.piece_inradii) == len(ref) == n
+        assert np.max(np.abs(np.subtract(rep.piece_inradii, ref))) <= 1e-12 * s.rho
+
+        diam = _diameter_ref(P)
+        tampered = [(P, n, s.rho * (1 + 1e-6), s.direction, s.cuts),
+                    (P, n, s.rho * (1 - 1e-6), s.direction, s.cuts)]
+        if n > 1:
+            j = int(np.argmax(rep.piece_inradii))
+            moved = list(s.cuts)
+            c = min(j, n - 2)  # a cut bounding the fullest piece
+            step = 1e-6 * diam if c == j else -1e-6 * diam
+            moved[c] = Cut(moved[c].normal, moved[c].offset + step)
+            tampered.append((P, n, s.rho, s.direction, moved))
+            tampered.append((P, n, s.rho, s.direction, s.cuts[:-1]))
+        for claim in tampered:
+            got = _outcome(verify_solution, *claim)
+            assert isinstance(got, str), (m, n, claim[2] / s.rho)
+            assert got == _outcome(_verify_ref, *claim)
+
+
+def _check_split(P, v, offsets):
+    v = np.asarray(v, float) / np.linalg.norm(v)
+    offsets = np.asarray(offsets, float)
+    vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+    got = _outcome(_piece_inradii, P, v, offsets, vtol, DEFAULT_TOL)
+    ref = _outcome(_pieces_ref, P, v, offsets.tolist())
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        scale = max(ref)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * scale
+
+
+class TestBoundarySplit:
+    def test_cuts_through_vertices(self):
+        for P in (regular_polygon(6), regular_polygon(12), canonicalize([(0, 0), (2, 0), (3, 1), (1, 2)])):
+            for v in list(P.A[:3]) + [(1.0, 0.0), (1.0, 1.0)]:
+                v = np.asarray(v, float) / np.linalg.norm(v)
+                proj = np.unique(P.vertices @ v)[1:-1]
+                for shift in (0.0, -1e-9, 1e-9):  # on, just below, just above
+                    _check_split(P, v, proj + shift)
+        # the regular hexagon's solution at n = 2 cuts through two vertices
+        P = regular_polygon(6)
+        s = solve(P, 2)
+        assert np.sort(np.abs(P.vertices @ np.asarray(s.direction) - s.cuts[0].offset))[1] < 1e-15
+        assert s.verification.piece_inradii == pytest.approx(_verify_ref(P, 2, s.rho, s.direction, s.cuts), abs=1e-12)
+
+    def test_long_edges_span_many_slabs(self):
+        # the 10 x 0.01 rectangle at n = 200: cut across its short side, the
+        # long edges are parallel to the cuts and the short ones span all
+        # 200 slabs; cut across its long side, the reverse
+        P = canonicalize([(0, 0), (10, 0), (10, 0.01), (0, 0.01)])
+        s = solve(P, 200)
+        assert s.direction == (0.0, 1.0)
+        assert s.verification.piece_inradii == pytest.approx(
+            _verify_ref(P, 200, s.rho, s.direction, s.cuts), abs=1e-12 * s.rho
+        )
+        _check_split(P, (1.0, 0.0), np.linspace(0.0, 10.0, 201)[1:-1])
+        _check_split(P, (1.0, 1e-3), np.linspace(0.0, 10.0, 201)[1:-1])
+
+    def test_cut_on_a_parallel_edge(self):
+        P = canonicalize([(0, 0), (1, 0), (1, 1), (0, 1)])
+        _check_split(P, (0.0, 1.0), [0.5, 1.0])  # the top piece is a segment
+        _check_split(P, (0.0, 1.0), [0.0, 0.5])
+        _check_split(P, (0.0, 1.0), [0.25, 0.5, 0.75])
+
+    def test_random_cuts(self):
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            P = random_polygon(int(rng.integers(3, 300)), seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
+            v = rng.normal(size=2)
+            proj = P.vertices @ (v / np.linalg.norm(v))
+            _check_split(P, v, np.sort(rng.uniform(proj.min(), proj.max(), size=int(rng.integers(1, 40)))))
+
+    def test_unordered_cuts_fail_pieces(self):
+        P = regular_polygon(8)
+        _check_split(P, (1.0, 0.0), [0.3, -0.3])
+        with pytest.raises(VerificationFailedError) as exc:
+            _piece_inradii(P, np.array([1.0, 0.0]), np.array([0.3, -0.3]), 1e-8, DEFAULT_TOL)
+        assert exc.value.clause == "pieces"
+
