@@ -5,9 +5,10 @@ rho with width(P^rho) = 2 n rho, the cut direction (always an edge
 normal), and the n-1 equally spaced cuts that minimize the largest piece
 inradius.  `solve` reads every edge lifetime off one collapse sweep of
 the 3-D dome of P and solves for rho in closed form inside the bracket
-of lifetimes where it lies.  The paper's Dobkin-Kirkpatrick style
-facet-peeling hierarchy, with its polylogarithmic LP queries, supplies
-the per-edge diagnostics; a brute-force oracle cross-checks both.
+of lifetimes where it lies; the per-edge diagnostics come from the same
+bracket.  The paper's Dobkin-Kirkpatrick style facet-peeling hierarchy,
+with its polylogarithmic LP queries, is exported for direct use; a
+brute-force oracle cross-checks both.
 """
 
 from .errors import (
@@ -49,14 +50,12 @@ from .dome import (
 )
 from .hierarchy import Hierarchy, build_hierarchy, peel_level, pick_color, six_color
 from .queries import (
-    Query,
     QueryStats,
     facet_max_t,
     lp_max,
     lp_max_constrained,
     lp_max_facet,
     lp_max_section,
-    run_query,
 )
 from .solver import (
     Cut,

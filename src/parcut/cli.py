@@ -89,10 +89,8 @@ def solution_document(sol: Solution) -> dict:
         },
         "stats": {
             "m": sol.stats["m"],
-            "depth": sol.stats["depth"],
             "lp_queries": sol.stats["lp_queries"],
             "vertex_inspections": sol.stats["vertex_inspections"],
-            "wall_ms": sol.stats["wall_ms"],
         },
     }
 

@@ -52,12 +52,12 @@ class Dome:
         return (float(n[0]), float(n[1]), float(n[2])), float(self.offsets[label])
 
     def row_list(self) -> list[tuple[tuple[float, float, float], float]]:
-        """All rows as python tuples, cached; the sweeps index this a lot."""
-        got = getattr(self, "_row_list", None)
-        if got is None:
-            got = list(zip(map(tuple, self.normals.tolist()), self.offsets.tolist()))
-            object.__setattr__(self, "_row_list", got)
-        return got
+        """All rows as python tuples, for the sweeps that index them a lot;
+        a new list each call, so callers build it once."""
+        # columns, not rows: m short-lived row lists would each be tracked
+        # by the garbage collector and can set off full collections
+        N = self.normals.T.tolist()
+        return list(zip(zip(*N), self.offsets.tolist()))
 
 
 def build_dome(P: HPolygon) -> Dome:
@@ -634,7 +634,7 @@ def face_lattice(
 
 def _dome_sweep(D: Dome, strict: bool):
     """Collapse sweep of the whole dome upward from its floor polygon."""
-    corners3 = [(x, y, 0.0) for x, y in D.corners.tolist()]
+    corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
     return collapse_sweep(
         list(range(D.m)),
         corners3,

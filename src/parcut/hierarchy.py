@@ -281,7 +281,6 @@ class Hierarchy:
     scale: float
     core_vertices: list[int] = field(default_factory=list)
     core_edges: list[tuple[int, int]] = field(default_factory=list)
-    facet_top_cache: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -293,13 +292,6 @@ class Hierarchy:
 
     def total_vertices(self) -> int:
         return sum(len(lv.vertex_ids()) for lv in self.levels)
-
-    def kill_of(self, vid: int, transition: int) -> int:
-        """Killer facet of `vid` at the transition into level `transition`,
-        or -1 when the vertex survives there."""
-        if self.store.birth_level[vid] == transition:
-            return self.store.birth_killer[vid]
-        return -1
 
     def dump(self) -> str:
         """Structured text of every level for golden-file style tests."""

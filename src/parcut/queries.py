@@ -48,26 +48,6 @@ class QueryStats:
         self.binary_search_steps += other.binary_search_steps
 
 
-@dataclass(frozen=True)
-class Query:
-    """Bundled query description: objective, optional cutting plane,
-    optional extra half-space (at most one)."""
-
-    objective: tuple[float, float, float]
-    section: tuple[tuple[float, float, float], float] | None = None
-    extra: tuple[tuple[float, float, float], float] | None = None
-
-
-def run_query(H: Hierarchy, q: Query, stats: QueryStats | None = None) -> LpResult:
-    if q.section is not None and q.extra is not None:
-        raise ValueError("a query takes a section plane or an extra row, not both")
-    if q.section is not None:
-        return lp_max_section(H, q.section, q.objective, stats)
-    if q.extra is not None:
-        return lp_max_constrained(H, q.objective, q.extra, stats)
-    return lp_max(H, q.objective, stats)
-
-
 # ---------------------------------------------------------------------------
 # full-dimensional descent
 
@@ -125,12 +105,8 @@ def facet_max_t(H: Hierarchy, i: int, stats: QueryStats | None = None):
     i disappears from the inner body.  Returns (value, facet triple)."""
     if stats is None:
         stats = QueryStats()
-    cached = H.facet_top_cache.get(i)
-    if cached is None:
-        vid = _facet_descend(H, 0, i, (0.0, 0.0, 1.0), stats)
-        cached = (H.store.pts[vid][2], H.store.tris[vid])
-        H.facet_top_cache[i] = cached
-    return cached
+    vid = _facet_descend(H, 0, i, (0.0, 0.0, 1.0), stats)
+    return H.store.pts[vid][2], H.store.tris[vid]
 
 
 def _facet_descend(H: Hierarchy, level: int, facet: int, c, stats: QueryStats) -> int:

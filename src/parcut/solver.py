@@ -24,12 +24,13 @@ inradius.  `solve` finds it without any hierarchy:
   cut direction; ties within rounding break by lowest index.
 
 The n-1 cuts are then equally spaced along that normal and the answer is
-verified from scratch.  Per-edge diagnostics (f_i(M_i), the root and its
-qualification, beside the swept M_i) come from the paper's machinery
-instead: the facet-peeling hierarchy over the dome and its
-polylogarithmic LP queries (`eval_fi`, `root_lp`).  That hierarchy is
-built only when diagnostics are asked for, from the same perturbed dome
-and sweep as the lifetimes.
+verified from scratch.  Per-edge diagnostics are read off the same
+bracket: an edge's root is reported only when it lies there.
+
+The paper's engine -- the facet-peeling hierarchy over the dome and its
+polylogarithmic LP queries (`eval_fi`, `root_lp`) -- is kept here for
+direct use and for the tests of the paper's claims; `solve` never
+builds it.
 """
 
 from __future__ import annotations
@@ -40,15 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import (
-    _dome_sweep,
-    _solve3,
-    bounded_core,
-    build_dome,
-    face_lattice,
-    facet_lifetimes,
-    perturb,
-)
+from .dome import _dome_sweep, _solve3, build_dome, facet_lifetimes, perturb
+from .dome import bounded_core, face_lattice  # noqa: F401 -- bench/spans.py wraps solver.X
 from .errors import (
     GeometryError,
     InvalidPieceCountError,
@@ -68,7 +62,8 @@ from .geometry import (
     inradius_incenter,
     min_width,
 )
-from .hierarchy import Hierarchy, build_hierarchy
+from .hierarchy import Hierarchy
+from .hierarchy import build_hierarchy  # noqa: F401 -- bench/spans.py wraps solver.X
 from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
 from .queries import QueryStats, facet_max_t, lp_max, lp_max_constrained, lp_max_section
 from .tolerance import DEFAULT_TOL, Tol
@@ -78,9 +73,16 @@ from .tolerance import DEFAULT_TOL, Tol
 _TIE_REL = 1e-13
 
 
-@dataclass
+@dataclass(slots=True)
 class FacetDiagnostics:
-    """Per-edge byproducts of the solve, mostly for inspection and tests."""
+    """Per-edge byproducts of the solve, read off rho's bracket.
+
+    `M` is the swept lifetime M_i.  `root` is the root of the gap f_i when
+    it lies in the bracket of lifetimes that holds rho (where f_i is
+    linear, so the closed form is exact), else None; `qualifies` says
+    whether it is there.  `f_at_M` is f_i(M_i) for the edges that die at
+    the bracket's top, read there, else None.
+    """
 
     index: int
     M: float
@@ -114,7 +116,7 @@ class Solution:
     winner: int
     cuts: list[Cut]
     n: int
-    diagnostics: list[FacetDiagnostics] | None
+    diagnostics: list[FacetDiagnostics]
     verification: VerificationReport | None
     stats: dict
 
@@ -130,35 +132,17 @@ def _resolve_rows(orig_rows, labels, extra=None):
     return _solve3(n1, o1, n2, o2, n3, o3)
 
 
-def _with_retries(build, seed: int):
-    """Run build(perturbed dome) under up to three perturbation seeds."""
+def _lifetimes(D0, seed: int):
+    """Lifetimes of D0 from one collapse sweep of its perturbed copy,
+    under up to three perturbation seeds."""
     last = None
-    for attempt in range(3):
+    for s in range(seed, seed + 3):
         try:
-            return build(seed + attempt)
+            Dp = perturb(D0, seed=s)
+            return facet_lifetimes(Dp, original=D0, events=_dome_sweep(Dp, strict=False))
         except GeometryError as exc:  # retry under a fresh perturbation seed
             last = exc
     raise last
-
-
-def _prepared(D0, seed: int, tol: Tol, hierarchy: bool):
-    """Lifetimes, and the hierarchy if asked for, of one perturbed dome.
-
-    Both come from a single collapse sweep; a failure of either retries
-    both under a fresh perturbation seed.
-    """
-
-    def build(s):
-        Dp = perturb(D0, seed=s)
-        events = _dome_sweep(Dp, strict=False)
-        life = facet_lifetimes(Dp, original=D0, events=events)
-        if not hierarchy:
-            return life, None
-        lat = face_lattice(Dp, tol=tol, strict=False, events=events)
-        H = build_hierarchy(Dp, bounded_core(Dp, tol=tol), original=D0, lattice=lat, tol=tol)
-        return life, H
-
-    return _with_retries(build, seed)
 
 
 def _facet_top(H: Hierarchy, i: int, stats: QueryStats) -> float:
@@ -248,29 +232,6 @@ def _gap_lp(H: Hierarchy, i: int, n: int, stats: QueryStats) -> float:
     return pt[2] if pt is not None else res.value
 
 
-def _diagnostics(P: HPolygon, n: int, H: Hierarchy, M: np.ndarray, tol: Tol, stats: QueryStats):
-    """Per-edge f_i(M_i), gap-LP root and qualification via the hierarchy,
-    given the lifetimes M of H's perturbed dome.
-
-    An edge qualifies when f_i(M_i) <= 0 (the filter `root_lp` applies) and
-    its gap-LP root lands within its lifetime, both up to 10 tolerance slacks.
-    """
-    eps_q = 10.0 * tol.slack(max(H.scale, 1.0))
-    out = []
-    for i, Mi in enumerate(M.tolist()):
-        try:
-            fM = eval_fi(H, P, i, Mi, n, tol, stats, _Mi=Mi)
-        except OutOfRangeError:
-            fM = None
-        try:
-            root = float(_gap_lp(H, i, n, stats))
-        except NotQualifiedError:
-            root = None
-        ok = fM is not None and fM <= eps_q and root is not None and root <= Mi + eps_q
-        out.append(FacetDiagnostics(i, float(Mi), fM, bool(ok), root))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rho from the lifetimes
 
@@ -321,15 +282,15 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     return np.where(singular, np.inf, b[lo] - A[lo, 0] * x - A[lo, 1] * y)
 
 
-def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, work: dict):
-    """rho and the winning edge from the lifetimes M and the inradius r.
+def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, ang: np.ndarray,
+                     tie: float, work: dict):
+    """rho and the winning edge from the lifetimes M and the inradius r,
+    with rho's bracket: its alive rows S, their gap roots tau and its top.
 
     Lifetimes that agree to rounding are one event: a row whose re-solved
     M_i falls a hair short of its peers must stay alive until they die, or
     a segment-shaped apex would lose one of its four rows.
     """
-    ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
-    tie = _TIE_REL * float(np.abs(P.b).max())
     M = np.minimum(M, r)
     u = np.unique(M)
     first = np.concatenate([[0], np.nonzero(np.diff(u) > tie)[0] + 1])
@@ -359,23 +320,31 @@ def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, work: dict):
     if not math.isfinite(best):
         raise VerificationFailedError("no-root", "no edge gap has a root; invalid input?")
     winner = int(S[np.nonzero(tau <= best + tie)[0][0]])
-    return (best if n > 1 else r), winner
+    return (best if n > 1 else r), winner, S, tau, float(top[hi])
 
 
-def solve(
-    P,
-    n: int,
-    *,
-    seed: int = 0,
-    tol: Tol = DEFAULT_TOL,
-    diagnostics: bool | None = None,
-) -> Solution:
+def _diagnostics(P: HPolygon, n: int, M: np.ndarray, S: np.ndarray, tau: np.ndarray,
+                 t_hi: float, ang: np.ndarray, tie: float) -> list[FacetDiagnostics]:
+    """Per-edge diagnostics read off rho's bracket (alive rows S, roots tau,
+    top t_hi): a root counts only inside the bracket, and f_i(M_i) is read
+    at t_hi for the rows that die there, from one width evaluation."""
+    inside = tau <= t_hi + tie
+    root = dict(zip(S[inside].tolist(), tau[inside].tolist()))
+    dying = M[S] <= t_hi + tie
+    f = _widths(P, S, t_hi, ang) - 2.0 * (n - 1) * t_hi
+    f_at_M = dict(zip(S[dying].tolist(), f[dying].tolist()))
+    return [
+        FacetDiagnostics(i, Mi, f_at_M.get(i), i in root, root.get(i))
+        for i, Mi in enumerate(M.tolist())
+    ]
+
+
+def solve(P, n: int, *, seed: int = 0, tol: Tol = DEFAULT_TOL) -> Solution:
     """Compute rho with width(P^rho) = 2 n rho, the direction, and the cuts.
 
-    `diagnostics` asks for the per-edge `FacetDiagnostics` (M_i, f_i(M_i),
-    gap-LP root, qualification), computed on a dome hierarchy built for
-    that purpose only; it defaults to True up to 4096 edges.  Without
-    diagnostics no hierarchy is built and `Solution.diagnostics` is None.
+    Canonicalize, lift to the dome, sweep it once for the lifetimes, find
+    rho's bracket and its closed-form root, place the cuts and verify;
+    `Solution.diagnostics` holds every edge's `FacetDiagnostics`.
     """
     t_start = time.perf_counter()
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
@@ -383,20 +352,18 @@ def solve(
     n = int(n)
     if not isinstance(P, HPolygon):
         P = canonicalize(P, tol)  # HPolygon input is canonical by contract
-    m = P.m
-    if diagnostics is None:
-        diagnostics = m <= 4096
 
     D0 = build_dome(P)
-    life, H = _prepared(D0, seed, tol, diagnostics)
-    qstats = QueryStats()
+    life = _lifetimes(D0, seed)
     t_built = time.perf_counter()
 
     work = {"probes": 0, "rows": 0, "steps": 0}
+    ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
+    tie = _TIE_REL * float(np.abs(P.b).max())
     r = life.apex[2]
-    rho, winner = _critical_radius(P, n, life.M, r, work)
+    rho, winner, S, tau, t_hi = _critical_radius(P, n, life.M, r, ang, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
-    diag = _diagnostics(P, n, H, life.M, tol, qstats) if H is not None else None
+    diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
 
     inner = _inner_from_lifetimes(P, rho, life.M, tol)
     if inner is None:
@@ -414,14 +381,12 @@ def solve(
         diagnostics=diag,
         verification=report,
         stats={
-            "m": m,
-            "depth": H.depth if H is not None else 0,
+            "m": P.m,
             "build_ms": (t_built - t_start) * 1e3,
             "solve_ms": (t_end - t_start) * 1e3,
-            "lp_queries": work["probes"] + qstats.facet_sub_lps + qstats.levels_visited,
-            "vertex_inspections": life.events + work["rows"] + qstats.vertex_inspections,
-            "binary_search_steps": work["steps"] + qstats.binary_search_steps,
-            "wall_ms": (t_end - t_start) * 1e3,
+            "lp_queries": work["probes"],
+            "vertex_inspections": life.events + work["rows"],
+            "binary_search_steps": work["steps"],
         },
     )
 

@@ -21,29 +21,5 @@ class Tol:
         s = scale if scale >= 0 else -scale
         return self.abs + self.rel * s
 
-    def eq(self, a: float, b: float, scale: float | None = None) -> bool:
-        if scale is None:
-            scale = max(abs(a), abs(b), 1.0)
-        return abs(a - b) <= self.slack(scale)
-
-    def le(self, a: float, b: float, scale: float | None = None) -> bool:
-        if scale is None:
-            scale = max(abs(a), abs(b), 1.0)
-        return a <= b + self.slack(scale)
-
-    def lt(self, a: float, b: float, scale: float | None = None) -> bool:
-        if scale is None:
-            scale = max(abs(a), abs(b), 1.0)
-        return a < b - self.slack(scale)
-
-    def ge(self, a: float, b: float, scale: float | None = None) -> bool:
-        return self.le(b, a, scale)
-
-    def gt(self, a: float, b: float, scale: float | None = None) -> bool:
-        return self.lt(b, a, scale)
-
-    def is_zero(self, a: float, scale: float = 1.0) -> bool:
-        return abs(a) <= self.slack(scale)
-
 
 DEFAULT_TOL = Tol()

@@ -8,14 +8,12 @@ from parcut.geometry import canonicalize, regular_polygon
 from parcut.hierarchy import build_hierarchy
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
 from parcut.queries import (
-    Query,
     QueryStats,
     facet_max_t,
     lp_max,
     lp_max_constrained,
     lp_max_facet,
     lp_max_section,
-    run_query,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -201,15 +199,6 @@ class TestConstrained:
                     # boundary-plane section missed the dome: the feasible
                     # set was only a sliver below tolerance
                     assert abs(ref.value) < 1e-6 or True
-
-    def test_run_query_dispatch(self):
-        H = square_hier()
-        a = run_query(H, Query((0.0, 0.0, 1.0)))
-        b = run_query(H, Query((1.0, 0.0, 0.0), section=((0.0, 0.0, 1.0), 0.25)))
-        c = run_query(H, Query((0.0, 0.0, 1.0), extra=((0.0, 0.0, 1.0), 0.25)))
-        assert a.value == pytest.approx(0.5, abs=1e-6)
-        assert b.value == pytest.approx(0.75, abs=1e-5)
-        assert c.value == pytest.approx(0.25, abs=1e-9)
 
 
 class TestStatsEnvelope:

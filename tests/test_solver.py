@@ -7,7 +7,8 @@ from parcut.dome import bounded_core, build_dome, face_lattice, perturb
 from parcut.errors import InvalidPieceCountError, NotQualifiedError, OutOfRangeError, VerificationFailedError
 from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
 from parcut.hierarchy import build_hierarchy
-from parcut.oracle import random_polygon
+from parcut.oracle import oracle_fi, random_polygon
+from parcut.queries import facet_max_t
 from parcut.solver import Cut, eval_fi, place_cuts, root_lp, solve, verify_solution
 from parcut.tolerance import Tol
 
@@ -315,25 +316,38 @@ class TestVerify:
 class TestLifetimePath:
     def test_inspection_counter_grows_with_m(self):
         stats = [
-            solve(regular_polygon(m), 2, diagnostics=False).stats for m in (64, 256, 1024, 4096)
+            solve(regular_polygon(m), 2).stats for m in (64, 256, 1024, 4096)
         ]
         counts = [st["vertex_inspections"] for st in stats]
         assert counts[0] > 0
         assert all(a < b for a, b in zip(counts, counts[1:]))
         assert all(st["lp_queries"] > 0 for st in stats)
 
-    def test_no_hierarchy_without_diagnostics(self, monkeypatch):
+    def test_solve_never_builds_a_hierarchy(self, monkeypatch):
         import parcut.solver as solver_mod
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solve built a hierarchy")
+            raise AssertionError("solve built a face lattice, bounded core or hierarchy")
 
-        monkeypatch.setattr(solver_mod, "build_hierarchy", refuse)
+        for name in ("build_hierarchy", "face_lattice", "bounded_core"):
+            monkeypatch.setattr(solver_mod, name, refuse)
         P = random_polygon(40, seed=1)
-        s = solve(P, 3, diagnostics=False)
-        assert s.diagnostics is None
-        assert s.stats["depth"] == 0
+        s = solve(P, 3)
+        assert len(s.diagnostics) == P.m
         assert s.verification.ok
+
+    @pytest.mark.parametrize("k", [64, 340, 0, 9, 101, 226, 455])
+    def test_reported_roots_are_zeros_of_the_oracle_gap(self, k):
+        # criterion 2's case k: case 64 is m = 128, n = 1; case 340 is m = 128, n = 5
+        m = (8, 16, 32, 64, 128, 256)[k % 6]
+        P = random_polygon(m, seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
+        n = 1 + k % 8
+        s = solve(P, n)
+        scale = max(1.0, float(np.abs(P.b).max()))
+        roots = [(d.index, d.root) for d in s.diagnostics if d.root is not None]
+        assert s.winner in dict(roots)
+        for i, root in roots:
+            assert abs(oracle_fi(P, i, root, n)) <= 1e-12 * scale
 
     def test_ties_break_by_lowest_index(self):
         # every edge of the square and the regular hexagon ties
@@ -368,3 +382,37 @@ class TestLifetimePath:
             d = s.diagnostics[s.winner]
             assert d.qualifies
             assert abs(d.root - s.rho) <= 1e-12 * s.rho
+            # the paper's gap LP on the hierarchy agrees
+            assert root_lp(hier_for(P), P, s.winner, n) == pytest.approx(s.rho, rel=1e-12)
+
+    def test_domes_and_hierarchies_are_not_mutated(self, monkeypatch):
+        import parcut.solver as solver_mod
+
+        def snapshot(obj):
+            return {k: (id(v), len(v) if isinstance(v, (list, dict)) else None)
+                    for k, v in vars(obj).items()}
+
+        domes = []
+
+        def recording(build):
+            def wrapper(*args, **kwargs):
+                D = build(*args, **kwargs)
+                domes.append((D, snapshot(D)))
+                return D
+            return wrapper
+
+        monkeypatch.setattr(solver_mod, "build_dome", recording(solver_mod.build_dome))
+        monkeypatch.setattr(solver_mod, "perturb", recording(solver_mod.perturb))
+        P = random_polygon(30, seed=5)
+        solve(P, 3)
+        assert len(domes) == 2
+        H = hier_for(P)
+        domes += [(D, snapshot(D)) for D in (H.dome, H.original)]
+        before = snapshot(H)
+        for i in range(P.m):
+            facet_max_t(H, i)
+            eval_fi(H, P, i, 0.0, 3)
+        root_lp(H, P, solve(P, 3).winner, 3)
+        assert snapshot(H) == before
+        for D, seen in domes:
+            assert snapshot(D) == seen

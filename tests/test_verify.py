@@ -103,7 +103,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("m,n,model", CASES)
     def test_piece_inradii_and_tampered_claims(self, m, n, model):
         P = random_polygon(m, seed=500 + m + n, model=model)
-        s = solve(P, n, diagnostics=False)
+        s = solve(P, n)
         rep = verify_solution(P, n, s.rho, s.direction, s.cuts)
         ref = _verify_ref(P, n, s.rho, s.direction, s.cuts)
         assert len(rep.piece_inradii) == len(ref) == n
