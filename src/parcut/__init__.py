@@ -16,6 +16,7 @@ from .errors import (
     EmptyInteriorError,
     GeometryError,
     InvalidPieceCountError,
+    NonFiniteInputError,
     NonIndependentRemovalError,
     NotPlanarError,
     NotQualifiedError,

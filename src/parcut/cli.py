@@ -1,4 +1,4 @@
-"""Command-line front end: solve, oracle, verify, and bench subcommands.
+"""Command-line front end: solve, oracle and verify subcommands.
 
 Input documents carry either a vertex list or a half-plane list plus the
 piece count; solve emits a schema-stable JSON result (numbers with 17
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import GeometryError, VerificationFailedError
-from .geometry import canonicalize, clip_halfplane, inner_body, inradius_incenter, regular_polygon
+from .geometry import _expand_ranges, canonicalize, clip_halfplane, inner_body, inradius_incenter
 from .oracle import oracle_solve
 from .solver import Cut, Solution, solve, verify_solution
 from .tolerance import Tol
@@ -95,6 +95,31 @@ def solution_document(sol: Solution) -> dict:
     }
 
 
+def _chords(verts: np.ndarray, v: np.ndarray, tang: np.ndarray, offsets: np.ndarray):
+    """Ends of each cut line {v . x = offset} inside the polygon, lowest
+    along `tang` first; a cut that misses the polygon has none.
+
+    Edge k, from vertex k-1 to vertex k, meets the cuts whose offsets lie
+    in its span along v: two binary searches on the sorted offsets, so
+    each cut gathers its two crossings (more where it passes through a
+    vertex or along an edge) in O((m + n) log m) overall.
+    """
+    proj = verts @ v
+    prev = np.roll(proj, 1)
+    first = np.searchsorted(offsets, np.minimum(prev, proj), side="left")
+    last = np.searchsorted(offsets, np.maximum(prev, proj), side="right")
+    edge, cut = _expand_ranges(first, last)
+    a, b, pa, pb = verts[edge - 1], verts[edge], prev[edge], proj[edge]
+    span = pb - pa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(span != 0, (offsets[cut] - pa) / span, 0.0)
+    pts = a + lam[:, None] * (b - a)
+    order = np.lexsort((pts @ tang, cut))
+    pts, cut = pts[order], cut[order]
+    bounds = np.searchsorted(cut, np.arange(len(offsets) + 1))
+    return [(pts[i], pts[k - 1]) for i, k in zip(bounds[:-1], bounds[1:]) if k > i]
+
+
 def emit_svg(P, sol: Solution, path: str) -> None:
     """Draw the polygon, the inner body at rho (dashed), the cuts, and two
     inscribed disks of radius rho; deterministic byte output."""
@@ -135,31 +160,18 @@ def emit_svg(P, sol: Solution, path: str) -> None:
         )
     vv = np.asarray(sol.direction)
     tang = np.array([-vv[1], vv[0]])
-    R = 4.0 * span
-    for cut in sol.cuts:
-        anchor = vv * cut.offset
-        seg = np.array([anchor + R * tang, anchor - R * tang])
-        clipped = seg
-        for a, b in zip(P.A, P.b):
-            clipped = clip_halfplane(clipped, a, b + 1e-12)
-            if len(clipped) == 0:
-                break
-        if len(clipped) >= 2:
-            lo = clipped[np.argmin(clipped @ tang)]
-            hi = clipped[np.argmax(clipped @ tang)]
-            (x1, y1), (x2, y2) = XY(lo), XY(hi)
-            out.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="#b3372b" stroke-width="{sw:.3f}"/>'
-            )
+    for lo, hi in _chords(verts, vv, tang, np.array([cut.offset for cut in sol.cuts])):
+        (x1, y1), (x2, y2) = XY(lo), XY(hi)
+        out.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="#b3372b" stroke-width="{sw:.3f}"/>'
+        )
     # inscribed disks in the two outermost pieces
-    pieces = []
-    cur = P.vertices
-    for cut in sol.cuts:
-        pieces.append(clip_halfplane(cur, vv, cut.offset))
-        cur = clip_halfplane(cur, -vv, -cut.offset)
-    pieces.append(cur)
-    show = [pieces[0]] if len(pieces) == 1 else [pieces[0], pieces[-1]]
+    if sol.cuts:
+        show = [clip_halfplane(verts, vv, sol.cuts[0].offset),
+                clip_halfplane(verts, -vv, -sol.cuts[-1].offset)]
+    else:
+        show = [verts]
     for piece in show:
         if len(piece) < 3:
             continue
@@ -214,21 +226,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    ms = [int(v) for v in args.m_list.split(",")]
-    print("m,build_ms,solve_ms,lp_queries,vertex_inspections")
-    for m in ms:
-        for rep in range(args.repeats):
-            P = regular_polygon(m)
-            sol = solve(P, args.n, seed=rep)
-            st = sol.stats
-            print(
-                f"{m},{st['build_ms']:.3f},{st['solve_ms']:.3f},"
-                f"{st['lp_queries']},{st['vertex_inspections']}"
-            )
-    return 0
-
-
 def run(argv) -> int:
     """Entry point used by tests; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -252,12 +249,6 @@ def run(argv) -> int:
     p_verify.add_argument("input")
     p_verify.add_argument("output")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="timing table on regular polygons")
-    p_bench.add_argument("--m-list", required=True)
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--n", type=int, default=2)
-    p_bench.set_defaults(func=_cmd_bench)
 
     try:
         args = parser.parse_args(argv)

@@ -5,6 +5,10 @@ class GeometryError(Exception):
     """Base class for all geometry failures."""
 
 
+class NonFiniteInputError(GeometryError):
+    """An input coordinate, normal or offset is NaN or infinite."""
+
+
 class EmptyInteriorError(GeometryError):
     """The described region is empty or lower-dimensional."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInteriorError, UnboundedError
+from .errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import DEFAULT_TOL, Tol
 
@@ -144,19 +144,26 @@ def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
 def canonicalize(obj, tol: Tol = DEFAULT_TOL, interior=None) -> HPolygon:
     """Convert vertices, an (A, b) pair, or an HPolygon to canonical form.
 
-    Raises EmptyInteriorError when the region is empty or has no interior
-    and UnboundedError when the half-planes fail to bound it.  A known
-    strictly interior point may be passed to skip the feasibility LP.
+    Raises NonFiniteInputError when any number in it is NaN or infinite,
+    before anything else, EmptyInteriorError when the region is empty or
+    has no interior and UnboundedError when the half-planes fail to bound
+    it.  A known strictly interior point may be passed to skip the
+    feasibility LP.
     """
     if isinstance(obj, HPolygon):
-        return _canonicalize_rows(obj.A, obj.b, tol, interior)
-    if isinstance(obj, VPolygon):
-        return _canonicalize_vertices(obj.vertices)
+        obj = (obj.A, obj.b)
     if isinstance(obj, tuple) and len(obj) == 2:
-        return _canonicalize_rows(
-            np.asarray(obj[0], float), np.asarray(obj[1], float), tol, interior
-        )
-    return _canonicalize_vertices(np.asarray(obj, float))
+        A, b = np.asarray(obj[0], float), np.asarray(obj[1], float)
+        _require_finite(A, b)
+        return _canonicalize_rows(A, b, tol, interior)
+    V = np.asarray(obj.vertices if isinstance(obj, VPolygon) else obj, float)
+    _require_finite(V)
+    return _canonicalize_vertices(V)
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise NonFiniteInputError("input has a NaN or infinite number")
 
 
 def _canonicalize_vertices(vertices: np.ndarray) -> HPolygon:
@@ -342,6 +349,14 @@ def diameter(P: HPolygon) -> float:
     ends = np.stack([np.roll(V, 1, axis=0), V], axis=1)  # edge k: vertices k-1, k
     d = far[:, None, :, :] - ends[:, :, None, :]
     return float(np.hypot(d[..., 0], d[..., 1]).max())
+
+
+def _expand_ranges(first: np.ndarray, stop: np.ndarray):
+    """Flatten the integer ranges [first[k], stop[k]) into two arrays: the
+    owner k of each element and its value, in order of k."""
+    count = stop - first
+    owner = np.repeat(np.arange(len(first)), count)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count - first, count)
 
 
 def clip_halfplane(vertices: np.ndarray, a, off: float, eps: float = 1e-12) -> np.ndarray:

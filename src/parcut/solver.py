@@ -54,6 +54,7 @@ from .geometry import (
     _FLOOR,
     HPolygon,
     _corners,
+    _expand_ranges,
     canonicalize,
     chebyshev_lp,
     clip_halfplane,
@@ -71,6 +72,10 @@ from .tolerance import DEFAULT_TOL, Tol
 # lifetimes or roots closer than this, relative to the largest offset, are
 # equal up to rounding; tied roots break by lowest index
 _TIE_REL = 1e-13
+# a slab's half-width may exceed rho by this much, relative to the largest
+# cut offset or rho, and still be settled by the strip lemma: the rounding
+# of an honest claim's offsets
+_LEMMA_REL = 4 * np.finfo(float).eps
 
 
 @dataclass(slots=True)
@@ -426,38 +431,65 @@ def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = Non
     ]
 
 
-def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol) -> list[float]:
+def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol,
+                   inner: HPolygon | None = None, rho: float = 0.0) -> list[float]:
     """Inradius of each piece of P between consecutive cut offsets along v.
 
-    P's boundary is split at the cuts in one sorted pass.  Edge k runs
-    from vertex k-1 to vertex k and spans [lo_k, hi_k] along v, so it meets
-    the pieces from the first whose upper cut is >= lo_k to the last whose
-    lower cut is <= hi_k: two binary searches on the offsets.  The test is
-    widened by vtol, because an extra row of P is valid for a piece but a
-    missing one is not.  A piece's inradius LP reads only its own edges'
-    rows and its one or two slab rows, and its vertex cycle is its own
-    edges' endpoints (a convex polygon inside P holding the piece) clipped
-    by its slab rows: about m + 2n rows and vertices over all pieces.
+    Interior pieces are settled by the strip lemma when the inner body
+    `inner` = I_rho is given.  A slab {lo <= v.x <= hi} of half-width
+    w = (hi - lo)/2 bounds every disk in it by w, and for 0 < w <= rho
+    I_w contains I_rho, so a point of I_rho on the midline (lo + hi)/2
+    centres a disk of radius w inside both P and the slab: the piece's
+    inradius is exactly w whenever the midline lies within I_rho's
+    extremes [s_min, s_max] along v.  The width test admits
+    w <= rho + eps, where eps = _LEMMA_REL * max(|offset|, rho) over all
+    offsets, capped at vtol, covers the rounding of an honest claim's
+    offsets s_0 + 2 rho j: they round at the size of their terms, which
+    near a zero crossing far exceeds |lo| and |hi|.  In that band the true
+    inradius lies in [rho, w], both within vtol of rho, so no verdict
+    changes.  A midline that rounding puts delta outside I_rho errs by at
+    most delta, since I_(rho - delta) reaches delta further along v.  The
+    reported value is w, from the offsets; rho is never copied in.
+
+    The two end pieces, and any piece that fails the test (a wider or
+    misplaced slab, w <= 0, or no inner body), get an inradius LP.  For
+    those P's boundary is split at the cuts in one sorted pass.  Edge k
+    runs from vertex k-1 to vertex k and spans [lo_k, hi_k] along v, so it
+    meets the pieces from the first whose upper cut is >= lo_k to the last
+    whose lower cut is <= hi_k: two binary searches on the offsets.  The
+    test is widened by vtol, because an extra row of P is valid for a
+    piece but a missing one is not.  A piece's inradius LP reads only its
+    own edges' rows and its one or two slab rows, and its vertex cycle is
+    its own edges' endpoints (a convex polygon inside P holding the piece)
+    clipped by its slab rows.
     """
     A, b, V = P.A, P.b, P.vertices
     m = P.m
     k = len(offsets)
     if np.any(np.diff(offsets) < 0):
         raise VerificationFailedError("pieces", "cuts are out of order along the direction")
-    proj = V[:, 0] * v[0] + V[:, 1] * v[1]
+    vx, vy = float(v[0]), float(v[1])
+    inradii = np.zeros(k + 1)
+    settled = np.zeros(k + 1, dtype=bool)
+    if inner is not None and k >= 2:
+        lo, hi = offsets[:-1], offsets[1:]
+        w = (hi - lo) / 2
+        mid = (lo + hi) / 2
+        s = inner.vertices[:, 0] * vx + inner.vertices[:, 1] * vy
+        eps = min(_LEMMA_REL * max(abs(offsets[0]), abs(offsets[-1]), rho), vtol)
+        settled[1:k] = (w > 0) & (w <= rho + eps) & (mid >= s.min()) & (mid <= s.max())
+        inradii[1:k] = w
+
+    proj = V[:, 0] * vx + V[:, 1] * vy
     prev = np.roll(proj, 1)
     first = np.searchsorted(offsets, np.minimum(prev, proj) - vtol, side="left")
     last = np.searchsorted(offsets, np.maximum(prev, proj) + vtol, side="right")
-    count = last - first + 1
-    edge = np.repeat(np.arange(m), count)
-    piece = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - first, count)
+    edge, piece = _expand_ranges(first, last + 1)
     order = np.argsort(piece, kind="stable")  # edges stay in index order
     edge = edge[order]
     bounds = np.searchsorted(piece[order], np.arange(k + 2))
 
-    vx, vy = float(v[0]), float(v[1])
-    inradii = []
-    for j in range(k + 1):
+    for j in np.nonzero(~settled)[0].tolist():
         E = edge[bounds[j]:bounds[j + 1]]
         verts = V[np.union1d((E - 1) % m, E)]
         extras = [_FLOOR]
@@ -472,8 +504,8 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol) -
         res = chebyshev_lp(A[E], b[E], extras, tol)
         if res.status != OPTIMAL:
             raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
-        inradii.append(float(res.value))
-    return inradii
+        inradii[j] = res.value
+    return inradii.tolist()
 
 
 def verify_solution(
@@ -493,10 +525,13 @@ def verify_solution(
     over edges vanishes at rho.  Raises VerificationFailedError otherwise.
 
     It reads only P and the claim, never the solver's state, in
-    O((m + n) log m): the inner body comes from a Chebyshev LP by
-    constraint generation and a dual hull, and P's boundary is split at
-    the cuts in one sorted pass, so that each piece's inradius LP reads
-    only its own edges (`_piece_inradii`).
+    O((m + n) log m): the inner body I_rho comes from a Chebyshev LP by
+    constraint generation and a dual hull.  Interior pieces are settled
+    by the strip lemma against I_rho, each reporting the half-width of
+    its slab; the two end pieces and any piece that fails the lemma's
+    test (or every piece, when I_rho is empty) get an inradius LP that
+    reads only their own edges, found by splitting P's boundary at the
+    cuts in one sorted pass (`_piece_inradii`).
     """
     diam = _diam if _diam is not None else diameter(P)
     vtol = 1e-8 * max(diam, 1.0)
@@ -520,7 +555,7 @@ def verify_solution(
         raise VerificationFailedError("min-fi", f"min_i f_i(rho) = {min_fi_residual:g}")
 
     offsets = np.array([float(cut.offset) for cut in cuts])
-    inradii = _piece_inradii(P, np.asarray(direction, float), offsets, vtol, tol)
+    inradii = _piece_inradii(P, np.asarray(direction, float), offsets, vtol, tol, inner, rho)
     if len(inradii) != n:
         raise VerificationFailedError("pieces", f"{len(inradii)} pieces, wanted {n}")
     max_r = max(inradii)

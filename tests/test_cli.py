@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from parcut.cli import emit_svg, load_polygon, run, solution_document, _to_json
-from parcut.geometry import canonicalize
+from parcut.cli import _chords, emit_svg, load_polygon, run, solution_document, _to_json
+from parcut.geometry import canonicalize, clip_halfplane, regular_polygon
+from parcut.oracle import random_polygon
 from parcut.solver import solve
 
 
@@ -55,6 +57,16 @@ class TestSolveCommand:
         assert run(["solve", path3]) == 2
         capsys.readouterr()
 
+    def test_non_finite_input(self, tmp_path, capsys):
+        verts = [[0, 0], [1, 0], [float("nan"), 1], [0, 1]]
+        path = write(tmp_path, "nan.json", {"vertices": verts, "n": 2})
+        hp = [{"normal": [1, 0], "offset": float("inf")}, {"normal": [0, 1], "offset": 1},
+              {"normal": [-1, 0], "offset": 0}, {"normal": [0, -1], "offset": 0}]
+        path2 = write(tmp_path, "inf.json", {"halfplanes": hp, "n": 2})
+        for p in (path, path2):
+            assert run(["solve", p]) == 2
+            assert "NaN or infinite" in capsys.readouterr().err
+
     def test_both_keys_rejected(self, tmp_path, capsys):
         doc = dict(SQUARE_DOC)
         doc["halfplanes"] = [{"normal": [1, 0], "offset": 1}]
@@ -96,16 +108,6 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
-class TestBenchCommand:
-    def test_csv_shape(self, capsys):
-        assert run(["bench", "--m-list", "16,32", "--repeats", "2"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "m,build_ms,solve_ms,lp_queries,vertex_inspections"
-        assert len(lines) == 5
-        assert lines[1].startswith("16,")
-        assert lines[3].startswith("32,")
-
-
 class TestSvg:
     def test_deterministic_bytes(self, tmp_path):
         P = canonicalize(SQUARE_DOC["vertices"])
@@ -133,6 +135,36 @@ class TestSvg:
         p = tmp_path / "t.svg"
         emit_svg(P, sol, str(p))
         assert p.read_text().count("<line") == 2
+
+    def test_chords_match_clipping_against_every_row(self):
+        # reference: a long segment along each line clipped by all m rows
+        def clipped(P, v, tang, offsets):
+            out = []
+            for off in offsets:
+                seg = np.array([v * off + 4 * tang, v * off - 4 * tang])
+                for a, b in zip(P.A, P.b):
+                    seg = clip_halfplane(seg, a, b + 1e-12)
+                if len(seg) >= 2:
+                    out.append((seg[np.argmin(seg @ tang)], seg[np.argmax(seg @ tang)]))
+            return out
+
+        square = canonicalize(SQUARE_DOC["vertices"])
+        cases = [(regular_polygon(6), 2), (regular_polygon(64), 9), (square, 4)]
+        cases += [(random_polygon(m, seed=m, model="ellipse"), n) for m, n in ((30, 5), (500, 40))]
+        for P, n in cases:
+            sol = solve(P, n)
+            v = np.asarray(sol.direction)
+            tang = np.array([-v[1], v[0]])
+            # the cuts, and a line that misses P
+            offsets = np.array([c.offset for c in sol.cuts] + [(P.vertices @ v).max() + 1.0])
+            got = _chords(P.vertices, v, tang, offsets)
+            assert len(got) == n - 1
+            assert np.allclose(got, clipped(P, v, tang, offsets), rtol=0, atol=1e-9)  # the 1e-12 slack
+        # lines along the square's edges and through its middle
+        v, tang, offsets = np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, 0.5, 1.0])
+        got = _chords(square.vertices, v, tang, offsets)
+        assert np.allclose(got, clipped(square, v, tang, offsets), rtol=0, atol=1e-9)
+        assert np.array_equal(got[0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_solve_with_svg_flag(self, tmp_path, capsys):
         path = write(tmp_path, "sq.json", SQUARE_DOC)

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from parcut.errors import EmptyInteriorError, UnboundedError
+from parcut.errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.geometry import (
@@ -60,6 +61,19 @@ class TestCanonicalize:
     def test_unbounded(self):
         with pytest.raises(UnboundedError):
             canonicalize((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input(self, bad):
+        verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        b = np.array([1.0, 1.0, 0.0, 0.0])
+        A_bad, b_bad, v_bad = A.copy(), b.copy(), np.array(verts)
+        A_bad[1, 0] = b_bad[2] = v_bad[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obj in (v_bad, VPolygon(v_bad), (A_bad, b), (A, b_bad), HPolygon(A_bad, b, v_bad)):
+                with pytest.raises(NonFiniteInputError):
+                    canonicalize(obj)
 
     def test_vertex_cycle_convention(self):
         P = unit_square()

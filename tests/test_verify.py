@@ -2,15 +2,17 @@
 
 The reference clips P at every cut in turn, solves each piece's inradius
 LP over every row of P, and finds the inner body's interior point with one
-LP over every row.  The verification under test splits P's boundary at the
-cuts and gives each piece's LP only its own edges.
+LP over every row.  The verification under test settles interior pieces
+by the strip lemma, splits P's boundary at the cuts and gives each
+remaining piece's LP only its own edges.
 """
 
 import numpy as np
 import pytest
 
 from parcut.errors import EmptyInteriorError, VerificationFailedError
-from parcut.geometry import canonicalize, clip_halfplane, min_width, regular_polygon
+from parcut import solver
+from parcut.geometry import canonicalize, clip_halfplane, inner_body, inradius_incenter, min_width, regular_polygon
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.solver import Cut, _piece_inradii, solve, verify_solution
@@ -120,17 +122,32 @@ class TestAgainstReference:
             moved[c] = Cut(moved[c].normal, moved[c].offset + step)
             tampered.append((P, n, s.rho, s.direction, moved))
             tampered.append((P, n, s.rho, s.direction, s.cuts[:-1]))
+        if n > 2:  # claims that reach the interior pieces
+            c = (n - 1) // 2  # between pieces c and c + 1, at least one interior
+            moved = list(s.cuts)
+            moved[c] = Cut(moved[c].normal, moved[c].offset + 1e-6 * diam)
+            tampered.append((P, n, s.rho, s.direction, moved))
+            shifted = [Cut(cut.normal, cut.offset + 1e-6 * diam) for cut in s.cuts]
+            tampered.append((P, n, s.rho, s.direction, shifted))
+            doubled = s.cuts[:c] + [s.cuts[c]] + s.cuts[c:]
+            tampered.append((P, n, s.rho, s.direction, doubled))
+            for shift in (3 * s.rho, -3 * s.rho):  # end midlines miss I_rho
+                restarted = [Cut(cut.normal, cut.offset + shift) for cut in s.cuts]
+                tampered.append((P, n, s.rho, s.direction, restarted))
         for claim in tampered:
             got = _outcome(verify_solution, *claim)
             assert isinstance(got, str), (m, n, claim[2] / s.rho)
             assert got == _outcome(_verify_ref, *claim)
 
 
-def _check_split(P, v, offsets):
+def _check_split(P, v, offsets, rho=None):
+    """_piece_inradii against the reference, with the strip lemma at rho
+    when it is given."""
     v = np.asarray(v, float) / np.linalg.norm(v)
     offsets = np.asarray(offsets, float)
     vtol = 1e-8 * max(_diameter_ref(P), 1.0)
-    got = _outcome(_piece_inradii, P, v, offsets, vtol, DEFAULT_TOL)
+    lemma = () if rho is None else (inner_body(P, rho), rho)
+    got = _outcome(_piece_inradii, P, v, offsets, vtol, DEFAULT_TOL, *lemma)
     ref = _outcome(_pieces_ref, P, v, offsets.tolist())
     if isinstance(ref, str):
         assert got == ref
@@ -187,3 +204,71 @@ class TestBoundarySplit:
             _piece_inradii(P, np.array([1.0, 0.0]), np.array([0.3, -0.3]), 1e-8, DEFAULT_TOL)
         assert exc.value.clause == "pieces"
 
+
+_CHEBYSHEV_LP = solver.chebyshev_lp
+
+
+class _CountingLp:
+    """Stands in for `solver.chebyshev_lp` and counts the piece LPs."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return _CHEBYSHEV_LP(*args, **kwargs)
+
+
+class TestStripLemma:
+    def test_honest_claim_solves_two_piece_lps(self, monkeypatch):
+        P = random_polygon(1000, seed=3, model="smoothed")
+        s = solve(P, 64)
+        v = np.asarray(s.direction)
+        offsets = np.array([c.offset for c in s.cuts])
+        vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+        lp = _CountingLp()
+        monkeypatch.setattr(solver, "chebyshev_lp", lp)
+        got = _piece_inradii(P, v, offsets, vtol, DEFAULT_TOL, inner_body(P, s.rho), s.rho)
+        assert lp.calls == 2
+        ref = _pieces_ref(P, v, offsets.tolist())
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
+
+    def test_random_slabs(self, monkeypatch):
+        # slabs of random half-width up to just over rho, at random starts:
+        # the lemma settles those whose midline lies in I_rho, the LP the rest
+        lp = _CountingLp()
+        monkeypatch.setattr(solver, "chebyshev_lp", lp)
+        rng = np.random.default_rng(47)
+        pieces = 0
+        for k in range(12):
+            P = random_polygon(int(rng.integers(3, 300)), seed=40 + k, model=("circle", "ellipse", "smoothed")[k % 3])
+            r, _ = inradius_incenter(P)
+            rho = float(rng.uniform(0.02, 0.3)) * r
+            v = rng.normal(size=2)
+            proj = P.vertices @ (v / np.linalg.norm(v))
+            w = rho * (float(rng.uniform(0.3, 1.0)), 1.0, 1.0 + 1e-9)[k % 3]
+            offsets = np.arange(proj.min() + rng.uniform(0, 2 * w), proj.max(), 2 * w)
+            _check_split(P, v, offsets, rho)
+            pieces += len(offsets) + 1
+        assert lp.calls < pieces / 2  # the lemma settled most pieces
+
+    def test_slabs_at_a_pointed_end(self):
+        # the triangle's ends along x are sharp, so I_rho stops well short of
+        # them: slabs there have midlines outside I_rho and inradius below w
+        P = canonicalize([(0, 0), (4, 0), (2, 1)])
+        v = np.array([1.0, 0.0])
+        rho = 0.1
+        offsets = np.arange(0.05, 3.96, 2 * rho)
+        _check_split(P, v, offsets, rho)
+        ref = _pieces_ref(P, v, offsets.tolist())
+        assert min(ref[1:-1]) < 0.9 * rho
+        # midline on I_rho's extremes: exactly rho wide settles at w; a hair
+        # wider (beyond vtol) has inradius rho, not w
+        s = inner_body(P, rho).vertices @ v
+        for w in (rho, rho * (1 + 1e-6)):
+            _check_split(P, v, s.max() + w * np.array([-3.0, -1.0, 1.0]), rho)
+            _check_split(P, v, s.min() + w * np.array([-1.0, 1.0, 3.0]), rho)
+        # a repeated cut leaves a piece of width 0, not of inradius 0
+        _check_split(P, v, [1.0, 2.0, 2.0, 3.0], rho)
+        assert _outcome(_piece_inradii, P, v, np.array([1.0, 2.0, 2.0, 3.0]), 1e-8, DEFAULT_TOL,
+                        inner_body(P, rho), rho) == "pieces"
