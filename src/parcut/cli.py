@@ -192,7 +192,7 @@ def _cmd_solve(args) -> int:
         doc = json.load(fh)
     P, n = load_polygon(doc)
     tol = Tol(rel=args.tolerance) if args.tolerance else Tol()
-    sol = solve(P, n, seed=args.seed, tol=tol)
+    sol = solve(P, n, tol=tol)
     print(_to_json(solution_document(sol)))
     if args.svg:
         emit_svg(P, sol, args.svg)
@@ -237,7 +237,6 @@ def run(argv) -> int:
     p_solve = sub.add_parser("solve", help="solve an input document")
     p_solve.add_argument("input")
     p_solve.add_argument("--svg", default=None)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--tolerance", type=float, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -11,6 +11,11 @@ convex polygon whose edges die one by one as h grows, and every death is
 a lattice vertex.  The same engine later recomputes the local lattice
 over the hole left by deleting a facet, so it is written against an
 arbitrary "bottom cycle + bounding planes + sweep direction" input.
+
+The lattice, and the hierarchy built on it, need a simple polytope, so
+they run on a `perturb`ed dome.  The heights at which facets die do not:
+`facet_lifetimes` reads them off one non-strict sweep of the dome as it
+is.
 """
 
 from __future__ import annotations
@@ -392,10 +397,11 @@ def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
     Returns the death events [(point, (la, lb, lc), h)], final last.
 
     In strict mode an event landing on an existing joint (four planes
-    through one point) raises DegenerateVertexError.  Non-strict mode is
-    for input that was already perturbed: coincidences there are just the
-    resolution floor of doubles, and the produced complex stays valid
-    because the relinking is purely combinatorial.
+    through one point) raises DegenerateVertexError.  Non-strict mode
+    accepts such coincidences, whether they are the resolution floor of
+    perturbed input or true concurrences of unperturbed input: the
+    relinking is purely combinatorial, and each event still lands at the
+    height where its edge dies.
     """
     k = len(labels)
     if k < 3:
@@ -577,16 +583,13 @@ def cycle_from_triples(f, vids, tris):
     return cyc
 
 
-def face_lattice(
-    D: Dome, tol: Tol = DEFAULT_TOL, strict: bool = True, events=None
-) -> FaceLattice:
+def face_lattice(D: Dome, tol: Tol = DEFAULT_TOL, strict: bool = True) -> FaceLattice:
     """Full face lattice of the dome in O(m log m).
 
     Requires a generic dome (no four facet planes through a point); in
     strict mode a violation raises DegenerateVertexError, which signals
     that `perturb` should be applied first.  Pipelines that have already
     perturbed pass strict=False and accept resolution-floor coincidences.
-    `events` is D's collapse sweep (`_dome_sweep`) when already run.
     """
     m = D.m
     floor = D.floor
@@ -597,8 +600,7 @@ def face_lattice(
         p = (float(D.corners[j, 0]), float(D.corners[j, 1]), 0.0)
         corner_vid.append(store.alloc(p, ((j - 1) % m, j, floor), 0, -1))
 
-    if events is None:
-        events = _dome_sweep(D, strict)
+    events = _dome_sweep(D, strict)
 
     # Assemble each facet cycle from the event chains: going CCW, a lifted
     # facet runs along its floor edge, climbs the side it shares with its
@@ -651,8 +653,8 @@ class Lifetimes:
 
     `M[i]` is the offset at which polygon edge i leaves the inner parallel
     body (the top of lifted facet i); `apex` is (x, y, t) of the dome's
-    highest point, i.e. the incenter and the inradius.  Both are re-solved
-    on the unperturbed rows.  `events` counts the sweep's vertex events.
+    highest point, i.e. the incenter and the inradius.  `events` counts
+    the sweep's vertex events.
     """
 
     M: np.ndarray
@@ -660,30 +662,20 @@ class Lifetimes:
     events: int
 
 
-def facet_lifetimes(D: Dome, original: Dome | None = None, events=None) -> Lifetimes:
-    """Every facet top of a (perturbed) dome in O(m log m).
+def facet_lifetimes(D: Dome) -> Lifetimes:
+    """Every facet top of a dome in O(m log m), from one non-strict sweep.
 
     A facet's top is its death event in the collapse sweep: the
     concurrence of the facet with its two neighbours at that moment; the
-    three facets alive at the end share the apex.  Each such plane triple
-    is re-solved on the rows of `original` (default: D itself), falling
-    back to the swept point when the triple is singular there.  `events`
-    is D's non-strict collapse sweep (`_dome_sweep`) when already run.
+    three facets alive at the end share the apex.  The dome need not be
+    generic: four planes through one point leave every death height, and
+    so every top, unchanged, whichever of them the sweep kills first.
     """
-    orig = (original if original is not None else D).row_list()
-    if events is None:
-        events = _dome_sweep(D, strict=False)
-
-    def resolve(pt, tri):
-        a, b, c = sorted(tri)
-        exact = _solve3(*orig[a], *orig[b], *orig[c])
-        return exact if exact is not None else pt
-
+    events = _dome_sweep(D, strict=False)
     M = np.empty(D.m)
     for pt, tri, _h in events[:-1]:
-        M[tri[1]] = resolve(pt, tri)[2]
-    pt, tri, _h = events[-1]
-    apex = resolve(pt, tri)
+        M[tri[1]] = pt[2]
+    apex, tri, _h = events[-1]
     M[list(tri)] = apex[2]
     return Lifetimes(M, tuple(apex), len(events))
 

@@ -8,10 +8,11 @@ where I_t = {x : Ax <= b - t} is the inner parallel body (the union of
 the radius-t disks inside P is I_t thickened by t); for n = 1 rho is the
 inradius.  `solve` finds it without any hierarchy:
 
-* lifetimes -- one collapse sweep over the (perturbed) dome gives every
-  M_i, the offset at which edge i leaves the inner body, re-solved on
-  the unperturbed rows; the sweep's last event is the apex, i.e. the
-  incenter at the height of the inradius.
+* lifetimes -- one non-strict collapse sweep over the unperturbed dome
+  gives every M_i, the offset at which edge i leaves the inner body;
+  the sweep's last event is the apex, i.e. the incenter at the height
+  of the inradius.  Four planes through one point do not move these
+  heights, so `solve` never perturbs.
 * bracket -- the rows of I_t are exactly those with M_i > t, so between
   consecutive sorted lifetimes the alive set, and with it every corner
   of I_t and every edge's antipodal corner, stays fixed.  A binary
@@ -30,7 +31,8 @@ bracket: an edge's root is reported only when it lies there.
 The paper's engine -- the facet-peeling hierarchy over the dome and its
 polylogarithmic LP queries (`eval_fi`, `root_lp`) -- is kept here for
 direct use and for the tests of the paper's claims; `solve` never
-builds it.
+builds it.  Only that hierarchy needs a simple polytope, so only it runs
+on a perturbed dome.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import _dome_sweep, _solve3, build_dome, facet_lifetimes, perturb
-from .dome import bounded_core, face_lattice  # noqa: F401 -- bench/spans.py wraps solver.X
+from .dome import _solve3, build_dome, facet_lifetimes
+from .dome import bounded_core, face_lattice, perturb  # noqa: F401 -- bench/spans.py wraps solver.X
 from .errors import (
-    GeometryError,
     InvalidPieceCountError,
     NotQualifiedError,
     OutOfRangeError,
@@ -135,19 +136,6 @@ def _resolve_rows(orig_rows, labels, extra=None):
         return None
     (n1, o1), (n2, o2), (n3, o3) = rows
     return _solve3(n1, o1, n2, o2, n3, o3)
-
-
-def _lifetimes(D0, seed: int):
-    """Lifetimes of D0 from one collapse sweep of its perturbed copy,
-    under up to three perturbation seeds."""
-    last = None
-    for s in range(seed, seed + 3):
-        try:
-            Dp = perturb(D0, seed=s)
-            return facet_lifetimes(Dp, original=D0, events=_dome_sweep(Dp, strict=False))
-        except GeometryError as exc:  # retry under a fresh perturbation seed
-            last = exc
-    raise last
 
 
 def _facet_top(H: Hierarchy, i: int, stats: QueryStats) -> float:
@@ -292,7 +280,7 @@ def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, ang: np.ndarr
     """rho and the winning edge from the lifetimes M and the inradius r,
     with rho's bracket: its alive rows S, their gap roots tau and its top.
 
-    Lifetimes that agree to rounding are one event: a row whose re-solved
+    Lifetimes that agree to rounding are one event: a row whose swept
     M_i falls a hair short of its peers must stay alive until they die, or
     a segment-shaped apex would lose one of its four rows.
     """
@@ -344,7 +332,7 @@ def _diagnostics(P: HPolygon, n: int, M: np.ndarray, S: np.ndarray, tau: np.ndar
     ]
 
 
-def solve(P, n: int, *, seed: int = 0, tol: Tol = DEFAULT_TOL) -> Solution:
+def solve(P, n: int, *, tol: Tol = DEFAULT_TOL) -> Solution:
     """Compute rho with width(P^rho) = 2 n rho, the direction, and the cuts.
 
     Canonicalize, lift to the dome, sweep it once for the lifetimes, find
@@ -359,7 +347,7 @@ def solve(P, n: int, *, seed: int = 0, tol: Tol = DEFAULT_TOL) -> Solution:
         P = canonicalize(P, tol)  # HPolygon input is canonical by contract
 
     D0 = build_dome(P)
-    life = _lifetimes(D0, seed)
+    life = facet_lifetimes(D0)
     t_built = time.perf_counter()
 
     work = {"probes": 0, "rows": 0, "steps": 0}
@@ -370,7 +358,7 @@ def solve(P, n: int, *, seed: int = 0, tol: Tol = DEFAULT_TOL) -> Solution:
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
     diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
 
-    inner = _inner_from_lifetimes(P, rho, life.M, tol)
+    inner = _inner_from_lifetimes(P, rho, life.M, tie)
     if inner is None:
         inner = inner_body(P, rho, tol, interior=life.apex[:2])
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
@@ -396,15 +384,15 @@ def solve(P, n: int, *, seed: int = 0, tol: Tol = DEFAULT_TOL) -> Solution:
     )
 
 
-def _inner_from_lifetimes(P: HPolygon, rho: float, Ms, tol: Tol) -> HPolygon | None:
+def _inner_from_lifetimes(P: HPolygon, rho: float, Ms, tie: float) -> HPolygon | None:
     """Inner body at rho assembled from the facet lifetimes.
 
     The rows supporting the inner body are exactly those with M_i > rho,
     in unchanged cyclic order, so their consecutive intersections are its
-    vertices; no redundancy pass is needed.
+    vertices; no redundancy pass is needed.  A lifetime within `tie` of
+    rho equals it up to rounding, so its row counts as dead there.
     """
-    scale = max(1.0, float(np.abs(P.b).max()))
-    alive = np.nonzero(Ms > rho + tol.slack(scale))[0]
+    alive = np.nonzero(Ms > rho + tie)[0]
     k = len(alive)
     if k < 3:
         return None
@@ -522,7 +510,8 @@ def verify_solution(
 
     (a) width(inner_rho) + 2 rho = 2 n rho, (b) cutting P yields n pieces
     with max inradius rho (none exceeding it), (c) the smallest width gap
-    over edges vanishes at rho.  Raises VerificationFailedError otherwise.
+    over edges vanishes at rho.  Every cut's normal must be `direction`.
+    Raises VerificationFailedError otherwise.
 
     It reads only P and the claim, never the solver's state, in
     O((m + n) log m): the inner body I_rho comes from a Chebyshev LP by
@@ -554,8 +543,14 @@ def verify_solution(
     if abs(min_fi_residual) > vtol:
         raise VerificationFailedError("min-fi", f"min_i f_i(rho) = {min_fi_residual:g}")
 
+    # a normal off by angle d tilts its line by up to d * diam inside P, so
+    # agreement to 1e-8 keeps every cut within vtol of the claimed one
+    v = np.asarray(direction, float)
+    normals = np.array([cut.normal for cut in cuts], float).reshape(-1, 2)
+    if not np.all(np.hypot(*(normals - v).T) <= 1e-8):
+        raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
     offsets = np.array([float(cut.offset) for cut in cuts])
-    inradii = _piece_inradii(P, np.asarray(direction, float), offsets, vtol, tol, inner, rho)
+    inradii = _piece_inradii(P, v, offsets, vtol, tol, inner, rho)
     if len(inradii) != n:
         raise VerificationFailedError("pieces", f"{len(inradii)} pieces, wanted {n}")
     max_r = max(inradii)

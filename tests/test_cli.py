@@ -107,6 +107,18 @@ class TestVerifyCommand:
         assert run(["verify", path, str(outp)]) == 3
         capsys.readouterr()
 
+    def test_tampered_normals(self, tmp_path, capsys):
+        path = write(tmp_path, "sq.json", SQUARE_DOC)
+        assert run(["solve", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cuts"]
+        for cut in doc["cuts"]:
+            cut["normal"] = [0.6, 0.8]
+        outp = tmp_path / "tampered.json"
+        outp.write_text(json.dumps(doc))
+        assert run(["verify", path, str(outp)]) == 3
+        assert "cuts" in capsys.readouterr().err
+
 
 class TestSvg:
     def test_deterministic_bytes(self, tmp_path):

@@ -248,7 +248,7 @@ class TestBoundedCore:
 class TestFacetLifetimes:
     def test_square(self):
         D0 = build_dome(unit_square())
-        life = facet_lifetimes(perturb(D0), original=D0)
+        life = facet_lifetimes(D0)
         assert life.M.tolist() == pytest.approx([0.5] * 4, abs=1e-15)
         assert life.apex == pytest.approx((0.5, 0.5, 0.5), abs=1e-15)
         assert life.events == 2
@@ -262,10 +262,10 @@ class TestFacetLifetimes:
     def test_matches_lifted_lp(self):
         # M_i = max t over the dome with facet i held tight
         rng = np.random.default_rng(12)
-        for trial in range(6):
+        for _ in range(6):
             P = canonicalize(rng.normal(size=(12, 2)))
             D0 = build_dome(P)
-            life = facet_lifetimes(perturb(D0, seed=trial), original=D0)
+            life = facet_lifetimes(D0)
             rows = [D0.row(j) for j in range(P.m + 1)]
             for i in range(P.m):
                 res = small_lp(rows, (0.0, 0.0, 1.0), equalities=[D0.row(i)])

@@ -181,7 +181,7 @@ class TestSolve:
             P = canonicalize(rng.normal(size=(10, 2)))
             n = 1 + trial % 4
             H = hier_for(P, seed=trial)
-            s = solve(P, n, seed=trial)
+            s = solve(P, n)
             for d in s.diagnostics:
                 if d.qualifies and d.root is not None:
                     val = eval_fi(H, P, d.index, min(d.root, d.M), n)
@@ -323,6 +323,29 @@ class TestLifetimePath:
         assert all(a < b for a, b in zip(counts, counts[1:]))
         assert all(st["lp_queries"] > 0 for st in stats)
 
+    def test_solve_never_perturbs(self, monkeypatch):
+        import parcut.dome as dome_mod
+        import parcut.solver as solver_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve perturbed the dome")
+
+        monkeypatch.setattr(dome_mod, "perturb", refuse)
+        monkeypatch.setattr(solver_mod, "perturb", refuse)
+        for P in (unit_square(), regular_polygon(6), random_polygon(40, seed=1)):
+            s = solve(P, 3)
+            assert s.verification.ok
+
+    def test_thin_rectangle(self):
+        # 1 x 1e-9: rho = h / (2n) along (0, 1); verification's 1e-8 slack
+        # is wider than the rectangle, so rho is checked against its closed form
+        h = 1e-9
+        P = canonicalize([(0, 0), (1, 0), (1, h), (0, h)])
+        for n in (1, 2, 3):
+            s = solve(P, n)
+            assert s.rho == pytest.approx(h / (2 * n), rel=1e-9)
+            assert s.direction == (0.0, 1.0)
+
     def test_solve_never_builds_a_hierarchy(self, monkeypatch):
         import parcut.solver as solver_mod
 
@@ -402,10 +425,9 @@ class TestLifetimePath:
             return wrapper
 
         monkeypatch.setattr(solver_mod, "build_dome", recording(solver_mod.build_dome))
-        monkeypatch.setattr(solver_mod, "perturb", recording(solver_mod.perturb))
         P = random_polygon(30, seed=5)
         solve(P, 3)
-        assert len(domes) == 2
+        assert len(domes) == 1
         H = hier_for(P)
         domes += [(D, snapshot(D)) for D in (H.dome, H.original)]
         before = snapshot(H)

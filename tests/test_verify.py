@@ -77,6 +77,8 @@ def _verify_ref(P, n, rho, direction, cuts, tol=DEFAULT_TOL):
         raise VerificationFailedError("width", "width residual")
     if abs(width_inner - 2 * (n - 1) * rho) > vtol:
         raise VerificationFailedError("min-fi", "gap residual")
+    if any(np.hypot(*np.subtract(c.normal, direction)) > 1e-8 for c in cuts):
+        raise VerificationFailedError("cuts", "normal differs from the direction")
     radii = _pieces_ref(P, np.asarray(direction, float), [float(c.offset) for c in cuts])
     if len(radii) != n:
         raise VerificationFailedError("pieces", "piece count")
@@ -122,6 +124,10 @@ class TestAgainstReference:
             moved[c] = Cut(moved[c].normal, moved[c].offset + step)
             tampered.append((P, n, s.rho, s.direction, moved))
             tampered.append((P, n, s.rho, s.direction, s.cuts[:-1]))
+            th = 1e-6  # every cut's normal turned off the direction
+            R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            turned = [Cut(tuple(R @ cut.normal), cut.offset) for cut in s.cuts]
+            tampered.append((P, n, s.rho, s.direction, turned))
         if n > 2:  # claims that reach the interior pieces
             c = (n - 1) // 2  # between pieces c and c + 1, at least one interior
             moved = list(s.cuts)
