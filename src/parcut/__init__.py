@@ -38,34 +38,35 @@ from .geometry import (
     min_width,
     regular_polygon,
 )
-from .dome import (
+from .dome import Dome, Lifetimes, build_dome, facet_lifetimes
+from .hierarchy import (
     BoundedCore,
-    Dome,
     FaceLattice,
-    Lifetimes,
+    Hierarchy,
     bounded_core,
-    build_dome,
+    build_hierarchy,
     face_lattice,
-    facet_lifetimes,
+    peel_level,
     perturb,
+    pick_color,
+    six_color,
 )
-from .hierarchy import Hierarchy, build_hierarchy, peel_level, pick_color, six_color
 from .queries import (
     QueryStats,
+    eval_fi,
     facet_max_t,
     lp_max,
     lp_max_constrained,
     lp_max_facet,
     lp_max_section,
+    root_lp,
 )
 from .solver import (
     Cut,
     FacetDiagnostics,
     Solution,
     VerificationReport,
-    eval_fi,
     place_cuts,
-    root_lp,
     solve,
     verify_solution,
 )

@@ -17,7 +17,6 @@ from .errors import GeometryError, VerificationFailedError
 from .geometry import _expand_ranges, canonicalize, clip_halfplane, inner_body, inradius_incenter
 from .oracle import oracle_solve
 from .solver import Cut, Solution, solve, verify_solution
-from .tolerance import Tol
 
 
 def _fmt_float(x: float) -> str:
@@ -191,8 +190,7 @@ def _cmd_solve(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
     P, n = load_polygon(doc)
-    tol = Tol(rel=args.tolerance) if args.tolerance else Tol()
-    sol = solve(P, n, tol=tol)
+    sol = solve(P, n)
     print(_to_json(solution_document(sol)))
     if args.svg:
         emit_svg(P, sol, args.svg)
@@ -237,7 +235,6 @@ def run(argv) -> int:
     p_solve = sub.add_parser("solve", help="solve an input document")
     p_solve.add_argument("input")
     p_solve.add_argument("--svg", default=None)
-    p_solve.add_argument("--tolerance", type=float, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference solve")

@@ -1,4 +1,4 @@
-"""The dome of a convex polygon and its face lattice.
+"""The dome of a convex polygon and the collapse sweep over it.
 
 The dome of P = {x : Ax <= b} (unit outward normals) is the bounded
 3-polytope {(x, t) : Ax <= b - t, t >= 0}.  Slicing it at height t gives
@@ -6,16 +6,14 @@ the inner parallel body of P at offset t, and its upper boundary is the
 graph of the distance-to-boundary function.  Lifted facet rows keep the
 un-normalized normal (A_i, 1) so that slice algebra stays exact.
 
-The face lattice is built by a kinetic sweep: the slice at height h is a
-convex polygon whose edges die one by one as h grows, and every death is
-a lattice vertex.  The same engine later recomputes the local lattice
-over the hole left by deleting a facet, so it is written against an
-arbitrary "bottom cycle + bounding planes + sweep direction" input.
-
-The lattice, and the hierarchy built on it, need a simple polytope, so
-they run on a `perturb`ed dome.  The heights at which facets die do not:
-`facet_lifetimes` reads them off one non-strict sweep of the dome as it
-is.
+The collapse sweep runs upward from the floor: the slice at height h is
+a convex polygon whose edges die one by one as h grows, and each death
+is a vertex of the dome.  `facet_lifetimes` reads every facet's top, the
+height at which its polygon edge leaves the inner body, off one
+non-strict sweep of the dome as it is.  The sweep is written against an
+arbitrary "bottom cycle + bounding planes + sweep direction" input, so
+the hierarchy (`parcut.hierarchy`) reuses it over the hole left by
+deleting a facet.
 """
 
 from __future__ import annotations
@@ -28,10 +26,7 @@ import numpy as np
 
 from .errors import DegenerateVertexError, GeometryError
 from .geometry import HPolygon, diameter
-from .lp import OPTIMAL, UNBOUNDED, small_lp
-from .tolerance import DEFAULT_TOL, Tol
-
-FLOOR = -1  # sentinel replaced by m at build time; kept for readability
+from .lp import small_lp  # noqa: F401 -- bench/spans.py wraps dome.small_lp
 
 
 @dataclass(frozen=True)
@@ -77,227 +72,14 @@ def build_dome(P: HPolygon) -> Dome:
     return Dome(P, normals, offsets, corners, diameter(P))
 
 
-def perturb(D: Dome, seed: int = 0, magnitude: float = 1e-7) -> Dome:
-    """Shrink each lifted offset by a random hair to break plane ties.
-
-    The floor is never moved, and determinism follows from the seed.  The
-    nominal magnitude is `magnitude` times the polygon diameter, but it is
-    capped by the smallest redundancy slack of any row (distance from the
-    row's line to the crossing of its two neighbours) so that fine-grained
-    polygons keep every floor edge.
-    """
-    m = D.m
-    rng = np.random.default_rng(seed)
-    N = D.normals[:m, :2]
-    off = D.offsets[:m]
-    a1 = np.roll(N, 1, axis=0)  # row j-1
-    a2 = np.roll(N, -1, axis=0)  # row j+1
-    o1 = np.roll(off, 1)
-    o2 = np.roll(off, -1)
-    det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
-    crossing = np.abs(det) >= 1e-12  # parallel neighbours never squeeze a row out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zx = (o1 * a2[:, 1] - o2 * a1[:, 1]) / det
-        zy = (a1[:, 0] * o2 - a2[:, 0] * o1) / det
-    slack = np.abs(N[:, 0] * zx + N[:, 1] * zy - off)[crossing]
-    min_slack = float(slack.min()) if len(slack) else math.inf
-    delta = min(magnitude * D.scale, 0.25 * min_slack)
-    offsets = D.offsets.copy()
-    offsets[:m] -= delta * rng.random(m)
-
-    # corner j = crossing of rows j-1 and j under the new offsets
-    po = offsets[:m]
-    pp = np.roll(po, 1)
-    det = a1[:, 0] * N[:, 1] - a1[:, 1] * N[:, 0]
-    corners = np.stack(
-        [(pp * N[:, 1] - po * a1[:, 1]) / det, (a1[:, 0] * po - N[:, 0] * pp) / det],
-        axis=1,
-    )
-    # A perturbed row must still carry a positive-length floor edge.
-    min_len = 10.0 * _coincidence_tol(D.scale)
-    nxt = np.roll(corners, -1, axis=0)
-    length = (nxt[:, 0] - corners[:, 0]) * -N[:, 1] + (nxt[:, 1] - corners[:, 1]) * N[:, 0]
-    short = np.nonzero(length < min_len)[0]
-    if len(short):
-        raise DegenerateVertexError(
-            f"perturbation collapsed floor edge {int(short[0])}; input nearly redundant"
-        )
-    return Dome(D.polygon, D.normals, offsets, corners, D.scale)
-
-
 def _coincidence_tol(scale: float) -> float:
-    """Distance below which two lattice vertices count as one point.
+    """Distance below which two dome vertices count as one point.
 
     Kept near machine precision: genuine degeneracies of unperturbed
     input coincide to ~1e-15 * scale, while perturbed data stays several
     orders above this.
     """
     return 1e-13 * max(scale, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# vertex store and per-level lattice data
-
-
-class VertexStore:
-    """Append-only store of lattice vertices shared by all hierarchy levels."""
-
-    __slots__ = (
-        "pts",
-        "tris",
-        "birth_level",
-        "birth_killer",
-        "by_triple",
-        "_tris_buf",
-        "_pts_buf",
-    )
-
-    def __init__(self):
-        self.pts: list[tuple[float, float, float]] = []
-        self.tris: list[tuple[int, int, int]] = []
-        self.birth_level: list[int] = []
-        self.birth_killer: list[int] = []
-        self.by_triple: dict[tuple[int, int, int], int] = {}
-        self._tris_buf = None
-        self._pts_buf = None
-
-    def tri_array(self):
-        """Triples as a growing numpy array covering every current vertex.
-
-        Extends incrementally, so repeated calls during the hierarchy
-        build convert each new vertex exactly once."""
-        n = len(self.tris)
-        buf = self._tris_buf
-        if buf is None:
-            self._tris_buf = np.asarray(self.tris, dtype=np.int64).reshape(n, 3)
-        elif len(buf) < n:
-            extra = np.asarray(self.tris[len(buf):], dtype=np.int64).reshape(-1, 3)
-            self._tris_buf = np.concatenate([buf, extra])
-        return self._tris_buf
-
-    def pts_array(self):
-        n = len(self.pts)
-        buf = self._pts_buf
-        if buf is None:
-            self._pts_buf = np.asarray(self.pts, dtype=float).reshape(n, 3)
-        elif len(buf) < n:
-            extra = np.asarray(self.pts[len(buf):], dtype=float).reshape(-1, 3)
-            self._pts_buf = np.concatenate([buf, extra])
-        return self._pts_buf
-
-    def alloc(self, point, triple, level: int, killer: int) -> int:
-        vid = len(self.pts)
-        a, b, c = triple
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        tri = (a, b, c)
-        self.pts.append((float(point[0]), float(point[1]), float(point[2])))
-        self.tris.append(tri)
-        self.birth_level.append(level)
-        self.birth_killer.append(killer)
-        self.by_triple[tri] = vid
-        return vid
-
-    def __len__(self) -> int:
-        return len(self.pts)
-
-
-@dataclass
-class Level:
-    """One hierarchy level: which facets are present and their vertex cycles."""
-
-    index_set: frozenset[int]
-    cycles: dict[int, list[int]]
-    verts: list[int] | None = None  # vertex ids, maintained by the builders
-
-    def vertex_ids(self):
-        if self.verts is not None:
-            return self.verts
-        out: set[int] = set()
-        for cyc in self.cycles.values():
-            out.update(cyc)
-        return out
-
-    def edge_map(self) -> dict[tuple[int, int], list[int]]:
-        """Undirected vertex pair -> the (two) facets sharing that edge."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for f, cyc in self.cycles.items():
-            k = len(cyc)
-            for i in range(k):
-                u, v = cyc[i], cyc[(i + 1) % k]
-                key = (u, v) if u < v else (v, u)
-                out.setdefault(key, []).append(f)
-        return out
-
-    def adjacency(self, tris=None) -> dict[int, set[int]]:
-        """Facet adjacency.  With the vertex-triple table it avoids edge
-        maps entirely: the three facets at any vertex are pairwise
-        adjacent, and every adjacency shows up at some vertex."""
-        adj: dict[int, set[int]] = {f: set() for f in self.cycles}
-        if tris is None:
-            for fs in self.edge_map().values():
-                if len(fs) == 2:
-                    a, b = fs
-                    adj[a].add(b)
-                    adj[b].add(a)
-            return adj
-        for v in self.vertex_ids():
-            a, b, c = tris[v]
-            adj[a].add(b)
-            adj[a].add(c)
-            adj[b].add(a)
-            adj[b].add(c)
-            adj[c].add(a)
-            adj[c].add(b)
-        return adj
-
-
-@dataclass
-class FaceLattice:
-    """Complete face lattice of a dome (level-0 view plus vertex store)."""
-
-    dome: Dome
-    store: VertexStore
-    level: Level
-
-    @property
-    def n_facets(self) -> int:
-        return len(self.level.cycles)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.level.vertex_ids())
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.level.edge_map())
-
-    def vertices(self) -> dict[int, tuple[tuple[float, float, float], tuple[int, int, int]]]:
-        return {v: (self.store.pts[v], self.store.tris[v]) for v in self.level.vertex_ids()}
-
-    def edges(self) -> dict[tuple[int, int], list[int]]:
-        return self.level.edge_map()
-
-    def facets(self) -> dict[int, list[int]]:
-        return self.level.cycles
-
-    def adjacency(self) -> dict[int, set[int]]:
-        return self.level.adjacency()
-
-
-@dataclass(frozen=True)
-class BoundedCore:
-    """A few facet labels whose half-spaces alone already bound a polytope."""
-
-    labels: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -543,97 +325,6 @@ def _d2(p, q):
     return dx * dx + dy * dy + dz * dz
 
 
-def cycle_from_triples(f, vids, tris):
-    """Cyclic order of a facet's vertices, derived purely combinatorially.
-
-    Two vertices of facet f are consecutive on its boundary exactly when
-    they share a second facet (the edge f-meets-g has two endpoints), so
-    the cycle is a walk over that adjacency.  No coordinates are touched,
-    which keeps thin facets with nearly coincident vertices exact.
-    """
-    open_end: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
-    for v in vids:
-        adj[v] = []
-    for v in vids:
-        a, b, c = tris[v]
-        for lab in (a, b, c):
-            if lab == f:
-                continue
-            u = open_end.pop(lab, None)
-            if u is None:
-                open_end[lab] = v
-            else:
-                adj[u].append(v)
-                adj[v].append(u)
-    if open_end:
-        raise GeometryError(f"facet {f}: inconsistent edge structure")
-    start = vids[0]
-    cyc = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        prev, cur = cur, nxt
-    if len(cyc) != len(vids):
-        raise GeometryError(f"facet {f}: boundary is disconnected")
-    return cyc
-
-
-def face_lattice(D: Dome, tol: Tol = DEFAULT_TOL, strict: bool = True) -> FaceLattice:
-    """Full face lattice of the dome in O(m log m).
-
-    Requires a generic dome (no four facet planes through a point); in
-    strict mode a violation raises DegenerateVertexError, which signals
-    that `perturb` should be applied first.  Pipelines that have already
-    perturbed pass strict=False and accept resolution-floor coincidences.
-    """
-    m = D.m
-    floor = D.floor
-    store = VertexStore()
-
-    corner_vid = []
-    for j in range(m):
-        p = (float(D.corners[j, 0]), float(D.corners[j, 1]), 0.0)
-        corner_vid.append(store.alloc(p, ((j - 1) % m, j, floor), 0, -1))
-
-    events = _dome_sweep(D, strict)
-
-    # Assemble each facet cycle from the event chains: going CCW, a lifted
-    # facet runs along its floor edge, climbs the side it shares with its
-    # successor (events where it was the left neighbour), crosses its top
-    # vertex and descends the other side.
-    left: dict[int, list[int]] = {i: [] for i in range(m)}
-    right: dict[int, list[int]] = {i: [] for i in range(m)}
-    top: dict[int, int] = {}
-    for pt, (lp, le, lq), _h in events[:-1]:
-        vid = store.alloc(pt, (lp, le, lq), 0, -1)
-        right[lp].append(vid)
-        top[le] = vid
-        left[lq].append(vid)
-    fpt, ftri, _fh = events[-1]
-    fvid = store.alloc(fpt, ftri, 0, -1)
-    for lab in ftri:
-        if lab in top:
-            raise GeometryError(f"facet {lab} died twice in the sweep")
-        top[lab] = fvid
-
-    cycles: dict[int, list[int]] = {floor: corner_vid}
-    for i in range(m):
-        cycles[i] = (
-            [corner_vid[i], corner_vid[(i + 1) % m]]
-            + right[i]
-            + [top[i]]
-            + left[i][::-1]
-        )
-
-    level = Level(frozenset(range(m + 1)), cycles, list(range(len(store))))
-    return FaceLattice(D, store, level)
-
-
 def _dome_sweep(D: Dome, strict: bool):
     """Collapse sweep of the whole dome upward from its floor polygon."""
     corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
@@ -678,68 +369,3 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     apex, tri, _h = events[-1]
     M[list(tri)] = apex[2]
     return Lifetimes(M, tuple(apex), len(events))
-
-
-# ---------------------------------------------------------------------------
-# bounded core
-
-
-def bounded_core(D: Dome, tol: Tol = DEFAULT_TOL, seed: int = 0) -> BoundedCore:
-    """Find <= 6 facets that bound a polytope on their own.
-
-    Start from the floor facet and chase the face maximizing t: if that
-    face is a vertex its three facets plus the floor suffice; if it is an
-    edge, add the facets binding the edge's two endpoints.
-    """
-    m = D.m
-    rows = D.row_list()
-    res = small_lp(rows, (0.0, 0.0, 1.0), tol=tol, seed=seed)
-    if res.status != OPTIMAL:
-        raise GeometryError("dome has no apex; invalid input")
-    basis = [i for i in res.basis if i != D.floor]
-
-    lam = _cone_coefficients(D, basis)
-    support = [i for i, l in zip(basis, lam) if l > 1e-7 * max(lam)]
-
-    labels = {D.floor}
-    if len(support) == 3:
-        labels.update(support)
-    elif len(support) == 2:
-        a, b = support
-        labels.update((a, b))
-        na, nb = D.normals[a], D.normals[b]
-        u = np.cross(na, nb)
-        u /= np.linalg.norm(u)
-        eqs = [((na[0], na[1], na[2]), float(D.offsets[a])),
-               ((nb[0], nb[1], nb[2]), float(D.offsets[b]))]
-        for sgn in (1.0, -1.0):
-            end = small_lp(rows, tuple(sgn * u), tol=tol, seed=seed, equalities=eqs)
-            if end.status != OPTIMAL:
-                raise GeometryError("apex ridge endpoint LP failed")
-            labels.update(i for i in end.basis if i not in (a, b))
-    else:
-        raise GeometryError("unexpected apex support; dome rows degenerate")
-
-    if len(labels) > 6:
-        raise GeometryError("bounded core exceeded 6 facets")
-
-    core_rows = [D.row(i) for i in sorted(labels)]
-    for k in range(3):
-        obj = [0.0, 0.0, 0.0]
-        for sgn in (1.0, -1.0):
-            obj[k] = sgn
-            chk = small_lp(core_rows, tuple(obj), tol=tol, seed=seed)
-            if chk.status == UNBOUNDED:
-                raise GeometryError("core candidate is unbounded")
-    return BoundedCore(frozenset(labels))
-
-
-def _cone_coefficients(D: Dome, basis) -> list[float]:
-    """Write (0,0,1) as a nonnegative combination of the basis normals."""
-    N = np.array([D.normals[i] for i in basis], float)
-    target = np.array([0.0, 0.0, 1.0])
-    lam, *_ = np.linalg.lstsq(N.T, target, rcond=None)
-    resid = N.T @ lam - target
-    if np.linalg.norm(resid) > 1e-6:
-        raise GeometryError("apex KKT system inconsistent")
-    return [max(float(v), 0.0) for v in lam]

@@ -55,12 +55,6 @@ class HPolygon:
     def contains(self, x, tol: Tol = DEFAULT_TOL, scale: float = 1.0) -> bool:
         return bool(np.all(self.A @ np.asarray(x) <= self.b + tol.slack(scale)))
 
-    def validate(self, tol: Tol = DEFAULT_TOL) -> None:
-        norms = np.linalg.norm(self.A, axis=1)
-        assert np.all(np.abs(norms - 1.0) <= 1e-9), "normals must be unit"
-        ang = np.arctan2(self.A[:, 1], self.A[:, 0]) % (2 * math.pi)
-        assert np.all(np.diff(ang) > 0), "rows must be CCW sorted"
-
 
 @dataclass(frozen=True)
 class WidthResult:
@@ -275,7 +269,7 @@ def inner_body(P: HPolygon, t: float, tol: Tol = DEFAULT_TOL, interior=None) -> 
         return None
 
 
-def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL, seed: int = 0):
+def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL):
     """Maximize t subject to A x + t <= b and the lifted rows `extras`.
 
     With unit rows of A this is the largest disk, of radius t centred at
@@ -308,7 +302,7 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL
     while True:
         idx = np.nonzero(used)[0]
         rows = [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A[idx].tolist(), b[idx].tolist())]
-        res = small_lp(rows + extras, (0.0, 0.0, 1.0), tol=tol, seed=seed)
+        res = small_lp(rows + extras, (0.0, 0.0, 1.0), tol=tol)
         if res.status == UNBOUNDED and not used.all():
             used[:] = True
             continue
@@ -325,9 +319,9 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL
         used[new[np.argsort(excess[new] - slack[new])[::-1][:_LP_BATCH]]] = True
 
 
-def inradius_incenter(P: HPolygon, tol: Tol = DEFAULT_TOL, seed: int = 0):
+def inradius_incenter(P: HPolygon, tol: Tol = DEFAULT_TOL):
     """Largest inscribed-disk radius and one center achieving it."""
-    res = chebyshev_lp(P.A, P.b, [_FLOOR], tol, seed)
+    res = chebyshev_lp(P.A, P.b, [_FLOOR], tol)
     if res.status != OPTIMAL:
         raise EmptyInteriorError("polygon has no inscribed disk")
     return float(res.value), (float(res.point[0]), float(res.point[1]))

@@ -27,7 +27,6 @@ class OracleConfig:
 
     bisection_tol: float = 1e-12
     max_iter: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.bisection_tol <= 0:

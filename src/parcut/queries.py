@@ -17,12 +17,31 @@ Three query flavors, all driven by the same descent:
 
 Results carry the facet labels that pin the optimum, so callers can
 re-solve the same basis against unperturbed coefficients.
+
+On these sit the paper's per-edge root step, which `solve` does not use
+(it reads the same quantities off one sweep of the dome):
+
+* `eval_fi`: the width gap f_i(t) = b_i - min_{I_t} A_i.x - (2n-1) t,
+  from a section LP at height t re-solved on the unperturbed rows.  Near
+  the apex it evaluates below the requested t: the section is taken at
+  min(t, apex - 1e-7 * scale), so at t = M_i = rho on criterion-2 case
+  64 (m = 128, n = 1) it gives f_25 = 5.7e-5 where the oracle gives 0.
+* `root_lp`: the root of f_i on (0, M_i] for a qualifying edge
+  (f_i(M_i) <= 0), as the highest point of the dome under the gap row
+  A_i.x + (2n-1) t <= b_i, re-solved on the unperturbed rows of the
+  LP's basis.  That basis can be stale: on criterion-2 case 340
+  (m = 128, n = 5), edge 98, the section descent names the facet pair
+  (34, 36), though row 35 lives until t = 0.2176, above the root, so the
+  re-solve lands 3.1e-9 relative above the closed-form root 0.21395786.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dome import _solve3
+from .errors import NotQualifiedError, OutOfRangeError
+from .geometry import HPolygon
 from .hierarchy import Hierarchy
 from .lp import INFEASIBLE, OPTIMAL, LpResult
 from .tolerance import DEFAULT_TOL, Tol
@@ -40,12 +59,6 @@ class QueryStats:
     vertex_inspections: int = 0
     binary_search_steps: int = 0
     trace: list[float] | None = None
-
-    def merge(self, other: "QueryStats") -> None:
-        self.levels_visited += other.levels_visited
-        self.facet_sub_lps += other.facet_sub_lps
-        self.vertex_inspections += other.vertex_inspections
-        self.binary_search_steps += other.binary_search_steps
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +492,105 @@ def _extreme_index(s, D, stats: QueryStats):
     # plateau or noise: exact fallback
     vals = [s(i) for i in range(D)]
     return max(range(D), key=lambda i: (vals[i], -i))
+
+
+# ---------------------------------------------------------------------------
+# the width gap f_i and its root
+
+
+def _resolve_rows(orig_rows, labels, extra=None):
+    """Exact concurrence of up to three original rows (plus one extra)."""
+    rows = [orig_rows[lab] for lab in labels]
+    if extra is not None:
+        rows.append(extra)
+    if len(rows) != 3:
+        return None
+    (n1, o1), (n2, o2), (n3, o3) = rows
+    return _solve3(n1, o1, n2, o2, n3, o3)
+
+
+def _facet_top(H: Hierarchy, i: int, stats: QueryStats) -> float:
+    """M_i re-solved on the unperturbed rows via the winning facet triple."""
+    val, tri = facet_max_t(H, i, stats)
+    pt = _resolve_rows(H.orig_rows, tri)
+    return pt[2] if pt is not None else val
+
+
+def eval_fi(
+    H: Hierarchy,
+    P: HPolygon,
+    i: int,
+    t: float,
+    n: int,
+    tol: Tol = DEFAULT_TOL,
+    stats: QueryStats | None = None,
+    _Mi: float | None = None,
+) -> float:
+    """Width gap f_i(t) = b_i - min_{inner_t} A_i.x - (2n-1) t for t <= M_i.
+
+    `_Mi` is facet i's top when the caller already has it."""
+    if stats is None:
+        stats = QueryStats()
+    Mi = _Mi if _Mi is not None else _facet_top(H, i, stats)
+    scale = max(H.scale, 1.0)
+    if t > Mi + tol.slack(scale):
+        raise OutOfRangeError(f"t={t} beyond facet {i} lifetime M={Mi}")
+    if t < 0:
+        raise OutOfRangeError("t must be nonnegative")
+
+    apex = lp_max(H, (0.0, 0.0, 1.0), stats)
+    a = P.A[i]
+    c = (-float(a[0]), -float(a[1]), 0.0)
+    bi = float(P.b[i])
+
+    tq = min(t, apex.value - 1e-7 * scale)
+    tq = max(tq, 0.0)
+    res = lp_max_section(H, ((0.0, 0.0, 1.0), tq), c, stats)
+    if res.status != OPTIMAL:
+        res = lp_max_section(H, ((0.0, 0.0, 1.0), max(0.0, tq - 1e-6 * scale)), c, stats)
+    if res.status != OPTIMAL:
+        raise OutOfRangeError(f"slice at t={t} is empty")
+
+    if len(res.basis) == 2:
+        pt = _resolve_rows(H.orig_rows, res.basis, extra=((0.0, 0.0, 1.0), t))
+    else:
+        pt = _resolve_rows(H.orig_rows, res.basis)
+    if pt is None:
+        return bi + res.value - (2 * n - 1) * t
+    return bi - (a[0] * pt[0] + a[1] * pt[1]) - (2 * n - 1) * t
+
+
+def root_lp(
+    H: Hierarchy,
+    P: HPolygon,
+    i: int,
+    n: int,
+    tol: Tol = DEFAULT_TOL,
+    stats: QueryStats | None = None,
+) -> float:
+    """Root of f_i on (0, M_i]; requires the qualification f_i(M_i) <= 0."""
+    if stats is None:
+        stats = QueryStats()
+    Mi = _facet_top(H, i, stats)
+    fM = eval_fi(H, P, i, Mi, n, tol, stats, _Mi=Mi)
+    scale = max(H.scale, 1.0)
+    if fM > tol.slack(scale) * 10.0:
+        raise NotQualifiedError(f"facet {i}: f_i(M_i) = {fM:g} > 0")
+    return _gap_lp(H, i, n, stats)
+
+
+def _gap_lp(H: Hierarchy, i: int, n: int, stats: QueryStats) -> float:
+    """Maximize t over the dome cut by the gap row A_i.x + (2n-1) t <= b_i,
+    re-solved on the unperturbed rows; the root of f_i when i qualifies."""
+    nrm, off = H.rows[i]
+    g = (nrm[0], nrm[1], float(2 * n - 1))
+    res = lp_max_constrained(H, (0.0, 0.0, 1.0), (g, off), stats)
+    if res.status != OPTIMAL:
+        raise NotQualifiedError(f"facet {i}: root LP infeasible")
+    if len(res.basis) == 3:
+        pt = _resolve_rows(H.orig_rows, res.basis)
+    else:
+        a = H.original.normals[i]
+        g_row = ((float(a[0]), float(a[1]), float(2 * n - 1)), float(H.original.offsets[i]))
+        pt = _resolve_rows(H.orig_rows, res.basis, extra=g_row)
+    return pt[2] if pt is not None else res.value

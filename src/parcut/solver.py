@@ -27,12 +27,6 @@ inradius.  `solve` finds it without any hierarchy:
 The n-1 cuts are then equally spaced along that normal and the answer is
 verified from scratch.  Per-edge diagnostics are read off the same
 bracket: an edge's root is reported only when it lies there.
-
-The paper's engine -- the facet-peeling hierarchy over the dome and its
-polylogarithmic LP queries (`eval_fi`, `root_lp`) -- is kept here for
-direct use and for the tests of the paper's claims; `solve` never
-builds it.  Only that hierarchy needs a simple polytope, so only it runs
-on a perturbed dome.
 """
 
 from __future__ import annotations
@@ -43,14 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import _solve3, build_dome, facet_lifetimes
-from .dome import bounded_core, face_lattice, perturb  # noqa: F401 -- bench/spans.py wraps solver.X
-from .errors import (
-    InvalidPieceCountError,
-    NotQualifiedError,
-    OutOfRangeError,
-    VerificationFailedError,
-)
+from .dome import build_dome, facet_lifetimes
+from .errors import InvalidPieceCountError, VerificationFailedError
 from .geometry import (
     _FLOOR,
     HPolygon,
@@ -64,10 +52,9 @@ from .geometry import (
     inradius_incenter,
     min_width,
 )
-from .hierarchy import Hierarchy
-from .hierarchy import build_hierarchy  # noqa: F401 -- bench/spans.py wraps solver.X
+from .hierarchy import bounded_core, build_hierarchy, face_lattice, perturb  # noqa: F401 -- bench/spans.py wraps solver.X
 from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
-from .queries import QueryStats, facet_max_t, lp_max, lp_max_constrained, lp_max_section
+from .queries import eval_fi, facet_max_t, lp_max, lp_max_constrained, lp_max_section  # noqa: F401 -- bench/spans.py wraps solver.X
 from .tolerance import DEFAULT_TOL, Tol
 
 # lifetimes or roots closer than this, relative to the largest offset, are
@@ -125,104 +112,6 @@ class Solution:
     diagnostics: list[FacetDiagnostics]
     verification: VerificationReport | None
     stats: dict
-
-
-def _resolve_rows(orig_rows, labels, extra=None):
-    """Exact concurrence of up to three original rows (plus one extra)."""
-    rows = [orig_rows[lab] for lab in labels]
-    if extra is not None:
-        rows.append(extra)
-    if len(rows) != 3:
-        return None
-    (n1, o1), (n2, o2), (n3, o3) = rows
-    return _solve3(n1, o1, n2, o2, n3, o3)
-
-
-def _facet_top(H: Hierarchy, i: int, stats: QueryStats) -> float:
-    """M_i re-solved on the unperturbed rows via the winning facet triple."""
-    val, tri = facet_max_t(H, i, stats)
-    pt = _resolve_rows(H.orig_rows, tri)
-    return pt[2] if pt is not None else val
-
-
-def eval_fi(
-    H: Hierarchy,
-    P: HPolygon,
-    i: int,
-    t: float,
-    n: int,
-    tol: Tol = DEFAULT_TOL,
-    stats: QueryStats | None = None,
-    _Mi: float | None = None,
-) -> float:
-    """Width gap f_i(t) = b_i - min_{inner_t} A_i.x - (2n-1) t for t <= M_i.
-
-    `_Mi` is facet i's top when the caller already has it."""
-    if stats is None:
-        stats = QueryStats()
-    Mi = _Mi if _Mi is not None else _facet_top(H, i, stats)
-    scale = max(H.scale, 1.0)
-    if t > Mi + tol.slack(scale):
-        raise OutOfRangeError(f"t={t} beyond facet {i} lifetime M={Mi}")
-    if t < 0:
-        raise OutOfRangeError("t must be nonnegative")
-
-    apex = lp_max(H, (0.0, 0.0, 1.0), stats)
-    a = P.A[i]
-    c = (-float(a[0]), -float(a[1]), 0.0)
-    bi = float(P.b[i])
-
-    tq = min(t, apex.value - 1e-7 * scale)
-    tq = max(tq, 0.0)
-    res = lp_max_section(H, ((0.0, 0.0, 1.0), tq), c, stats)
-    if res.status != OPTIMAL:
-        res = lp_max_section(H, ((0.0, 0.0, 1.0), max(0.0, tq - 1e-6 * scale)), c, stats)
-    if res.status != OPTIMAL:
-        raise OutOfRangeError(f"slice at t={t} is empty")
-
-    if len(res.basis) == 2:
-        pt = _resolve_rows(H.orig_rows, res.basis, extra=((0.0, 0.0, 1.0), t))
-    else:
-        pt = _resolve_rows(H.orig_rows, res.basis)
-    if pt is None:
-        return bi + res.value - (2 * n - 1) * t
-    return bi - (a[0] * pt[0] + a[1] * pt[1]) - (2 * n - 1) * t
-
-
-def root_lp(
-    H: Hierarchy,
-    P: HPolygon,
-    i: int,
-    n: int,
-    tol: Tol = DEFAULT_TOL,
-    stats: QueryStats | None = None,
-) -> float:
-    """Root of f_i on (0, M_i]; requires the qualification f_i(M_i) <= 0."""
-    if stats is None:
-        stats = QueryStats()
-    Mi = _facet_top(H, i, stats)
-    fM = eval_fi(H, P, i, Mi, n, tol, stats, _Mi=Mi)
-    scale = max(H.scale, 1.0)
-    if fM > tol.slack(scale) * 10.0:
-        raise NotQualifiedError(f"facet {i}: f_i(M_i) = {fM:g} > 0")
-    return _gap_lp(H, i, n, stats)
-
-
-def _gap_lp(H: Hierarchy, i: int, n: int, stats: QueryStats) -> float:
-    """Maximize t over the dome cut by the gap row A_i.x + (2n-1) t <= b_i,
-    re-solved on the unperturbed rows; the root of f_i when i qualifies."""
-    nrm, off = H.rows[i]
-    g = (nrm[0], nrm[1], float(2 * n - 1))
-    res = lp_max_constrained(H, (0.0, 0.0, 1.0), (g, off), stats)
-    if res.status != OPTIMAL:
-        raise NotQualifiedError(f"facet {i}: root LP infeasible")
-    if len(res.basis) == 3:
-        pt = _resolve_rows(H.orig_rows, res.basis)
-    else:
-        a = H.original.normals[i]
-        g_row = ((float(a[0]), float(a[1]), float(2 * n - 1)), float(H.original.offsets[i]))
-        pt = _resolve_rows(H.orig_rows, res.basis, extra=g_row)
-    return pt[2] if pt is not None else res.value
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from parcut.dome import bounded_core, build_dome, perturb
+from parcut.dome import build_dome
 from parcut.geometry import canonicalize, diameter, regular_polygon
-from parcut.hierarchy import build_hierarchy
+from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
 from parcut.oracle import oracle_solve, random_polygon
 from parcut.queries import (

@@ -4,16 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import (
-    BoundedCore,
-    bounded_core,
-    build_dome,
-    face_lattice,
-    facet_lifetimes,
-    perturb,
-)
+from parcut.dome import build_dome, facet_lifetimes
 from parcut.errors import DegenerateVertexError
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
+from parcut.hierarchy import BoundedCore, bounded_core, face_lattice, perturb
 from parcut.lp import OPTIMAL, small_lp
 
 SQ3 = math.sqrt(3.0)
@@ -127,7 +121,7 @@ class TestFaceLattice:
             D = perturb(build_dome(P), seed=trial)
             L = face_lattice(D)
             ref = brute_force_vertices(D)
-            got = [L.store.pts[v] for v in L.level.vertex_ids()]
+            got = [L.store.pts[v] for v in L.level.verts]
             assert len(got) == len(ref)
             for p in ref:
                 assert any(np.allclose(p, q, atol=1e-7 * D.scale) for q in got)
@@ -149,7 +143,7 @@ class TestFaceLattice:
     def test_vertices_on_their_planes(self):
         D = perturb(build_dome(regular_polygon(9)), seed=3)
         L = face_lattice(D)
-        for v in L.level.vertex_ids():
+        for v in L.level.verts:
             p = L.store.pts[v]
             for lab in L.store.tris[v]:
                 n, o = D.row(lab)

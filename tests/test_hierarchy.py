@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import bounded_core, build_dome, face_lattice, perturb
+from parcut.dome import build_dome
 from parcut.errors import NonIndependentRemovalError
 from parcut.geometry import canonicalize, regular_polygon
-from parcut.hierarchy import build_hierarchy, peel_level, pick_color, six_color
+from parcut.hierarchy import (
+    bounded_core,
+    build_hierarchy,
+    face_lattice,
+    peel_level,
+    perturb,
+    pick_color,
+    six_color,
+)
 
 
 def _hierarchy_for(P, seed=0, debug=False):
@@ -139,7 +147,7 @@ class TestBuildHierarchy:
         H = _hierarchy_for(regular_polygon(20), debug=True)
         for lv in H.levels:
             # each level is a simple polytope: Euler and degree-3 vertices
-            V = len(lv.vertex_ids())
+            V = len(lv.verts)
             E = len(lv.edge_map())
             F = len(lv.cycles)
             assert V - E + F == 2

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import bounded_core, build_dome, perturb
+from parcut.dome import build_dome
 from parcut.errors import EmptyInteriorError
 from parcut.geometry import canonicalize, inradius_incenter
-from parcut.hierarchy import build_hierarchy
+from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
-from parcut.solver import eval_fi, solve
+from parcut.queries import eval_fi
+from parcut.solver import solve
 
 SQ3 = math.sqrt(3.0)
 
@@ -57,8 +58,7 @@ class TestOracleMi:
             D0 = build_dome(P)
             Dp = perturb(D0, seed=trial)
             H = build_hierarchy(Dp, bounded_core(Dp), original=D0)
-            from parcut.solver import _facet_top
-            from parcut.queries import QueryStats
+            from parcut.queries import QueryStats, _facet_top
 
             diam = max(1.0, float(np.abs(P.vertices).max()))
             for i in range(P.m):

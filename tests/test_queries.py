@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import bounded_core, build_dome, perturb
+from parcut.dome import build_dome
 from parcut.geometry import canonicalize, regular_polygon
-from parcut.hierarchy import build_hierarchy
+from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
 from parcut.queries import (
     QueryStats,

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import bounded_core, build_dome, face_lattice, perturb
+from parcut.dome import build_dome
 from parcut.errors import InvalidPieceCountError, NotQualifiedError, OutOfRangeError, VerificationFailedError
 from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
-from parcut.hierarchy import build_hierarchy
+from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.oracle import oracle_fi, random_polygon
-from parcut.queries import facet_max_t
-from parcut.solver import Cut, eval_fi, place_cuts, root_lp, solve, verify_solution
+from parcut.queries import eval_fi, facet_max_t, root_lp
+from parcut.solver import Cut, place_cuts, solve, verify_solution
 from parcut.tolerance import Tol
 
 SQ3 = math.sqrt(3.0)
@@ -31,8 +31,7 @@ def equilateral():
 def hier_for(P, seed=0):
     D0 = build_dome(P)
     Dp = perturb(D0, seed=seed)
-    lat = face_lattice(Dp, strict=False)
-    return build_hierarchy(Dp, bounded_core(Dp), original=D0, lattice=lat)
+    return build_hierarchy(Dp, bounded_core(Dp), original=D0)
 
 
 class TestEvalFi:
@@ -168,8 +167,7 @@ class TestSolve:
             H = hier_for(P, seed=trial)
             n = 2 + trial
             for i in range(0, P.m, 2):
-                from parcut.solver import _facet_top
-                from parcut.queries import QueryStats
+                from parcut.queries import QueryStats, _facet_top
 
                 Mi = _facet_top(H, i, QueryStats())
                 vals = [eval_fi(H, P, i, t, n) for t in np.linspace(0.0, Mi, 6)]
@@ -324,13 +322,13 @@ class TestLifetimePath:
         assert all(st["lp_queries"] > 0 for st in stats)
 
     def test_solve_never_perturbs(self, monkeypatch):
-        import parcut.dome as dome_mod
+        import parcut.hierarchy as hierarchy_mod
         import parcut.solver as solver_mod
 
         def refuse(*args, **kwargs):
             raise AssertionError("solve perturbed the dome")
 
-        monkeypatch.setattr(dome_mod, "perturb", refuse)
+        monkeypatch.setattr(hierarchy_mod, "perturb", refuse)
         monkeypatch.setattr(solver_mod, "perturb", refuse)
         for P in (unit_square(), regular_polygon(6), random_polygon(40, seed=1)):
             s = solve(P, 3)
@@ -347,12 +345,20 @@ class TestLifetimePath:
             assert s.direction == (0.0, 1.0)
 
     def test_solve_never_builds_a_hierarchy(self, monkeypatch):
+        import parcut.hierarchy as hierarchy_mod
+        import parcut.queries as queries_mod
         import parcut.solver as solver_mod
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solve built a face lattice, bounded core or hierarchy")
+            raise AssertionError("solve built or queried a face lattice, bounded core or hierarchy")
 
         for name in ("build_hierarchy", "face_lattice", "bounded_core"):
+            monkeypatch.setattr(hierarchy_mod, name, refuse)
+            monkeypatch.setattr(solver_mod, name, refuse)
+        for name in ("eval_fi", "root_lp", "facet_max_t", "lp_max", "lp_max_section",
+                     "lp_max_constrained"):
+            monkeypatch.setattr(queries_mod, name, refuse)
+        for name in ("eval_fi", "facet_max_t", "lp_max", "lp_max_section", "lp_max_constrained"):
             monkeypatch.setattr(solver_mod, name, refuse)
         P = random_polygon(40, seed=1)
         s = solve(P, 3)
