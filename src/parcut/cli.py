@@ -90,6 +90,7 @@ def solution_document(sol: Solution) -> dict:
             "m": sol.stats["m"],
             "lp_queries": sol.stats["lp_queries"],
             "vertex_inspections": sol.stats["vertex_inspections"],
+            "fallbacks": sol.stats["fallbacks"],
         },
     }
 

@@ -1,4 +1,4 @@
-"""The dome of a convex polygon and the collapse sweep over it.
+"""The dome of a convex polygon and the facet tops `solve` reads off it.
 
 The dome of P = {x : Ax <= b} (unit outward normals) is the bounded
 3-polytope {(x, t) : Ax <= b - t, t >= 0}.  Slicing it at height t gives
@@ -6,25 +6,24 @@ the inner parallel body of P at offset t, and its upper boundary is the
 graph of the distance-to-boundary function.  Lifted facet rows keep the
 un-normalized normal (A_i, 1) so that slice algebra stays exact.
 
-The collapse sweep runs upward from the floor: the slice at height h is
-a convex polygon whose edges die one by one as h grows, and each death
-is a vertex of the dome.  `facet_lifetimes` reads every facet's top, the
-height at which its polygon edge leaves the inner body, off one
-non-strict sweep of the dome as it is.  The sweep is written against an
-arbitrary "bottom cycle + bounding planes + sweep direction" input, so
-the hierarchy (`parcut.hierarchy`) reuses it over the hole left by
-deleting a facet.
+Sweeping upward from the floor, the slice is a convex polygon whose
+edges die one by one, and each death is a vertex of the dome.
+`facet_lifetimes` reads every facet's top, the height at which its
+polygon edge leaves the inner body, off one heights-only sweep of the
+dome as it is: no dome vertex is kept but the apex.  The event sweep
+that keeps every vertex, over any bottom cycle, belongs to the
+hierarchy (`parcut.hierarchy.collapse_sweep`); both share `_solve3` and
+the coincidence tolerance.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVertexError, GeometryError
+from .errors import GeometryError
 from .geometry import HPolygon, diameter
 from .lp import small_lp  # noqa: F401 -- bench/spans.py wraps dome.small_lp
 
@@ -75,15 +74,15 @@ def build_dome(P: HPolygon) -> Dome:
 def _coincidence_tol(scale: float) -> float:
     """Distance below which two dome vertices count as one point.
 
-    Kept near machine precision: genuine degeneracies of unperturbed
-    input coincide to ~1e-15 * scale, while perturbed data stays several
-    orders above this.
+    Kept near machine precision relative to the polygon's diameter
+    `scale`: genuine degeneracies of unperturbed input coincide to
+    ~1e-15 * scale, while perturbed data stays several orders above this.
     """
-    return 1e-13 * max(scale, 1.0)
+    return 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
-# the collapse sweep
+# plane triples and the heights-only sweep
 
 
 def _solve3(n1, o1, n2, o2, n3, o3):
@@ -169,175 +168,6 @@ def _solve3(n1, o1, n2, o2, n3, o3):
     return (x, y, (qa - pa[0] * x - pa[1] * y) / ta)
 
 
-def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
-    """Run the edge-collapse sweep over a bounded shrinking convex slice.
-
-    labels[j] is the plane carrying edge j of the bottom cycle; corners[j]
-    is the 3-D corner where edge j starts (shared with edge j-1).  rows
-    maps a label to its half-space (n, off) with n . p <= off; lam is the
-    sweep functional (height h = lam . p, bottom cycle at the minimum h).
-    Returns the death events [(point, (la, lb, lc), h)], final last.
-
-    In strict mode an event landing on an existing joint (four planes
-    through one point) raises DegenerateVertexError.  Non-strict mode
-    accepts such coincidences, whether they are the resolution floor of
-    perturbed input or true concurrences of unperturbed input: the
-    relinking is purely combinatorial, and each event still lands at the
-    height where its edge dies.
-    """
-    k = len(labels)
-    if k < 3:
-        raise GeometryError("slice needs at least 3 edges")
-    if k == 3:
-        na, oa = rows[labels[0]]
-        nb, ob = rows[labels[1]]
-        nc, oc = rows[labels[2]]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        if pt is None:
-            raise GeometryError("final plane triple is singular")
-        if strict:
-            c2 = ctol * ctol
-            for c in corners:
-                if _d2(pt, c) <= c2:
-                    raise DegenerateVertexError(
-                        "four planes concur at the apex; perturb the input"
-                    )
-        h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
-        return [(pt, (labels[0], labels[1], labels[2]), h)]
-    nxt = [(j + 1) % k for j in range(k)]
-    prv = [(j - 1) % k for j in range(k)]
-    alive = [True] * k
-    gen = [0] * k
-    joint = [corners[nxt[j]] for j in range(k)]  # meeting point of edges j, nxt[j]
-    h0 = lam[0] * corners[0][0] + lam[1] * corners[0][1] + lam[2] * corners[0][2]
-
-    ctol2 = ctol * ctol
-    skip_margin = 100.0 * ctol
-    events = []
-    heap: list[tuple[float, int, int]] = []
-    pending_pt: dict[int, tuple] = {}
-
-    lrows = [rows[lab] for lab in labels]
-    lam0, lam1, lam2 = lam
-    push = heapq.heappush
-
-    def estimate(j, h_now, margin):
-        na, oa = lrows[prv[j]]
-        nb, ob = lrows[j]
-        nc, oc = lrows[nxt[j]]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        if pt is None:
-            return
-        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-        if h < h_now - margin:
-            return  # edge currently growing; no death under these neighbors
-        pending_pt[j] = pt
-        push(heap, (h, j, gen[j]))
-
-    lim0 = h0 - skip_margin
-    na, oa = lrows[k - 1]
-    nb, ob = lrows[0]
-    for j in range(k):  # initial estimates, inlined like the event loop
-        nc, oc = lrows[j + 1 - k]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        na, oa, nb, ob = nb, ob, nc, oc
-        if pt is None:
-            continue
-        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-        if h < lim0:
-            continue
-        pending_pt[j] = pt
-        push(heap, (h, j, 0))
-
-    n_alive = k
-    h_now = h0
-    retries = 0
-    pop = heapq.heappop
-    while n_alive > 3:
-        if not heap:
-            # All candidates were filtered as past events; numerical noise
-            # can do that near the resolution floor.  Re-admit everything.
-            retries += 1
-            if retries > 2:
-                raise GeometryError("collapse sweep stalled; inconsistent input")
-            for j in range(k):
-                if alive[j]:
-                    gen[j] += 1
-                    estimate(j, h_now, math.inf)
-            continue
-        h, j, g = pop(heap)
-        if not alive[j] or g != gen[j]:
-            continue
-        pt = pending_pt[j]
-        p, q = prv[j], nxt[j]
-        if strict and (_d2(pt, joint[p]) <= ctol2 or _d2(pt, joint[j]) <= ctol2):
-            raise DegenerateVertexError(
-                "four planes concur at one point; perturb the input"
-            )
-        events.append((pt, (labels[p], labels[j], labels[q]), h))
-        alive[j] = False
-        nxt[p] = q
-        prv[q] = p
-        joint[p] = pt
-        gen[p] += 1
-        gen[q] += 1
-        h_now = h
-        n_alive -= 1
-        # re-estimate both neighbours (inlined: hottest loop of the build)
-        lim = h_now - skip_margin
-        for e in (p, q):
-            na, oa = lrows[prv[e]]
-            nb, ob = lrows[e]
-            nc, oc = lrows[nxt[e]]
-            ept = _solve3(na, oa, nb, ob, nc, oc)
-            if ept is None:
-                continue
-            eh = lam0 * ept[0] + lam1 * ept[1] + lam2 * ept[2]
-            if eh < lim:
-                continue
-            pending_pt[e] = ept
-            push(heap, (eh, e, gen[e]))
-
-    a = alive.index(True)
-    b = nxt[a]
-    c = nxt[b]
-    na, oa = rows[labels[a]]
-    nb, ob = rows[labels[b]]
-    nc, oc = rows[labels[c]]
-    pt = _solve3(na, oa, nb, ob, nc, oc)
-    if pt is None:
-        raise GeometryError("final plane triple is singular")
-    if strict:
-        for jj in (a, b, c):
-            if _d2(pt, joint[jj]) <= ctol2:
-                raise DegenerateVertexError(
-                    "four planes concur at the apex; perturb the input"
-                )
-    h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
-    events.append((pt, (labels[a], labels[b], labels[c]), h))
-    return events
-
-
-def _d2(p, q):
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    dz = p[2] - q[2]
-    return dx * dx + dy * dy + dz * dz
-
-
-def _dome_sweep(D: Dome, strict: bool):
-    """Collapse sweep of the whole dome upward from its floor polygon."""
-    corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
-    return collapse_sweep(
-        list(range(D.m)),
-        corners3,
-        D.row_list(),
-        (0.0, 0.0, 1.0),
-        _coincidence_tol(D.scale),
-        strict=strict,
-    )
-
-
 @dataclass(frozen=True)
 class Lifetimes:
     """Facet tops of a dome, read off one collapse sweep.
@@ -345,27 +175,144 @@ class Lifetimes:
     `M[i]` is the offset at which polygon edge i leaves the inner parallel
     body (the top of lifted facet i); `apex` is (x, y, t) of the dome's
     highest point, i.e. the incenter and the inradius.  `events` counts
-    the sweep's vertex events.
+    the sweep's vertex events, and `readmits` the times its heap ran
+    empty early and every live edge was estimated again (a safety net).
     """
 
     M: np.ndarray
     apex: tuple[float, float, float]
     events: int
+    readmits: int
+
+
+def _heights(ax, ay, b, p, e, q):
+    """Height where lifted row e meets rows p and q, for index arrays, and
+    where that triple is not near-singular.
+
+    `_solve3`'s branch for three rows of t-coefficient 1, in its operation
+    order, so each height is bit for bit the point's t that it returns.
+    """
+    dx1 = ax[e] - ax[p]
+    dy1 = ay[e] - ay[p]
+    do1 = b[e] - b[p]
+    dx2 = ax[q] - ax[e]
+    dy2 = ay[q] - ay[e]
+    do2 = b[q] - b[e]
+    det = dx1 * dy2 - dx2 * dy1
+    ok = ~(np.abs(det) <= 1e-14 * ((np.abs(dx1) + np.abs(dy1)) * (np.abs(dx2) + np.abs(dy2))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (do1 * dy2 - do2 * dy1) / det
+        y = (dx1 * do2 - dx2 * do1) / det
+    return b[p] - ax[p] * x - ay[p] * y, ok
 
 
 def facet_lifetimes(D: Dome) -> Lifetimes:
-    """Every facet top of a dome in O(m log m), from one non-strict sweep.
+    """Every facet top of a dome in O(m log m), from one heights-only sweep.
 
-    A facet's top is its death event in the collapse sweep: the
-    concurrence of the facet with its two neighbours at that moment; the
-    three facets alive at the end share the apex.  The dome need not be
-    generic: four planes through one point leave every death height, and
-    so every top, unchanged, whichever of them the sweep kills first.
+    The slice at height h is the inner body I_h, whose edges die one by
+    one as h grows.  Edge j dies where its lifted row meets those of its
+    two current neighbours; a heap keyed (height, edge, generation) pops
+    the deaths in order, each death re-estimates the two edges it joins,
+    and estimates more than a skip margin below the current height are
+    dropped (the edge is growing).  A popped height is its edge's top;
+    the three edges alive at the end share the apex.  The dome need not
+    be generic: four planes through one point leave every death height,
+    and so every top, unchanged, whichever of them the sweep kills first.
+
+    Only heights are kept, on flat lists of the lifted rows: the m first
+    estimates come from one numpy pass, the two re-estimates per death
+    inline the same arithmetic (`_heights`), and only the apex is solved
+    as a point.  Tops, apex and event count are bit for bit those of the
+    hierarchy's generic event sweep, `parcut.hierarchy.collapse_sweep`,
+    run non-strict over the whole dome.
     """
-    events = _dome_sweep(D, strict=False)
-    M = np.empty(D.m)
-    for pt, tri, _h in events[:-1]:
-        M[tri[1]] = pt[2]
-    apex, tri, _h = events[-1]
-    M[list(tri)] = apex[2]
-    return Lifetimes(M, tuple(apex), len(events))
+    m = D.m
+    axa, aya, ba = D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m]
+    skip = 100.0 * _coincidence_tol(D.scale)
+    idx = np.arange(m)
+    h, ok = _heights(axa, aya, ba, np.roll(idx, 1), idx, np.roll(idx, -1))
+    live = np.nonzero(ok & ~(h < -skip))[0]  # the floor is at height 0
+    heap = list(zip(h[live].tolist(), live.tolist(), [0] * len(live)))
+    heapq.heapify(heap)  # pops as if pushed one by one: the tuples are distinct
+
+    ax, ay, b = axa.tolist(), aya.tolist(), ba.tolist()
+    nxt = list(range(1, m)) + [0]
+    prv = [m - 1] + list(range(m - 1))
+    gen = [0] * m  # generation of each edge's estimate; -1 once it died
+    M = [0.0] * m
+    n_alive = m
+    readmits = 0
+    pop = heapq.heappop
+    push = heapq.heappush
+    while n_alive > 3:
+        if not heap:
+            # Every estimate was dropped below the current height; rounding
+            # near the resolution floor can do that.  Re-admit every live edge.
+            readmits += 1
+            if readmits > 2:
+                raise GeometryError("collapse sweep stalled; inconsistent input")
+            e = np.array([j for j in range(m) if gen[j] >= 0])
+            for j in e.tolist():
+                gen[j] += 1
+            h, ok = _heights(axa, aya, ba, np.array(prv)[e], e, np.array(nxt)[e])
+            for hj, j in zip(h[ok].tolist(), e[ok].tolist()):
+                push(heap, (hj, j, gen[j]))
+            continue
+        h, j, g = pop(heap)
+        if g != gen[j]:
+            continue
+        p = prv[j]
+        q = nxt[j]
+        M[j] = h
+        gen[j] = -1
+        nxt[p] = q
+        prv[q] = p
+        gen[p] += 1
+        gen[q] += 1
+        n_alive -= 1
+        lim = h - skip
+        # re-estimate p against (prv[p], q) and q against (p, nxt[q]): `_heights`
+        # inlined, sharing the differences of rows p and q; the tests read
+        # `not <=` and `not <` so that a nan compares as it does there
+        xp = ax[p]
+        yp = ay[p]
+        bp = b[p]
+        xq = ax[q]
+        yq = ay[q]
+        bq = b[q]
+        dx = xq - xp
+        dy = yq - yp
+        do = bq - bp
+        s = abs(dx) + abs(dy)
+        a = prv[p]
+        xa = ax[a]
+        ya = ay[a]
+        dx1 = xp - xa
+        dy1 = yp - ya
+        do1 = bp - b[a]
+        det = dx1 * dy - dx * dy1
+        if not abs(det) <= 1e-14 * ((abs(dx1) + abs(dy1)) * s):
+            x = (do1 * dy - do * dy1) / det
+            y = (dx1 * do - dx * do1) / det
+            eh = b[a] - xa * x - ya * y
+            if not eh < lim:
+                push(heap, (eh, p, gen[p]))
+        c = nxt[q]
+        dx2 = ax[c] - xq
+        dy2 = ay[c] - yq
+        do2 = b[c] - bq
+        det = dx * dy2 - dx2 * dy
+        if not abs(det) <= 1e-14 * (s * (abs(dx2) + abs(dy2))):
+            x = (do * dy2 - do2 * dy) / det
+            y = (dx * do2 - dx2 * do) / det
+            eh = bp - xp * x - yp * y
+            if not eh < lim:
+                push(heap, (eh, q, gen[q]))
+
+    a = next(j for j in range(m) if gen[j] >= 0)
+    c = nxt[nxt[a]]
+    apex = _solve3(*D.row(a), *D.row(nxt[a]), *D.row(c))
+    if apex is None:
+        raise GeometryError("final plane triple is singular")
+    M[a] = M[nxt[a]] = M[c] = apex[2]
+    return Lifetimes(np.array(M), apex, m - 2, readmits)

@@ -81,10 +81,11 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     if len(order) < 3:
         raise EmptyInteriorError("fewer than 3 distinct points")
     pts = [(px, py, k) for (px, py), k in zip(points[order].tolist(), order.tolist())]
-    span = max(float(xs[-1] - xs[0]), float(ys.max() - ys.min()), 1.0)
-    # Collinearity cutoff sits near machine precision on purpose: double
-    # cross products carry ~1e-16 * span^2 of noise, while the thinnest
-    # legitimate corners (regular 2^16-gon) are ~1e-12 * span^2.
+    span = max(float(xs[-1] - xs[0]), float(ys.max() - ys.min()))
+    # Collinearity cutoff sits near machine precision relative to the
+    # points' span on purpose: double cross products carry ~1e-16 * span^2
+    # of noise, while the thinnest legitimate corners (regular 2^16-gon)
+    # are ~1e-12 * span^2.
     eps = 1e-14 * span * span
 
     def build(seq):

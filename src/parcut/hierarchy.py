@@ -10,8 +10,12 @@ answers on exact data (`parcut.queries`).  `solve` never builds it.
 
 Level 0 is the dome's face lattice, built by one collapse sweep
 (`face_lattice`): every death in the sweep is a lattice vertex, and each
-facet's vertex cycle is read off the chains of deaths beside it.  Each
-round six-colors the facet adjacency graph, picks the color class
+facet's vertex cycle is read off the chains of deaths beside it.  The
+sweep (`collapse_sweep`) keeps every event as a point with its three
+planes and runs over any bottom cycle, bounding planes and sweep
+direction; `parcut.dome.facet_lifetimes`, which `solve` runs, is its
+heights-only specialization to the whole dome and is tested against it.
+Each round six-colors the facet adjacency graph, picks the color class
 hitting the most removable facets, and deletes that class (never
 touching the bounded core, a few facets that bound a polytope alone).
 Deleting an independent set keeps every hole local: the lattice over
@@ -23,13 +27,14 @@ the depth is O(log m) and total storage stays linear.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dome import Dome, _coincidence_tol, _dome_sweep, collapse_sweep
+from .dome import Dome, _coincidence_tol, _solve3
 from .errors import (
     DegenerateVertexError,
     GeometryError,
@@ -86,6 +91,179 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
             f"perturbation collapsed floor edge {int(short[0])}; input nearly redundant"
         )
     return Dome(D.polygon, D.normals, offsets, corners, D.scale)
+
+
+# ---------------------------------------------------------------------------
+# the collapse sweep
+
+
+def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
+    """Run the edge-collapse sweep over a bounded shrinking convex slice.
+
+    labels[j] is the plane carrying edge j of the bottom cycle; corners[j]
+    is the 3-D corner where edge j starts (shared with edge j-1).  rows
+    maps a label to its half-space (n, off) with n . p <= off; lam is the
+    sweep functional (height h = lam . p, bottom cycle at the minimum h).
+    Returns the death events [(point, (la, lb, lc), h)], final last.
+
+    In strict mode an event landing on an existing joint (four planes
+    through one point) raises DegenerateVertexError.  Non-strict mode
+    accepts such coincidences, whether they are the resolution floor of
+    perturbed input or true concurrences of unperturbed input: the
+    relinking is purely combinatorial, and each event still lands at the
+    height where its edge dies.
+    """
+    k = len(labels)
+    if k < 3:
+        raise GeometryError("slice needs at least 3 edges")
+    if k == 3:
+        na, oa = rows[labels[0]]
+        nb, ob = rows[labels[1]]
+        nc, oc = rows[labels[2]]
+        pt = _solve3(na, oa, nb, ob, nc, oc)
+        if pt is None:
+            raise GeometryError("final plane triple is singular")
+        if strict:
+            c2 = ctol * ctol
+            for c in corners:
+                if _d2(pt, c) <= c2:
+                    raise DegenerateVertexError(
+                        "four planes concur at the apex; perturb the input"
+                    )
+        h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
+        return [(pt, (labels[0], labels[1], labels[2]), h)]
+    nxt = [(j + 1) % k for j in range(k)]
+    prv = [(j - 1) % k for j in range(k)]
+    alive = [True] * k
+    gen = [0] * k
+    joint = [corners[nxt[j]] for j in range(k)]  # meeting point of edges j, nxt[j]
+    h0 = lam[0] * corners[0][0] + lam[1] * corners[0][1] + lam[2] * corners[0][2]
+
+    ctol2 = ctol * ctol
+    skip_margin = 100.0 * ctol
+    events = []
+    heap: list[tuple[float, int, int]] = []
+    pending_pt: dict[int, tuple] = {}
+
+    lrows = [rows[lab] for lab in labels]
+    lam0, lam1, lam2 = lam
+    push = heapq.heappush
+
+    def estimate(j, h_now, margin):
+        na, oa = lrows[prv[j]]
+        nb, ob = lrows[j]
+        nc, oc = lrows[nxt[j]]
+        pt = _solve3(na, oa, nb, ob, nc, oc)
+        if pt is None:
+            return
+        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
+        if h < h_now - margin:
+            return  # edge currently growing; no death under these neighbors
+        pending_pt[j] = pt
+        push(heap, (h, j, gen[j]))
+
+    lim0 = h0 - skip_margin
+    na, oa = lrows[k - 1]
+    nb, ob = lrows[0]
+    for j in range(k):  # initial estimates, inlined like the event loop
+        nc, oc = lrows[j + 1 - k]
+        pt = _solve3(na, oa, nb, ob, nc, oc)
+        na, oa, nb, ob = nb, ob, nc, oc
+        if pt is None:
+            continue
+        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
+        if h < lim0:
+            continue
+        pending_pt[j] = pt
+        push(heap, (h, j, 0))
+
+    n_alive = k
+    h_now = h0
+    retries = 0
+    pop = heapq.heappop
+    while n_alive > 3:
+        if not heap:
+            # All candidates were filtered as past events; numerical noise
+            # can do that near the resolution floor.  Re-admit everything.
+            retries += 1
+            if retries > 2:
+                raise GeometryError("collapse sweep stalled; inconsistent input")
+            for j in range(k):
+                if alive[j]:
+                    gen[j] += 1
+                    estimate(j, h_now, math.inf)
+            continue
+        h, j, g = pop(heap)
+        if not alive[j] or g != gen[j]:
+            continue
+        pt = pending_pt[j]
+        p, q = prv[j], nxt[j]
+        if strict and (_d2(pt, joint[p]) <= ctol2 or _d2(pt, joint[j]) <= ctol2):
+            raise DegenerateVertexError(
+                "four planes concur at one point; perturb the input"
+            )
+        events.append((pt, (labels[p], labels[j], labels[q]), h))
+        alive[j] = False
+        nxt[p] = q
+        prv[q] = p
+        joint[p] = pt
+        gen[p] += 1
+        gen[q] += 1
+        h_now = h
+        n_alive -= 1
+        # re-estimate both neighbours (inlined: hottest loop of the build)
+        lim = h_now - skip_margin
+        for e in (p, q):
+            na, oa = lrows[prv[e]]
+            nb, ob = lrows[e]
+            nc, oc = lrows[nxt[e]]
+            ept = _solve3(na, oa, nb, ob, nc, oc)
+            if ept is None:
+                continue
+            eh = lam0 * ept[0] + lam1 * ept[1] + lam2 * ept[2]
+            if eh < lim:
+                continue
+            pending_pt[e] = ept
+            push(heap, (eh, e, gen[e]))
+
+    a = alive.index(True)
+    b = nxt[a]
+    c = nxt[b]
+    na, oa = rows[labels[a]]
+    nb, ob = rows[labels[b]]
+    nc, oc = rows[labels[c]]
+    pt = _solve3(na, oa, nb, ob, nc, oc)
+    if pt is None:
+        raise GeometryError("final plane triple is singular")
+    if strict:
+        for jj in (a, b, c):
+            if _d2(pt, joint[jj]) <= ctol2:
+                raise DegenerateVertexError(
+                    "four planes concur at the apex; perturb the input"
+                )
+    h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
+    events.append((pt, (labels[a], labels[b], labels[c]), h))
+    return events
+
+
+def _d2(p, q):
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    dz = p[2] - q[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _dome_sweep(D: Dome, strict: bool):
+    """Collapse sweep of the whole dome upward from its floor polygon."""
+    corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
+    return collapse_sweep(
+        list(range(D.m)),
+        corners3,
+        D.row_list(),
+        (0.0, 0.0, 1.0),
+        _coincidence_tol(D.scale),
+        strict=strict,
+    )
 
 
 # ---------------------------------------------------------------------------

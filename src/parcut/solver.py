@@ -8,11 +8,11 @@ where I_t = {x : Ax <= b - t} is the inner parallel body (the union of
 the radius-t disks inside P is I_t thickened by t); for n = 1 rho is the
 inradius.  `solve` finds it without any hierarchy:
 
-* lifetimes -- one non-strict collapse sweep over the unperturbed dome
-  gives every M_i, the offset at which edge i leaves the inner body;
-  the sweep's last event is the apex, i.e. the incenter at the height
-  of the inradius.  Four planes through one point do not move these
-  heights, so `solve` never perturbs.
+* lifetimes -- one heights-only collapse sweep over the unperturbed
+  dome (`facet_lifetimes`) gives every M_i, the offset at which edge i
+  leaves the inner body, and the apex, i.e. the incenter at the height
+  of the inradius; it keeps no other dome vertex.  Four planes through
+  one point do not move these heights, so `solve` never perturbs.
 * bracket -- the rows of I_t are exactly those with M_i > t, so between
   consecutive sorted lifetimes the alive set, and with it every corner
   of I_t and every edge's antipodal corner, stays fixed.  A binary
@@ -27,6 +27,10 @@ inradius.  `solve` finds it without any hierarchy:
 The n-1 cuts are then equally spaced along that normal and the answer is
 verified from scratch.  Per-edge diagnostics are read off the same
 bracket: an edge's root is reported only when it lies there.
+`Solution.stats["fallbacks"]` counts the path's two safety nets: the
+sweep's re-admissions after its heap ran empty early, and the inner
+bodies at n >= 2 that the lifetimes could not assemble, so that
+`inner_body` built them.
 """
 
 from __future__ import annotations
@@ -248,6 +252,9 @@ def solve(P, n: int, *, tol: Tol = DEFAULT_TOL) -> Solution:
     diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
 
     inner = _inner_from_lifetimes(P, rho, life.M, tie)
+    # at n = 1, I_rho is the apex (a point or a segment), which no row's
+    # lifetime outlives: there inner_body is the way, not a fallback
+    inner_fallback = inner is None and n > 1
     if inner is None:
         inner = inner_body(P, rho, tol, interior=life.apex[:2])
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
@@ -269,6 +276,7 @@ def solve(P, n: int, *, tol: Tol = DEFAULT_TOL) -> Solution:
             "lp_queries": work["probes"],
             "vertex_inspections": life.events + work["rows"],
             "binary_search_steps": work["steps"],
+            "fallbacks": {"sweep_readmits": life.readmits, "inner_body": int(inner_fallback)},
         },
     )
 
@@ -400,7 +408,8 @@ def verify_solution(
     (a) width(inner_rho) + 2 rho = 2 n rho, (b) cutting P yields n pieces
     with max inradius rho (none exceeding it), (c) the smallest width gap
     over edges vanishes at rho.  Every cut's normal must be `direction`.
-    Raises VerificationFailedError otherwise.
+    Raises VerificationFailedError otherwise.  Every check allows 1e-8
+    times P's diameter, whatever its size.
 
     It reads only P and the claim, never the solver's state, in
     O((m + n) log m): the inner body I_rho comes from a Chebyshev LP by
@@ -412,7 +421,7 @@ def verify_solution(
     cuts in one sorted pass (`_piece_inradii`).
     """
     diam = _diam if _diam is not None else diameter(P)
-    vtol = 1e-8 * max(diam, 1.0)
+    vtol = 1e-8 * diam
 
     inner = _inner if _inner is not None else inner_body(P, rho)
     if inner is None:

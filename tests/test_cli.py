@@ -210,3 +210,4 @@ def test_solution_document_schema():
         "piece_inradii",
         "max_piece_inradius",
     }
+    assert doc["stats"]["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0}

@@ -7,7 +7,8 @@ import pytest
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.errors import DegenerateVertexError
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
-from parcut.hierarchy import BoundedCore, bounded_core, face_lattice, perturb
+from parcut.hierarchy import BoundedCore, _dome_sweep, bounded_core, face_lattice, perturb
+from parcut.oracle import random_polygon
 from parcut.lp import OPTIMAL, small_lp
 
 SQ3 = math.sqrt(3.0)
@@ -239,6 +240,30 @@ class TestBoundedCore:
             _assert_bounded(D, core)
 
 
+def _event_sweep_lifetimes(D):
+    """Tops, apex and event count read off the hierarchy's event sweep."""
+    events = _dome_sweep(D, strict=False)
+    M = np.empty(D.m)
+    for pt, tri, _h in events[:-1]:
+        M[tri[1]] = pt[2]
+    apex, tri, _h = events[-1]
+    M[list(tri)] = apex[2]
+    return M, apex, len(events)
+
+
+def _reference_polygons():
+    models = ["circle", "ellipse", "smoothed"]
+    for k in range(500):  # criterion 2's cases
+        yield random_polygon([8, 16, 32, 64, 128, 256][k % 6], seed=k, model=models[k % 3])
+    for m in list(range(3, 513)) + [1000, 1024, 2047, 2048, 4095, 4096]:
+        yield regular_polygon(m)
+    for w, h in ((2, 1), (10, 0.01), (1, 1e-9)):
+        yield canonicalize([(0, 0), (w, 0), (w, h), (0, h)])
+    for k in (199, 200, 300):  # an arc closed by a flat base
+        th = np.linspace(0.0, math.pi, k + 1)
+        yield canonicalize(np.stack([np.cos(th), np.sin(th)], axis=1))
+
+
 class TestFacetLifetimes:
     def test_square(self):
         D0 = build_dome(unit_square())
@@ -267,6 +292,18 @@ class TestFacetLifetimes:
             r, c = inradius_incenter(P)
             assert life.apex == pytest.approx((c[0], c[1], r), abs=1e-9)
             assert life.events == P.m - 2
+
+    def test_matches_event_sweep(self):
+        # the heights-only sweep against the generic one it replaces on
+        # solve's path: bit for bit, not to a tolerance
+        for P in _reference_polygons():
+            D = build_dome(P)
+            life = facet_lifetimes(D)
+            M, apex, events = _event_sweep_lifetimes(D)
+            assert life.M.tobytes() == M.tobytes(), P.m
+            assert life.apex == apex, P.m
+            assert life.events == events, P.m
+            assert life.readmits == 0
 
 
 def _assert_bounded(D, core: BoundedCore):

@@ -334,6 +334,33 @@ class TestLifetimePath:
             s = solve(P, 3)
             assert s.verification.ok
 
+    def test_sweep_readmission_is_counted(self, monkeypatch):
+        # a negative coincidence tolerance makes the skip margin drop every
+        # estimate, so the heap empties and the sweep re-admits once
+        import parcut.dome as dome_mod
+
+        P = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)])
+        ref = solve(P, 2)
+        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0}
+        monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
+        s = solve(P, 2)
+        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0}
+        assert s.rho == ref.rho and s.winner == ref.winner
+        assert s.verification.ok
+
+    def test_inner_body_fallback_is_counted(self, monkeypatch):
+        import parcut.solver as solver_mod
+
+        P = random_polygon(40, seed=3)
+        ref = solve(P, 3)
+        assert ref.stats["fallbacks"]["inner_body"] == 0
+        monkeypatch.setattr(solver_mod, "_inner_from_lifetimes", lambda *args: None)
+        s = solve(P, 3)
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1}
+        assert s.rho == ref.rho and s.winner == ref.winner
+        assert [c.offset for c in s.cuts] == pytest.approx([c.offset for c in ref.cuts], abs=1e-12)
+        assert s.verification.ok
+
     def test_thin_rectangle(self):
         # 1 x 1e-9: rho = h / (2n) along (0, 1); verification's 1e-8 slack
         # is wider than the rectangle, so rho is checked against its closed form

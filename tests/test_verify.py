@@ -57,7 +57,7 @@ def _pieces_ref(P, v, offsets):
 
 def _verify_ref(P, n, rho, direction, cuts, tol=DEFAULT_TOL):
     """The verification as it was: returns the piece inradii or raises."""
-    vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+    vtol = 1e-8 * _diameter_ref(P)
     b = P.b - rho
     res = small_lp(_lifted(P.A, b), (0.0, 0.0, 1.0))
     inner = None
@@ -151,7 +151,7 @@ def _check_split(P, v, offsets, rho=None):
     when it is given."""
     v = np.asarray(v, float) / np.linalg.norm(v)
     offsets = np.asarray(offsets, float)
-    vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+    vtol = 1e-8 * _diameter_ref(P)
     lemma = () if rho is None else (inner_body(P, rho), rho)
     got = _outcome(_piece_inradii, P, v, offsets, vtol, DEFAULT_TOL, *lemma)
     ref = _outcome(_pieces_ref, P, v, offsets.tolist())
@@ -231,7 +231,7 @@ class TestStripLemma:
         s = solve(P, 64)
         v = np.asarray(s.direction)
         offsets = np.array([c.offset for c in s.cuts])
-        vtol = 1e-8 * max(_diameter_ref(P), 1.0)
+        vtol = 1e-8 * _diameter_ref(P)
         lp = _CountingLp()
         monkeypatch.setattr(solver, "chebyshev_lp", lp)
         got = _piece_inradii(P, v, offsets, vtol, DEFAULT_TOL, inner_body(P, s.rho), s.rho)
@@ -278,3 +278,30 @@ class TestStripLemma:
         _check_split(P, v, [1.0, 2.0, 2.0, 3.0], rho)
         assert _outcome(_piece_inradii, P, v, np.array([1.0, 2.0, 2.0, 3.0]), 1e-8, DEFAULT_TOL,
                         inner_body(P, rho), rho) == "pieces"
+
+
+class TestSmallPolygons:
+    """Verification's slack is relative to P's diameter at every size."""
+
+    @staticmethod
+    def square(side):
+        return canonicalize([(0, 0), (side, 0), (side, side), (0, side)])
+
+    @pytest.mark.parametrize("side", [1e-6, 1e-9])
+    def test_solve(self, side):
+        for n in (1, 2, 3):
+            s = solve(self.square(side), n)
+            assert s.rho == pytest.approx(side / (2 * n), rel=1e-14)
+            assert s.verification.ok
+            assert s.verification.tolerance == pytest.approx(1e-8 * side * np.sqrt(2), rel=1e-12)
+
+    @pytest.mark.parametrize("side", [1e-4, 1e-6])
+    def test_wrong_claims_fail(self, side):
+        P = self.square(side)
+        n = 3
+        s = solve(P, n)
+        assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
+        moved = [Cut(s.cuts[0].normal, s.cuts[0].offset + 0.3 * side)] + s.cuts[1:]
+        for claim in ((s.rho * (1 + 1e-6), s.cuts), (s.rho * 2, s.cuts), (s.rho, moved)):
+            with pytest.raises(VerificationFailedError):
+                verify_solution(P, n, claim[0], s.direction, claim[1])
