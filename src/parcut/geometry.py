@@ -66,47 +66,160 @@ class WidthResult:
     opposite_vertex: int
 
 
+def _turns(ox, oy, ax, ay, px, py):
+    """The cross product of a - o and p - o, which is positive where
+    o -> a -> p turns left, and the most it can round by.
+
+    That bound is about 4.4e-16 (|a - o|_1)(|p - o|_1) whatever the points'
+    size or offset, so a turn counts only beyond 4e-16 times that product.
+    A thin but real corner clears it by far: the regular 2^16-gon's turns
+    by a factor of 6e10.
+    """
+    ux = ax - ox
+    uy = ay - oy
+    vx = px - ox
+    vy = py - oy
+    return ux * vy - uy * vx, 4e-16 * (np.abs(ux) + np.abs(uy)) * (np.abs(vx) + np.abs(vy))
+
+
+def _bends(x, y):
+    """Which points of a sequence, but its first and last, fail to turn
+    left between their neighbours, and which of those turn right beyond
+    rounding."""
+    cross, cut = _turns(x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:])
+    return cross <= cut, cross < -cut
+
+
+def _spare(fail: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The points of a monotone or cyclic chain that may go at once, of
+    those that `fail` to turn left.
+
+    A point that turns `right` beyond rounding is no corner, whatever its
+    neighbours are.  One that turns within rounding of straight may be a
+    corner whose neighbour sits within rounding of it, so it goes only
+    while both neighbours stay: every one whose neighbours turn left, and
+    of each longer run those at even indices.  It then lies within
+    rounding of the segment between them, and a run loses half its points
+    at a time.
+    """
+    flat = fail & ~right
+    if not np.count_nonzero(flat):
+        return right
+    flat[1:] &= ~right[:-1]
+    flat[:-1] &= ~right[1:]
+    go = flat.copy()
+    go[1:] &= ~flat[:-1]
+    go[:-1] &= ~flat[1:]
+    go[::2] |= flat[::2]
+    return go | right
+
+
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Indices of the hull corners of `points`, counterclockwise.
 
-    Monotone chain with strict turns: drops interior and collinear points,
-    and of exact duplicates keeps the lowest index.
+    Drops interior and collinear points, and of exact duplicates keeps the
+    lowest index.  Each corner kept turns left by `_turns` between the
+    corners before and after it, except the first and the last point in
+    (x, y) order, which are corners whatever their turn.
+
+    Points that already run once counterclockwise round a strictly convex
+    polygon come back whole, in order.  Others are sorted by (x, y) and
+    split by the line through the first and the last point into a lower
+    and an upper chain.  With those two points the chains form one cycle,
+    on which quickhull works in vectorized rounds.  Known corners cut the
+    cycle into ranges.  Each round tests every point of an open range
+    against the range's end corners (the chord) and against its two
+    neighbours, and `_spare` says which of those that fail may go.  A
+    range whose points all pass both tests is a convex chain, so they are
+    all corners.  In any other range the failures go, and the point
+    farthest beyond the chord becomes a corner, which splits the range.
+    Farthest points are corners in exact arithmetic.  A last pass drops
+    any that rounding left without a left turn between its final
+    neighbours.
     """
+    n = len(points)
     x, y = points[:, 0], points[:, 1]
-    order = np.lexsort((np.arange(len(points)), y, x))
-    xs, ys = x[order], y[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    order = order[first]
-    if len(order) < 3:
+    if n >= 3:
+        xc = np.concatenate((x[-1:], x, x[:1]))
+        yc = np.concatenate((y[-1:], y, y[:1]))
+        cross, cut = _turns(xc[:-2], yc[:-2], x, y, xc[2:], yc[2:])
+        if not np.count_nonzero(cross <= cut):
+            # with every turn left, the edges' directions wind round as
+            # often as they pass from the lower half-plane to the upper one
+            dy = y - yc[:-2]
+            down = (dy < 0) | ((dy == 0) & (x < xc[:-2]))
+            if np.count_nonzero(down[:-1] > down[1:]) + (down[-1] > down[0]) == 1:
+                return np.arange(n)
+
+    order = np.lexsort((y, x))  # stable: equal points keep index order
+    sx, sy = x[order], y[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    if np.count_nonzero(first) < n:
+        order, sx, sy = order[first], sx[first], sy[first]
+    k = len(order)
+    if k < 3:
         raise EmptyInteriorError("fewer than 3 distinct points")
-    pts = [(px, py, k) for (px, py), k in zip(points[order].tolist(), order.tolist())]
-    span = max(float(xs[-1] - xs[0]), float(ys.max() - ys.min()))
-    # Collinearity cutoff sits near machine precision relative to the
-    # points' span on purpose: double cross products carry ~1e-16 * span^2
-    # of noise, while the thinnest legitimate corners (regular 2^16-gon)
-    # are ~1e-12 * span^2.
-    eps = 1e-14 * span * span
+    # the cycle: left end, lower chain, right end, upper chain, left end
+    # again; positions in it are the output's order
+    cross, cut = _turns(sx[0], sy[0], sx[1:-1], sy[1:-1], sx[-1], sy[-1])
+    below = cross > cut
+    mid = np.arange(1, k - 1)
+    cyc = np.concatenate(([0], mid[below], [k - 1], mid[~below][::-1], [0]))
+    corner = np.zeros(len(cyc), dtype=bool)
+    corner[[0, np.count_nonzero(below) + 1]] = True
 
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= eps:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
+    # the working cycle: its positions in `cyc`, coordinates, known corners
+    fixed = corner.copy()
+    fixed[-1] = True
+    wx, wy = sx[cyc], sy[cyc]
+    fail = np.zeros(len(cyc), dtype=bool)
+    right = fail.copy()
+    fail[1:-1], right[1:-1] = _bends(wx, wy)
+    pos = np.flatnonzero(fixed | ~_spare(fail, right))
+    wx, wy, fixed = wx[pos], wy[pos], fixed[pos]
+    split = False
+    while np.count_nonzero(fixed) < len(fixed):
+        inner = fixed[1:-1]  # a view; the first and last positions are corners
+        owner = inner.cumsum()  # the range each inner position lies in
+        ends = np.flatnonzero(fixed)
+        ex, ey = wx[ends], wy[ends]
+        cross, cut = _turns(ex[owner], ey[owner], wx[1:-1], wy[1:-1], ex[owner + 1], ey[owner + 1])
+        free = ~inner
+        chord = free & (cross > cut)
+        bent, right = _bends(wx, wy)
+        bent &= chord
+        right &= chord
+        fails = free & (bent | ~chord)
+        if not np.count_nonzero(fails):  # every range left is a convex chain
+            corner[pos[1:-1][free]] = True
+            break
+        failed = np.zeros(len(ends), dtype=bool)
+        failed[owner[fails]] = True
+        open_ = failed[owner]
+        stay = chord & open_ & ~_spare(bent, right)
+        beyond = np.where(stay, cross, -np.inf)
+        starts = ends[:-1] - 1
+        starts[0] = 0
+        top = stay & (beyond == np.maximum.reduceat(beyond, starts)[owner])
+        corner[pos[1:-1][(free & ~open_) | top]] = True
+        split = split or bool(np.count_nonzero(top))
+        inner |= top
+        live = fixed.copy()
+        live[1:-1] |= stay
+        pos, wx, wy, fixed = pos[live], wx[live], wy[live], fixed[live]
 
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    hull = cyc[np.flatnonzero(corner)]
+    while split:
+        hx, hy = sx[hull], sy[hull]
+        fail, right = _bends(np.concatenate((hx[-1:], hx, hx[:1])), np.concatenate((hy[-1:], hy, hy[:1])))
+        fail[0] = fail[hull == k - 1] = right[0] = right[hull == k - 1] = False
+        split = bool(np.count_nonzero(fail))
+        hull = hull[~_spare(fail, right)]
     if len(hull) < 3:
         raise EmptyInteriorError("points are collinear")
-    return np.array([p[2] for p in hull])
+    return order[hull]
 
 
 def _corners(A: np.ndarray, b: np.ndarray):
@@ -340,10 +453,13 @@ def diameter(P: HPolygon) -> float:
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
     opp = (ang + math.pi) % (2 * math.pi)
     j = np.searchsorted(ang, opp, side="right") - 1
-    far = V[(j[:, None] + np.array([-1, 0, 1])) % m]  # (m, 3, 2)
-    ends = np.stack([np.roll(V, 1, axis=0), V], axis=1)  # edge k: vertices k-1, k
-    d = far[:, None, :, :] - ends[:, :, None, :]
-    return float(np.hypot(d[..., 0], d[..., 1]).max())
+    far = (j[:, None] + np.array([-1, 0, 1])) % m
+    x, y = V[:, 0], V[:, 1]
+    fx, fy = x[far], y[far]
+    best = 0.0
+    for ex, ey in ((np.roll(x, 1), np.roll(y, 1)), (x, y)):  # edge k: vertices k-1, k
+        best = max(best, float(np.hypot(fx - ex[:, None], fy - ey[:, None]).max()))
+    return best
 
 
 def _expand_ranges(first: np.ndarray, stop: np.ndarray):

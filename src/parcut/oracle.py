@@ -163,7 +163,14 @@ def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig(), tol: T
 
 
 def random_polygon(m: int, seed: int = 0, model: str = "circle") -> HPolygon:
-    """Deterministic random convex m-gon; retries until >= 0.9 m corners."""
+    """Deterministic random convex m-gon: m points at uniform random
+    angles on the model's curve.
+
+    `canonicalize`'s hull drops a point only when its turn is lost in the
+    rounding of its own cross product, so draws keep their corners even at
+    m = 2^16 (all 65536 of them at seed 1, in every model).  A draw that
+    keeps fewer than 0.9 m is redrawn, up to 64 times.
+    """
     if m < 3:
         raise ValueError("need at least 3 vertices")
     if model not in ("circle", "ellipse", "smoothed"):

@@ -7,9 +7,11 @@ import pytest
 from parcut.errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
+from parcut.solver import solve
 from parcut.geometry import (
     HPolygon,
     VPolygon,
+    _convex_hull_ccw,
     canonicalize,
     chebyshev_lp,
     clip_halfplane,
@@ -193,17 +195,18 @@ def _diameter_loop(P):
 
 
 def _hull_loop(points):
-    """Reference: monotone chain over the sorted set of distinct points."""
+    """Reference: monotone chain over the sorted set of distinct points.  A
+    turn o -> a -> p counts when its cross product exceeds
+    4e-16 |a - o|_1 |p - o|_1, about the most it can round by."""
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    span = max(pts[-1][0] - pts[0][0], max(p[1] for p in pts) - min(p[1] for p in pts), 1.0)
-    eps = 1e-14 * span * span
 
     def build(seq):
         out = []
         for p in seq:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= eps:
+                ux, uy, vx, vy = a[0] - o[0], a[1] - o[1], p[0] - o[0], p[1] - o[1]
+                if ux * vy - uy * vx <= 4e-16 * (abs(ux) + abs(uy)) * (abs(vx) + abs(vy)):
                     out.pop()
                 else:
                     break
@@ -264,6 +267,57 @@ def _test_polygons(rng):
     polys += [canonicalize(rng.normal(size=(int(rng.integers(3, 60)), 2)) * 10 ** rng.uniform(-3, 3)) for _ in range(30)]
     polys += [random_polygon(int(rng.integers(3, 3000)), seed=k, model=("circle", "ellipse", "smoothed")[k % 3]) for k in range(12)]
     return polys
+
+
+def _dual_cloud(P, t):
+    """The polar dual of P's rows moved in by t, about P's incenter: the
+    cloud whose hull `inner_body(P, t)` takes."""
+    _, c = inradius_incenter(P)
+    return P.A / (P.b - t - P.A @ np.asarray(c))[:, None]
+
+
+def _graded_cloud(corners=100, run=40, per_halving=4.0):
+    """Corners on the unit circle whose angles halve every `per_halving`
+    corners, so that a quickhull split cuts few of them off, and between
+    each two a run of points on an arc inside their chord.  The runs turn
+    left among themselves, so dropping right turns only wears them down
+    from their ends; chord tests remove the rest."""
+    th = np.sort(np.append(math.pi * 2.0 ** (-np.arange(corners) / per_halving), -math.pi / 2))
+    s = np.linspace(0.0, 1.0, run + 2)[1:-1]
+    arcs = [(1 - (b - a) ** 2 / 4) * np.stack([np.cos(a + s * (b - a)), np.sin(a + s * (b - a))], axis=1)
+            for a, b in zip(th[:-1], th[1:])]
+    return np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1)] + arcs)
+
+
+def _assert_hull_is_loops(points):
+    """Same corners as the loop reference, in the same cyclic order."""
+    got = points[_convex_hull_ccw(points)]
+    start = np.lexsort((got[:, 1], got[:, 0]))[0]
+    assert np.array_equal(np.roll(got, -start, axis=0), _hull_loop(points))
+
+
+class TestConvexHull:
+    def test_contract(self):
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert _convex_hull_ccw(np.array(square, float)).tolist() == [0, 1, 2, 3]
+        # duplicates keep their lowest index; interior and collinear points go
+        pts = np.array(square + [(1, 0), (0.5, 0.5), (0.5, 0), (0, 0), (1, 1)], float)
+        assert _convex_hull_ccw(pts).tolist() == [0, 1, 2, 3]
+        assert _convex_hull_ccw(pts[::-1]).tolist() == [1, 4, 0, 5]
+        for bad in ([(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 0), (1, 0), (0, 0)]):
+            with pytest.raises(EmptyInteriorError):
+                _convex_hull_ccw(np.array(bad, float))
+
+    @pytest.mark.parametrize("model", ["circle", "ellipse", "smoothed"])
+    def test_dual_cloud_at_rho(self, model):
+        # the ellipse of seed 2 loses a run of 2101 consecutive rows at rho,
+        # which dropping reflex points one round at a time would peel for
+        # a thousand rounds
+        P = random_polygon(16384, seed=2, model=model)
+        _assert_hull_is_loops(_dual_cloud(P, solve(P, 2).rho))
+
+    def test_graded_angles(self):
+        _assert_hull_is_loops(_graded_cloud())
 
 
 class TestAgainstLoops:

@@ -9,7 +9,7 @@ from parcut.geometry import canonicalize, inradius_incenter
 from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
 from parcut.queries import eval_fi
-from parcut.solver import solve
+from parcut.solver import solve, verify_solution
 
 SQ3 = math.sqrt(3.0)
 
@@ -149,6 +149,17 @@ class TestRandomPolygon:
             for m in (8, 32, 100):
                 P = random_polygon(m, seed=3, model=model)
                 assert P.m >= 0.9 * m
+
+    @pytest.mark.parametrize("model", ["circle", "ellipse", "smoothed"])
+    def test_draws_2_16_gons(self, model):
+        # every one of 65536 uniform draws is a corner once the hull's
+        # cutoff scales with each turn's own edges, and the polygon solves
+        # and verifies from scratch with no safety net firing
+        P = random_polygon(65536, seed=1, model=model)
+        assert P.m == 65536
+        s = solve(P, 64)
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0}
+        assert verify_solution(P, 64, s.rho, s.direction, s.cuts).ok
 
     def test_bad_model(self):
         with pytest.raises(ValueError):
