@@ -5,10 +5,12 @@ rho with width(P^rho) = 2 n rho, the cut direction (always an edge
 normal), and the n-1 equally spaced cuts that minimize the largest piece
 inradius.  `solve` reads every edge lifetime off one collapse sweep of
 the 3-D dome of P and solves for rho in closed form inside the bracket
-of lifetimes where it lies; the per-edge diagnostics come from the same
-bracket.  The paper's Dobkin-Kirkpatrick style facet-peeling hierarchy,
-with its polylogarithmic LP queries, is exported for direct use; a
-brute-force oracle cross-checks both.
+of lifetimes where it lies; the per-edge diagnostics, three float
+arrays indexed by edge, come from the same bracket.  The paper's
+Dobkin-Kirkpatrick style facet-peeling hierarchy, with its
+polylogarithmic LP queries, is exported for direct use; a brute-force
+oracle cross-checks both.  Every predicate compares with one fixed
+slack, `tolerance.slack`.
 """
 
 from .errors import (
@@ -24,7 +26,6 @@ from .errors import (
     UnboundedError,
     VerificationFailedError,
 )
-from .tolerance import DEFAULT_TOL, Tol
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, small_lp
 from .geometry import (
     HPolygon,
@@ -63,7 +64,7 @@ from .queries import (
 )
 from .solver import (
     Cut,
-    FacetDiagnostics,
+    Diagnostics,
     Solution,
     VerificationReport,
     place_cuts,

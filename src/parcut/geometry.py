@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from .lp import OPTIMAL, UNBOUNDED, small_lp
-from .tolerance import DEFAULT_TOL, Tol
+from .tolerance import slack
 
 # angle bins of the start sample of `chebyshev_lp`, and rows it adds per round
 _LP_BATCH = 64
@@ -52,8 +52,8 @@ class HPolygon:
     def m(self) -> int:
         return len(self.b)
 
-    def contains(self, x, tol: Tol = DEFAULT_TOL, scale: float = 1.0) -> bool:
-        return bool(np.all(self.A @ np.asarray(x) <= self.b + tol.slack(scale)))
+    def contains(self, x, scale: float = 1.0) -> bool:
+        return bool(np.all(self.A @ np.asarray(x) <= self.b + slack(scale)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
     return HPolygon(A, b, verts)
 
 
-def canonicalize(obj, tol: Tol = DEFAULT_TOL, interior=None) -> HPolygon:
+def canonicalize(obj, interior=None) -> HPolygon:
     """Convert vertices, an (A, b) pair, or an HPolygon to canonical form.
 
     Raises NonFiniteInputError when any number in it is NaN or infinite,
@@ -263,7 +263,7 @@ def canonicalize(obj, tol: Tol = DEFAULT_TOL, interior=None) -> HPolygon:
     if isinstance(obj, tuple) and len(obj) == 2:
         A, b = np.asarray(obj[0], float), np.asarray(obj[1], float)
         _require_finite(A, b)
-        return _canonicalize_rows(A, b, tol, interior)
+        return _canonicalize_rows(A, b, interior)
     V = np.asarray(obj.vertices if isinstance(obj, VPolygon) else obj, float)
     _require_finite(V)
     return _canonicalize_vertices(V)
@@ -289,7 +289,7 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
-def _canonicalize_rows(A: np.ndarray, b: np.ndarray, tol: Tol, interior=None) -> HPolygon:
+def _canonicalize_rows(A: np.ndarray, b: np.ndarray, interior=None) -> HPolygon:
     A = np.atleast_2d(np.asarray(A, float))
     b = np.asarray(b, float).ravel()
     if A.shape[0] != b.shape[0] or A.shape[1] != 2:
@@ -297,28 +297,28 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray, tol: Tol, interior=None) ->
 
     norm = np.hypot(A[:, 0], A[:, 1])
     trivial = norm <= 1e-300
-    if np.any(b[trivial] < -(tol.abs + tol.rel * np.abs(b[trivial]))):
+    if np.any(b[trivial] < -slack(b[trivial])):
         raise EmptyInteriorError("contradictory trivial row")
     # 0.x <= b with b >= 0 says nothing; unit rows are kept bit for bit
     A, b, norm = A[~trivial], b[~trivial], norm[~trivial]
     if len(b) == 0:
         raise UnboundedError("no effective half-planes")
-    rescale = np.abs(norm - 1.0) > tol.slack(1.0)
+    rescale = np.abs(norm - 1.0) > slack(1.0)
     A = np.where(rescale[:, None], A / norm[:, None], A)
     b = np.where(rescale, b / norm, b)
 
     # Feasibility / interior first (a contradictory system is EmptyInterior
     # even when it also fails to bound); the Chebyshev LP decides it unless
     # the caller already knows a strictly interior point.
-    scale = max(1.0, float(np.abs(b).max()))
+    scale = float(np.abs(b).max())
     c = None
     if interior is not None:
         cand = np.asarray(interior, float)
-        if (b - (A[:, 0] * cand[0] + A[:, 1] * cand[1])).min() > tol.slack(scale):
+        if (b - (A[:, 0] * cand[0] + A[:, 1] * cand[1])).min() > slack(scale):
             c = cand
     if c is None:
-        res = chebyshev_lp(A, b, tol=tol)
-        if res.status == OPTIMAL and res.value <= tol.slack(scale):
+        res = chebyshev_lp(A, b)
+        if res.status == OPTIMAL and res.value <= slack(scale):
             raise EmptyInteriorError("region is empty or lower-dimensional")
 
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
@@ -345,6 +345,13 @@ def directional_width(P: VPolygon | HPolygon, v) -> float:
     return float(proj.max() - proj.min())
 
 
+def _antipodes(ang: np.ndarray) -> np.ndarray:
+    """For each of the ascending normal angles `ang` of a convex polygon's
+    rows, the corner k, where rows k and k+1 meet, whose normal cone holds
+    the opposite normal: where that row's A_i.x is smallest."""
+    return (np.searchsorted(ang, (ang + math.pi) % (2 * math.pi), side="right") - 1) % len(ang)
+
+
 def min_width(P: HPolygon) -> WidthResult:
     """Minimum width over all directions, from the antipodal vertex pairs.
 
@@ -357,9 +364,7 @@ def min_width(P: HPolygon) -> WidthResult:
     A, b, verts = P.A, P.b, P.vertices
     m = P.m
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    opp = (ang + math.pi) % (2 * math.pi)
-    j = np.searchsorted(ang, opp, side="right") - 1
-    cand = (j[:, None] + np.array([-1, 0, 1])) % m
+    cand = (_antipodes(ang)[:, None] + np.array([-1, 0, 1])) % m
     V = verts[cand]
     proj = A[:, None, 0] * V[:, :, 0] + A[:, None, 1] * V[:, :, 1]
     low = proj.argmin(axis=1)
@@ -368,7 +373,7 @@ def min_width(P: HPolygon) -> WidthResult:
     return WidthResult(float(w[i]), (float(A[i, 0]), float(A[i, 1])), i, int(cand[i, low[i]]))
 
 
-def inner_body(P: HPolygon, t: float, tol: Tol = DEFAULT_TOL, interior=None) -> HPolygon | None:
+def inner_body(P: HPolygon, t: float, interior=None) -> HPolygon | None:
     """Inner parallel body {A x <= b - t}, recanonicalized; None when empty.
 
     Edges of P may disappear, so the result can have fewer rows.  The
@@ -378,12 +383,12 @@ def inner_body(P: HPolygon, t: float, tol: Tol = DEFAULT_TOL, interior=None) -> 
     if t < 0:
         raise ValueError("offset must be nonnegative")
     try:
-        return _canonicalize_rows(P.A, P.b - t, tol, interior)
+        return _canonicalize_rows(P.A, P.b - t, interior)
     except EmptyInteriorError:
         return None
 
 
-def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL):
+def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=()):
     """Maximize t subject to A x + t <= b and the lifted rows `extras`.
 
     With unit rows of A this is the largest disk, of radius t centred at
@@ -416,7 +421,7 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL
     while True:
         idx = np.nonzero(used)[0]
         rows = [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A[idx].tolist(), b[idx].tolist())]
-        res = small_lp(rows + extras, (0.0, 0.0, 1.0), tol=tol)
+        res = small_lp(rows + extras, (0.0, 0.0, 1.0))
         if res.status == UNBOUNDED and not used.all():
             used[:] = True
             continue
@@ -426,16 +431,16 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), tol: Tol = DEFAULT_TOL
         ax = A[:, 0] * x
         ay = A[:, 1] * y
         excess = ax + ay + t - b
-        slack = tol.abs + tol.rel * (np.abs(b) + np.abs(ax) + np.abs(ay) + abs(t))
-        new = np.nonzero((excess > slack) & ~used)[0]
+        allow = slack(np.abs(b) + np.abs(ax) + np.abs(ay) + abs(t))
+        new = np.nonzero((excess > allow) & ~used)[0]
         if len(new) == 0:
             return res
-        used[new[np.argsort(excess[new] - slack[new])[::-1][:_LP_BATCH]]] = True
+        used[new[np.argsort(excess[new] - allow[new])[::-1][:_LP_BATCH]]] = True
 
 
-def inradius_incenter(P: HPolygon, tol: Tol = DEFAULT_TOL):
+def inradius_incenter(P: HPolygon):
     """Largest inscribed-disk radius and one center achieving it."""
-    res = chebyshev_lp(P.A, P.b, [_FLOOR], tol)
+    res = chebyshev_lp(P.A, P.b, [_FLOOR])
     if res.status != OPTIMAL:
         raise EmptyInteriorError("polygon has no inscribed disk")
     return float(res.value), (float(res.point[0]), float(res.point[1]))
@@ -451,9 +456,7 @@ def diameter(P: HPolygon) -> float:
     A, V = P.A, P.vertices
     m = P.m
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    opp = (ang + math.pi) % (2 * math.pi)
-    j = np.searchsorted(ang, opp, side="right") - 1
-    far = (j[:, None] + np.array([-1, 0, 1])) % m
+    far = (_antipodes(ang)[:, None] + np.array([-1, 0, 1])) % m
     x, y = V[:, 0], V[:, 1]
     fx, fy = x[far], y[far]
     best = 0.0

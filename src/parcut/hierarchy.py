@@ -41,8 +41,9 @@ from .errors import (
     NonIndependentRemovalError,
     NotPlanarError,
 )
+from .geometry import _corners
 from .lp import OPTIMAL, UNBOUNDED, small_lp
-from .tolerance import DEFAULT_TOL, Tol
+from .tolerance import slack
 
 
 def perturb(D: Dome, seed: int = 0) -> Dome:
@@ -67,20 +68,14 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
     with np.errstate(divide="ignore", invalid="ignore"):
         zx = (o1 * a2[:, 1] - o2 * a1[:, 1]) / det
         zy = (a1[:, 0] * o2 - a2[:, 0] * o1) / det
-    slack = np.abs(N[:, 0] * zx + N[:, 1] * zy - off)[crossing]
-    min_slack = float(slack.min()) if len(slack) else math.inf
+    margin = np.abs(N[:, 0] * zx + N[:, 1] * zy - off)[crossing]
+    min_slack = float(margin.min()) if len(margin) else math.inf
     delta = min(1e-7 * D.scale, 0.25 * min_slack)
     offsets = D.offsets.copy()
     offsets[:m] -= delta * rng.random(m)
 
     # corner j = crossing of rows j-1 and j under the new offsets
-    po = offsets[:m]
-    pp = np.roll(po, 1)
-    det = a1[:, 0] * N[:, 1] - a1[:, 1] * N[:, 0]
-    corners = np.stack(
-        [(pp * N[:, 1] - po * a1[:, 1]) / det, (a1[:, 0] * po - N[:, 0] * pp) / det],
-        axis=1,
-    )
+    corners = _corners(a1, np.roll(offsets[:m], 1))[0]
     # A perturbed row must still carry a positive-length floor edge.
     min_len = 10.0 * _coincidence_tol(D.scale)
     nxt = np.roll(corners, -1, axis=0)
@@ -464,7 +459,7 @@ def face_lattice(D: Dome, strict: bool = True) -> FaceLattice:
     return FaceLattice(D, store, level)
 
 
-def bounded_core(D: Dome, tol: Tol = DEFAULT_TOL) -> BoundedCore:
+def bounded_core(D: Dome) -> BoundedCore:
     """Find <= 6 facets that bound a polytope on their own.
 
     Start from the floor facet and chase the face maximizing t: if that
@@ -472,7 +467,7 @@ def bounded_core(D: Dome, tol: Tol = DEFAULT_TOL) -> BoundedCore:
     edge, add the facets binding the edge's two endpoints.
     """
     rows = D.row_list()
-    res = small_lp(rows, (0.0, 0.0, 1.0), tol=tol)
+    res = small_lp(rows, (0.0, 0.0, 1.0))
     if res.status != OPTIMAL:
         raise GeometryError("dome has no apex; invalid input")
     basis = [i for i in res.basis if i != D.floor]
@@ -492,7 +487,7 @@ def bounded_core(D: Dome, tol: Tol = DEFAULT_TOL) -> BoundedCore:
         eqs = [((na[0], na[1], na[2]), float(D.offsets[a])),
                ((nb[0], nb[1], nb[2]), float(D.offsets[b]))]
         for sgn in (1.0, -1.0):
-            end = small_lp(rows, tuple(sgn * u), tol=tol, equalities=eqs)
+            end = small_lp(rows, tuple(sgn * u), equalities=eqs)
             if end.status != OPTIMAL:
                 raise GeometryError("apex ridge endpoint LP failed")
             labels.update(i for i in end.basis if i not in (a, b))
@@ -507,7 +502,7 @@ def bounded_core(D: Dome, tol: Tol = DEFAULT_TOL) -> BoundedCore:
         obj = [0.0, 0.0, 0.0]
         for sgn in (1.0, -1.0):
             obj[k] = sgn
-            chk = small_lp(core_rows, tuple(obj), tol=tol)
+            chk = small_lp(core_rows, tuple(obj))
             if chk.status == UNBOUNDED:
                 raise GeometryError("core candidate is unbounded")
     return BoundedCore(frozenset(labels))
@@ -806,7 +801,6 @@ def build_hierarchy(
     D: Dome,
     core: BoundedCore,
     original: Dome | None = None,
-    tol: Tol = DEFAULT_TOL,
     debug: bool = False,
 ) -> Hierarchy:
     """Stratify the dome down to the bounded core.
@@ -857,13 +851,13 @@ def build_hierarchy(
         core_edges=core_edges,
     )
     if debug:
-        _debug_validate(H, tol)
+        _debug_validate(H)
     return H
 
 
-def _debug_validate(H: Hierarchy, tol: Tol) -> None:
+def _debug_validate(H: Hierarchy) -> None:
     """Exhaustive build-time checks: geometric fidelity and kill uniqueness."""
-    slack = tol.slack(H.scale) * 1e3
+    allow = slack(H.scale) * 1e3
     for l, lv in enumerate(H.levels):
         ids = sorted(lv.index_set)
         for v in lv.verts:
@@ -871,7 +865,7 @@ def _debug_validate(H: Hierarchy, tol: Tol) -> None:
             for lab in ids:
                 n, off = H.rows[lab]
                 val = n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
-                if val > off + slack:
+                if val > off + allow:
                     raise GeometryError(
                         f"level {l}: vertex {v} violates facet {lab} by {val - off:g}"
                     )
@@ -880,7 +874,7 @@ def _debug_validate(H: Hierarchy, tol: Tol) -> None:
         # Kill records: a new vertex sits beyond its killer and beyond no
         # other removed facet.  Violations can be arbitrarily small (just
         # above the deleted plane) so the test threshold is the noise
-        # floor, not the user tolerance.
+        # floor, not the comparison slack.
         vtol = _coincidence_tol(H.scale)
         removed = sorted(H.levels[l - 1].index_set - lv.index_set)
         for v in lv.verts:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .tolerance import DEFAULT_TOL, Tol
+from .tolerance import slack
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -43,7 +43,7 @@ def _dot(a, x) -> float:
     return s
 
 
-def _lp1(rows, order, c, box, tol: Tol):
+def _lp1(rows, order, c, box):
     """1-D base case: intersect half-lines, pick the end favored by c."""
     lo, hi = -box, box
     lo_id, hi_id = ("box", 0, -1), ("box", 0, 1)
@@ -58,20 +58,20 @@ def _lp1(rows, order, c, box, tol: Tol):
             cand = b / av
             if cand > lo:
                 lo, lo_id = cand, rid
-        elif b < -tol.slack(abs(b)):
+        elif b < -slack(b):
             return INFEASIBLE, None, ()
     scale = max(abs(lo), abs(hi), 1.0)
-    if lo > hi + tol.slack(scale):
+    if lo > hi + slack(scale):
         return INFEASIBLE, None, ()
     if c[0] >= 0.0:
         return OPTIMAL, (hi,), (hi_id,)
     return OPTIMAL, (lo,), (lo_id,)
 
 
-def _lp_rec(d, rows, order, c, box, tol: Tol):
+def _lp_rec(d, rows, order, c, box):
     """Seidel recursion: maximize c over rows, each (a, b, rid)."""
     if d == 1:
-        return _lp1(rows, order, c, box, tol)
+        return _lp1(rows, order, c, box)
 
     x = []
     basis = []
@@ -92,7 +92,7 @@ def _lp_rec(d, rows, order, c, box, tol: Tol):
         scale = abs(b)
         for k in range(d):
             scale += abs(a[k] * x[k])
-        if val <= b + tol.slack(scale):
+        if val <= b + slack(scale):
             done.append(idx)
             continue
 
@@ -122,7 +122,7 @@ def _lp_rec(d, rows, order, c, box, tol: Tol):
 
         sub_c = tuple(c[k] + c[piv] * sub[t] for t, k in enumerate(keep))
         st, sx, sb = _lp_rec(
-            d - 1, sub_rows, range(len(sub_rows)), sub_c, box, tol
+            d - 1, sub_rows, range(len(sub_rows)), sub_c, box
         )
         if st != OPTIMAL:
             return INFEASIBLE, None, ()
@@ -139,7 +139,7 @@ def _lp_rec(d, rows, order, c, box, tol: Tol):
     return OPTIMAL, x, basis
 
 
-def _reduce_equality(rows, eqs, c, eq, tol: Tol):
+def _reduce_equality(rows, eqs, c, eq):
     """Eliminate one variable using equality eq = (a, b); returns the
     reduced (rows, eqs, c) plus lift info (piv, keep, q0, sub)."""
     a, b = eq
@@ -151,7 +151,7 @@ def _reduce_equality(rows, eqs, c, eq, tol: Tol):
             best = abs(a[k])
             piv = k
     if best <= 1e-300:
-        if abs(b) > tol.slack(abs(b)):
+        if abs(b) > slack(b):
             return None
         return rows, eqs, c, None  # trivial equality, drop
     q0 = b / a[piv]
@@ -178,7 +178,6 @@ def small_lp(
     *,
     maximize: bool = True,
     seed: int = 0,
-    tol: Tol = DEFAULT_TOL,
     equalities=(),
 ) -> LpResult:
     """Solve max (or min) of objective . x subject to a_i . x <= b_i.
@@ -208,7 +207,7 @@ def small_lp(
     eqs = [(tuple(float(v) for v in a), float(b)) for a, b in equalities]
     while eqs:
         eq = eqs.pop(0)
-        red = _reduce_equality(rows, eqs, c, eq, tol)
+        red = _reduce_equality(rows, eqs, c, eq)
         if red is None:
             return LpResult(INFEASIBLE)
         rows, eqs, c, lift = red
@@ -221,19 +220,19 @@ def small_lp(
     else:
         order = list(range(len(rows)))
         random.Random(seed).shuffle(order)
-        st, x, basis_raw = _lp_rec(dim, rows, order, c, box, tol)
+        st, x, basis_raw = _lp_rec(dim, rows, order, c, box)
         if st != OPTIMAL:
             return LpResult(INFEASIBLE)
         if any(abs(v) >= 0.99 * box for v in x):
             # The optimum touches the artificial box.  That is only a real
             # unboundedness when enlarging the box improves the objective;
             # a slack direction the objective ignores is harmless.
-            st2, x2, _ = _lp_rec(dim, rows, order, c, box * 101.0, tol)
+            st2, x2, _ = _lp_rec(dim, rows, order, c, box * 101.0)
             if st2 != OPTIMAL:
                 return LpResult(INFEASIBLE)
             v1 = _dot(c, x)
             v2 = _dot(c, x2)
-            if abs(v2 - v1) > tol.slack(max(abs(v1), abs(v2), 1.0)) * 10.0:
+            if abs(v2 - v1) > slack(max(abs(v1), abs(v2), 1.0)) * 10.0:
                 return LpResult(UNBOUNDED)
 
     # Lift back through the equality substitutions, innermost last.
@@ -255,7 +254,7 @@ def small_lp(
         ]:
             val = _dot(a, x)
             sc = abs(b) + sum(abs(a[k] * x[k]) for k in range(d))
-            if val > b + tol.slack(sc):
+            if val > b + slack(sc):
                 return LpResult(INFEASIBLE)
         basis: tuple[int, ...] = ()
     else:

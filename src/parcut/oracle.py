@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EmptyInteriorError
 from .geometry import HPolygon, canonicalize, clip_halfplane, inradius_incenter
 from .lp import OPTIMAL, UNBOUNDED, small_lp
-from .tolerance import DEFAULT_TOL, Tol
+from .tolerance import slack
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,21 @@ def oracle_fi(P: HPolygon, i: int, t: float, n: int, cfg: OracleConfig = OracleC
     return float(proj.max() - proj.min()) - 2.0 * (n - 1) * t
 
 
-def _row_alive(P: HPolygon, i: int, t: float, tol: Tol) -> bool:
+def _row_alive(P: HPolygon, i: int, t: float) -> bool:
     """Does row i still touch the inner body at offset t?
 
     The margin between the relaxed maximum and b_i - t can close with an
     arbitrarily shallow slope, so the comparison slack sits near machine
     precision to keep the bisected M_i sharp."""
     rows3 = [((a[0], a[1], 1.0), b) for a, b in zip(P.A, P.b)]
-    feas = small_lp(rows3 + [((0.0, 0.0, -1.0), -t)], (0.0, 0.0, 1.0), tol=tol)
+    feas = small_lp(rows3 + [((0.0, 0.0, -1.0), -t)], (0.0, 0.0, 1.0))
     eps = 1e-13 * max(1.0, abs(float(P.b[i])))
     if feas.status != OPTIMAL or feas.value < t - eps:
         return False  # inner body already empty
     others = [
         (tuple(a), float(b - t)) for j, (a, b) in enumerate(zip(P.A, P.b)) if j != i
     ]
-    res = small_lp(others, tuple(P.A[i]), tol=tol)
+    res = small_lp(others, tuple(P.A[i]))
     if res.status == UNBOUNDED:
         return True
     if res.status != OPTIMAL:
@@ -74,33 +74,33 @@ def _row_alive(P: HPolygon, i: int, t: float, tol: Tol) -> bool:
     return res.value > P.b[i] - t - eps
 
 
-def oracle_Mi(P: HPolygon, i: int, cfg: OracleConfig = OracleConfig(), tol: Tol = DEFAULT_TOL) -> float:
+def oracle_Mi(P: HPolygon, i: int, cfg: OracleConfig = OracleConfig()) -> float:
     """Largest offset at which row i is still non-redundant, by bisection."""
-    r, _ = inradius_incenter(P, tol)
+    r, _ = inradius_incenter(P)
     lo, hi = 0.0, r * (1.0 + 1e-9 + cfg.bisection_tol)
-    if _row_alive(P, i, hi, tol):
+    if _row_alive(P, i, hi):
         return min(hi, r)
     for _ in range(cfg.max_iter):
         if hi - lo <= cfg.bisection_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _row_alive(P, i, mid, tol):
+        if _row_alive(P, i, mid):
             lo = mid
         else:
             hi = mid
     return min(0.5 * (lo + hi), r)
 
 
-def _fi_lp(P: HPolygon, i: int, t: float, n: int, tol: Tol) -> float:
+def _fi_lp(P: HPolygon, i: int, t: float, n: int) -> float:
     """f_i(t) via one LP: on [0, M_i] the max side equals b_i - t."""
     rows = [(tuple(a), float(b - t)) for a, b in zip(P.A, P.b)]
-    res = small_lp(rows, tuple(P.A[i]), maximize=False, tol=tol)
+    res = small_lp(rows, tuple(P.A[i]), maximize=False)
     if res.status != OPTIMAL:
         raise EmptyInteriorError(f"inner body empty at t={t}")
     return (P.b[i] - t) - res.value - 2.0 * (n - 1) * t
 
 
-def _edge_widths(P: HPolygon, t: float, interior, tol: Tol) -> np.ndarray | None:
+def _edge_widths(P: HPolygon, t: float, interior) -> np.ndarray | None:
     """Width of the inner body I_t along every edge normal of P.
 
     I_t comes from the dual hull of the shifted rows, seeded with a point
@@ -108,25 +108,25 @@ def _edge_widths(P: HPolygon, t: float, interior, tol: Tol) -> np.ndarray | None
     when I_t is empty (or thinner than the hull's emptiness slack).
     """
     try:
-        Q = canonicalize((P.A, P.b - t), tol, interior=interior)
+        Q = canonicalize((P.A, P.b - t), interior=interior)
     except EmptyInteriorError:
         return None
     proj = Q.vertices @ P.A.T
     return proj.max(axis=0) - proj.min(axis=0)
 
 
-def _inradius_direction(P: HPolygon, r: float, center, tol: Tol) -> int:
+def _inradius_direction(P: HPolygon, r: float, center) -> int:
     """n = 1: lowest-index edge touching the incircle whose width gap
     vanishes at the inradius, i.e. an edge that qualifies with root r."""
     scale = max(1.0, float(np.abs(P.b).max()))
     depth = P.b - P.A @ np.asarray(center)
-    for i in np.nonzero(depth <= r + tol.slack(scale))[0]:
-        if _fi_lp(P, int(i), r, 1, tol) <= tol.slack(scale) * 10.0:
+    for i in np.nonzero(depth <= r + slack(scale))[0]:
+        if _fi_lp(P, int(i), r, 1) <= slack(scale) * 10.0:
             return int(i)
     raise EmptyInteriorError("no edge qualifies at the inradius; invalid input?")
 
 
-def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig(), tol: Tol = DEFAULT_TOL):
+def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig()):
     """Reference (rho, direction) straight from the defining identity.
 
     rho is the root of g(t) = minwidth(I_t) - 2(n-1) t, where I_t is the
@@ -138,9 +138,9 @@ def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig(), tol: T
     the tolerance slack.  For n = 1, rho is the inradius itself, read from
     the lifted LP rather than bisected.
     """
-    r, center = inradius_incenter(P, tol)
+    r, center = inradius_incenter(P)
     if n == 1:
-        i = _inradius_direction(P, r, center, tol)
+        i = _inradius_direction(P, r, center)
         return float(r), (float(P.A[i, 0]), float(P.A[i, 1]))
     c = 2.0 * (n - 1)
     lo, hi = 0.0, r
@@ -148,17 +148,17 @@ def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig(), tol: T
         if hi - lo <= cfg.bisection_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        w = _edge_widths(P, mid, center, tol)
+        w = _edge_widths(P, mid, center)
         if w is not None and w.min() - c * mid > 0.0:
             lo = mid
         else:
             hi = mid
     rho = 0.5 * (lo + hi)
-    w = _edge_widths(P, rho, center, tol)
+    w = _edge_widths(P, rho, center)
     if w is None:
         raise EmptyInteriorError("inner body empty at the bisected root; invalid input?")
     scale = max(1.0, float(np.abs(P.b).max()))
-    i = int(np.nonzero(w <= w.min() + tol.slack(scale))[0][0])
+    i = int(np.nonzero(w <= w.min() + slack(scale))[0][0])
     return float(rho), (float(P.A[i, 0]), float(P.A[i, 1]))
 
 

@@ -44,7 +44,7 @@ from .errors import NotQualifiedError, OutOfRangeError
 from .geometry import HPolygon
 from .hierarchy import Hierarchy
 from .lp import INFEASIBLE, OPTIMAL, LpResult
-from .tolerance import DEFAULT_TOL, Tol
+from .tolerance import slack
 
 
 @dataclass
@@ -171,7 +171,7 @@ def lp_max_section(H: Hierarchy, plane, c, stats: QueryStats | None = None) -> L
     return LpResult(OPTIMAL, x, val, pair)
 
 
-def lp_max_constrained(H: Hierarchy, c, extra, stats: QueryStats | None = None, tol: Tol = DEFAULT_TOL) -> LpResult:
+def lp_max_constrained(H: Hierarchy, c, extra, stats: QueryStats | None = None) -> LpResult:
     """Maximize c over the dome with one extra half-space g . p <= h."""
     if stats is None:
         stats = QueryStats()
@@ -179,8 +179,7 @@ def lp_max_constrained(H: Hierarchy, c, extra, stats: QueryStats | None = None, 
     res = lp_max(H, c, stats)
     p = res.point
     val = g[0] * p[0] + g[1] * p[1] + g[2] * p[2]
-    slack = tol.slack(abs(hoff) + H.scale * (abs(g[0]) + abs(g[1]) + abs(g[2])))
-    if val <= hoff + slack:
+    if val <= hoff + slack(abs(hoff) + H.scale * (abs(g[0]) + abs(g[1]) + abs(g[2]))):
         return res
     return lp_max_section(H, (g, hoff), c, stats)
 
@@ -522,7 +521,6 @@ def eval_fi(
     i: int,
     t: float,
     n: int,
-    tol: Tol = DEFAULT_TOL,
     stats: QueryStats | None = None,
     _Mi: float | None = None,
 ) -> float:
@@ -533,7 +531,7 @@ def eval_fi(
         stats = QueryStats()
     Mi = _Mi if _Mi is not None else _facet_top(H, i, stats)
     scale = max(H.scale, 1.0)
-    if t > Mi + tol.slack(scale):
+    if t > Mi + slack(scale):
         raise OutOfRangeError(f"t={t} beyond facet {i} lifetime M={Mi}")
     if t < 0:
         raise OutOfRangeError("t must be nonnegative")
@@ -565,16 +563,15 @@ def root_lp(
     P: HPolygon,
     i: int,
     n: int,
-    tol: Tol = DEFAULT_TOL,
     stats: QueryStats | None = None,
 ) -> float:
     """Root of f_i on (0, M_i]; requires the qualification f_i(M_i) <= 0."""
     if stats is None:
         stats = QueryStats()
     Mi = _facet_top(H, i, stats)
-    fM = eval_fi(H, P, i, Mi, n, tol, stats, _Mi=Mi)
+    fM = eval_fi(H, P, i, Mi, n, stats, _Mi=Mi)
     scale = max(H.scale, 1.0)
-    if fM > tol.slack(scale) * 10.0:
+    if fM > slack(scale) * 10.0:
         raise NotQualifiedError(f"facet {i}: f_i(M_i) = {fM:g} > 0")
     return _gap_lp(H, i, n, stats)
 

@@ -26,7 +26,8 @@ inradius.  `solve` finds it without any hierarchy:
 
 The n-1 cuts are then equally spaced along that normal and the answer is
 verified from scratch.  Per-edge diagnostics are read off the same
-bracket: an edge's root is reported only when it lies there.
+bracket as float arrays indexed by edge: an edge's root is reported only
+when it lies there, and nan stands for a value not reported.
 `Solution.stats["fallbacks"]` counts the path's two safety nets: the
 sweep's re-admissions after its heap ran empty early, and the inner
 bodies at n >= 2 that the lifetimes could not assemble, so that
@@ -46,6 +47,7 @@ from .errors import InvalidPieceCountError, VerificationFailedError
 from .geometry import (
     _FLOOR,
     HPolygon,
+    _antipodes,
     _corners,
     _expand_ranges,
     canonicalize,
@@ -59,7 +61,6 @@ from .geometry import (
 from .hierarchy import bounded_core, build_hierarchy, face_lattice, perturb  # noqa: F401 -- bench/spans.py wraps solver.X
 from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
 from .queries import eval_fi, facet_max_t, lp_max, lp_max_constrained, lp_max_section  # noqa: F401 -- bench/spans.py wraps solver.X
-from .tolerance import DEFAULT_TOL, Tol
 
 # lifetimes or roots closer than this, relative to the largest offset, are
 # equal up to rounding; tied roots break by lowest index
@@ -70,22 +71,21 @@ _TIE_REL = 1e-13
 _LEMMA_REL = 4 * np.finfo(float).eps
 
 
-@dataclass(slots=True)
-class FacetDiagnostics:
-    """Per-edge byproducts of the solve, read off rho's bracket.
+@dataclass(frozen=True)
+class Diagnostics:
+    """Per-edge byproducts of the solve, read off rho's bracket: three
+    float arrays indexed by edge, nan wherever a value is not reported.
 
     `M` is the swept lifetime M_i.  `root` is the root of the gap f_i when
     it lies in the bracket of lifetimes that holds rho (where f_i is
-    linear, so the closed form is exact), else None; `qualifies` says
-    whether it is there.  `f_at_M` is f_i(M_i) for the edges that die at
-    the bracket's top, read there, else None.
+    linear, so the closed form is exact); an edge qualifies exactly where
+    its root is reported.  `f_at_M` is f_i(M_i) for the edges that die at
+    the bracket's top, read there.
     """
 
-    index: int
-    M: float
-    f_at_M: float | None
-    qualifies: bool
-    root: float | None
+    M: np.ndarray
+    root: np.ndarray
+    f_at_M: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class Solution:
     winner: int
     cuts: list[Cut]
     n: int
-    diagnostics: list[FacetDiagnostics]
+    diagnostics: Diagnostics
     verification: VerificationReport | None
     stats: dict
 
@@ -122,19 +122,11 @@ class Solution:
 # rho from the lifetimes
 
 
-def _antipodes(ang: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """For each row of S, the corner (S[k], S[k+1]) whose normal cone holds
-    the opposite normal: where A_i.x is smallest over that polygon."""
-    a = ang[S]
-    opp = (a + math.pi) % (2 * math.pi)
-    return (np.searchsorted(a, opp, side="right") - 1) % len(S)
-
-
 def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray) -> np.ndarray:
     """Width of I_t along each normal of S, given that S are its rows."""
     A = P.A[S]
     b = P.b[S] - t
-    X = _corners(A, b)[0][_antipodes(ang, S)]
+    X = _corners(A, b)[0][_antipodes(ang[S])]
     return b - (A[:, 0] * X[:, 0] + A[:, 1] * X[:, 1])
 
 
@@ -147,7 +139,7 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     `_solve3`: the two lifted rows share their t-coefficient, so they are
     differenced exactly first.  Singular triples give +inf.
     """
-    k = _antipodes(ang, S)
+    k = _antipodes(ang[S])
     p = S[k]
     q = S[(k + 1) % len(S)]
     lo = np.minimum(p, q)
@@ -210,34 +202,33 @@ def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, ang: np.ndarr
 
 
 def _diagnostics(P: HPolygon, n: int, M: np.ndarray, S: np.ndarray, tau: np.ndarray,
-                 t_hi: float, ang: np.ndarray, tie: float) -> list[FacetDiagnostics]:
+                 t_hi: float, ang: np.ndarray, tie: float) -> Diagnostics:
     """Per-edge diagnostics read off rho's bracket (alive rows S, roots tau,
     top t_hi): a root counts only inside the bracket, and f_i(M_i) is read
     at t_hi for the rows that die there, from one width evaluation."""
+    root = np.full(len(M), np.nan)
+    f_at_M = np.full(len(M), np.nan)
     inside = tau <= t_hi + tie
-    root = dict(zip(S[inside].tolist(), tau[inside].tolist()))
+    root[S[inside]] = tau[inside]
     dying = M[S] <= t_hi + tie
     f = _widths(P, S, t_hi, ang) - 2.0 * (n - 1) * t_hi
-    f_at_M = dict(zip(S[dying].tolist(), f[dying].tolist()))
-    return [
-        FacetDiagnostics(i, Mi, f_at_M.get(i), i in root, root.get(i))
-        for i, Mi in enumerate(M.tolist())
-    ]
+    f_at_M[S[dying]] = f[dying]
+    return Diagnostics(M, root, f_at_M)
 
 
-def solve(P, n: int, *, tol: Tol = DEFAULT_TOL) -> Solution:
+def solve(P, n: int) -> Solution:
     """Compute rho with width(P^rho) = 2 n rho, the direction, and the cuts.
 
     Canonicalize, lift to the dome, sweep it once for the lifetimes, find
     rho's bracket and its closed-form root, place the cuts and verify;
-    `Solution.diagnostics` holds every edge's `FacetDiagnostics`.
+    `Solution.diagnostics` holds the per-edge `Diagnostics` arrays.
     """
     t_start = time.perf_counter()
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidPieceCountError(f"piece count must be a positive integer, got {n!r}")
     n = int(n)
     if not isinstance(P, HPolygon):
-        P = canonicalize(P, tol)  # HPolygon input is canonical by contract
+        P = canonicalize(P)  # HPolygon input is canonical by contract
 
     D0 = build_dome(P)
     life = facet_lifetimes(D0)
@@ -256,9 +247,9 @@ def solve(P, n: int, *, tol: Tol = DEFAULT_TOL) -> Solution:
     # lifetime outlives: there inner_body is the way, not a fallback
     inner_fallback = inner is None and n > 1
     if inner is None:
-        inner = inner_body(P, rho, tol, interior=life.apex[:2])
+        inner = inner_body(P, rho, interior=life.apex[:2])
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
-    report = verify_solution(P, n, rho, direction, cuts, tol, _inner=inner, _diam=D0.scale)
+    report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _diam=D0.scale)
     t_end = time.perf_counter()
 
     return Solution(
@@ -316,7 +307,7 @@ def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = Non
     ]
 
 
-def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol,
+def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
                    inner: HPolygon | None = None, rho: float = 0.0) -> list[float]:
     """Inradius of each piece of P between consecutive cut offsets along v.
 
@@ -386,7 +377,7 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float, tol: Tol,
             extras.append(((vx, vy, 1.0), float(offsets[j])))
         if len(verts) < 3:
             raise VerificationFailedError("pieces", "degenerate piece produced")
-        res = chebyshev_lp(A[E], b[E], extras, tol)
+        res = chebyshev_lp(A[E], b[E], extras)
         if res.status != OPTIMAL:
             raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
         inradii[j] = res.value
@@ -399,7 +390,6 @@ def verify_solution(
     rho: float,
     direction,
     cuts: list[Cut],
-    tol: Tol = DEFAULT_TOL,
     _inner: HPolygon | None = None,
     _diam: float | None = None,
 ) -> VerificationReport:
@@ -425,7 +415,7 @@ def verify_solution(
 
     inner = _inner if _inner is not None else inner_body(P, rho)
     if inner is None:
-        r, _ = inradius_incenter(P, tol)
+        r, _ = inradius_incenter(P)
         if rho > r + vtol:
             raise VerificationFailedError("width", f"rho={rho} exceeds inradius {r}")
         width_inner = 0.0
@@ -448,7 +438,7 @@ def verify_solution(
     if not np.all(np.hypot(*(normals - v).T) <= 1e-8):
         raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
     offsets = np.array([float(cut.offset) for cut in cuts])
-    inradii = _piece_inradii(P, v, offsets, vtol, tol, inner, rho)
+    inradii = _piece_inradii(P, v, offsets, vtol, inner, rho)
     if len(inradii) != n:
         raise VerificationFailedError("pieces", f"{len(inradii)} pieces, wanted {n}")
     max_r = max(inradii)

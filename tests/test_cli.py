@@ -97,6 +97,16 @@ class TestVerifyCommand:
         assert run(["verify", path, str(outp)]) == 0
         capsys.readouterr()
 
+    def test_round_trip_tiny_square(self, tmp_path, capsys):
+        # the unit square scaled by 1e-9, where verify rebuilds I_rho from scratch
+        doc = {"vertices": [[1e-9 * x, 1e-9 * y] for x, y in SQUARE_DOC["vertices"]], "n": 3}
+        path = write(tmp_path, "tiny.json", doc)
+        assert run(["solve", path]) == 0
+        outp = tmp_path / "out.json"
+        outp.write_text(capsys.readouterr().out)
+        assert run(["verify", path, str(outp)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
     def test_tampered_rho(self, tmp_path, capsys):
         path = write(tmp_path, "sq.json", SQUARE_DOC)
         assert run(["solve", path]) == 0

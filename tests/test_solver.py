@@ -10,14 +10,13 @@ from parcut.hierarchy import bounded_core, build_hierarchy, perturb
 from parcut.oracle import oracle_fi, random_polygon
 from parcut.queries import eval_fi, facet_max_t, root_lp
 from parcut.solver import Cut, place_cuts, solve, verify_solution
-from parcut.tolerance import Tol
 
 SQ3 = math.sqrt(3.0)
 
 
 def _cut_inradius(P, extras):
     """Inradius of P cut by the lifted slab rows `extras`, as verify solves it."""
-    return chebyshev_lp(P.A, P.b, [((0.0, 0.0, -1.0), 0.0)] + extras, Tol()).value
+    return chebyshev_lp(P.A, P.b, [((0.0, 0.0, -1.0), 0.0)] + extras).value
 
 
 def unit_square():
@@ -152,13 +151,12 @@ class TestSolve:
 
     def test_qualifying_diagnostics(self):
         s = solve(unit_square(), 2)
-        assert s.diagnostics is not None
-        for d in s.diagnostics:
-            assert d.M == pytest.approx(0.5, abs=1e-9)
-            if d.qualifies:
-                assert d.root is not None
-                assert 0 < d.root <= d.M + 1e-9
-                assert d.f_at_M is not None and d.f_at_M <= 1e-9
+        d = s.diagnostics
+        assert d is not None
+        assert np.allclose(d.M, 0.5, rtol=0, atol=1e-9)
+        q = ~np.isnan(d.root)
+        assert np.all(0 < d.root[q]) and np.all(d.root[q] <= d.M[q] + 1e-9)
+        assert not np.any(np.isnan(d.f_at_M[q])) and np.all(d.f_at_M[q] <= 1e-9)
 
     def test_gap_strictly_decreasing(self):
         rng = np.random.default_rng(11)
@@ -180,10 +178,10 @@ class TestSolve:
             n = 1 + trial % 4
             H = hier_for(P, seed=trial)
             s = solve(P, n)
-            for d in s.diagnostics:
-                if d.qualifies and d.root is not None:
-                    val = eval_fi(H, P, d.index, min(d.root, d.M), n)
-                    assert abs(val) < 1e-8
+            d = s.diagnostics
+            for i in np.nonzero(~np.isnan(d.root))[0]:
+                val = eval_fi(H, P, int(i), min(d.root[i], d.M[i]), n)
+                assert abs(val) < 1e-8
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(4)
@@ -389,7 +387,7 @@ class TestLifetimePath:
             monkeypatch.setattr(solver_mod, name, refuse)
         P = random_polygon(40, seed=1)
         s = solve(P, 3)
-        assert len(s.diagnostics) == P.m
+        assert len(s.diagnostics.M) == len(s.diagnostics.root) == len(s.diagnostics.f_at_M) == P.m
         assert s.verification.ok
 
     @pytest.mark.parametrize("k", [64, 340, 0, 9, 101, 226, 455])
@@ -400,10 +398,13 @@ class TestLifetimePath:
         n = 1 + k % 8
         s = solve(P, n)
         scale = max(1.0, float(np.abs(P.b).max()))
-        roots = [(d.index, d.root) for d in s.diagnostics if d.root is not None]
-        assert s.winner in dict(roots)
-        for i, root in roots:
-            assert abs(oracle_fi(P, i, root, n)) <= 1e-12 * scale
+        d = s.diagnostics
+        roots = np.nonzero(~np.isnan(d.root))[0]
+        assert s.winner in roots
+        for i in roots.tolist():
+            assert abs(oracle_fi(P, i, d.root[i], n)) <= 1e-12 * scale
+        for i in np.nonzero(~np.isnan(d.f_at_M))[0].tolist():
+            assert abs(d.f_at_M[i] - oracle_fi(P, i, d.M[i], n)) <= 1e-12 * scale
 
     def test_ties_break_by_lowest_index(self):
         # every edge of the square and the regular hexagon ties
@@ -412,9 +413,8 @@ class TestLifetimePath:
                 s = solve(P, n)
                 assert s.winner == 0
                 assert s.direction == (float(P.A[0, 0]), float(P.A[0, 1]))
-                for d in s.diagnostics:
-                    assert d.qualifies
-                    assert abs(d.root - s.rho) <= 1e-12 * s.rho
+                assert not np.any(np.isnan(s.diagnostics.root))
+                assert np.all(np.abs(s.diagnostics.root - s.rho) <= 1e-12 * s.rho)
 
     def test_segment_apex_n1(self):
         # a rectangle's apex is a segment: only the long edges' widths
@@ -424,8 +424,7 @@ class TestLifetimePath:
             s = solve(P, 1)
             assert s.rho == pytest.approx(h / 2, rel=1e-15)
             assert s.direction == (0.0, 1.0)
-            for d in s.diagnostics:
-                assert d.qualifies == (abs(P.A[d.index, 1]) == 1.0)
+            assert np.array_equal(~np.isnan(s.diagnostics.root), np.abs(P.A[:, 1]) == 1.0)
 
     def test_rho_is_smallest_qualifying_gap_lp_root(self):
         for k in range(12):
@@ -433,11 +432,10 @@ class TestLifetimePath:
             P = random_polygon(10 + 9 * k, seed=300 + k, model=model)
             n = 1 + k % 6
             s = solve(P, n)
-            roots = [d.root for d in s.diagnostics if d.qualifies]
-            assert s.rho == pytest.approx(min(roots), rel=1e-12)
-            d = s.diagnostics[s.winner]
-            assert d.qualifies
-            assert abs(d.root - s.rho) <= 1e-12 * s.rho
+            root = s.diagnostics.root
+            assert s.rho == pytest.approx(np.nanmin(root), rel=1e-12)
+            assert not np.isnan(root[s.winner])
+            assert abs(root[s.winner] - s.rho) <= 1e-12 * s.rho
             # the paper's gap LP on the hierarchy agrees
             assert root_lp(hier_for(P), P, s.winner, n) == pytest.approx(s.rho, rel=1e-12)
 

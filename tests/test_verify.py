@@ -16,7 +16,7 @@ from parcut.geometry import canonicalize, clip_halfplane, inner_body, inradius_i
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.solver import Cut, _piece_inradii, solve, verify_solution
-from parcut.tolerance import DEFAULT_TOL
+from parcut.tolerance import slack
 
 FLOOR = ((0.0, 0.0, -1.0), 0.0)
 
@@ -55,15 +55,15 @@ def _pieces_ref(P, v, offsets):
     return radii
 
 
-def _verify_ref(P, n, rho, direction, cuts, tol=DEFAULT_TOL):
+def _verify_ref(P, n, rho, direction, cuts):
     """The verification as it was: returns the piece inradii or raises."""
     vtol = 1e-8 * _diameter_ref(P)
     b = P.b - rho
     res = small_lp(_lifted(P.A, b), (0.0, 0.0, 1.0))
     inner = None
-    if res.status == OPTIMAL and res.value > tol.slack(max(1.0, float(np.abs(b).max()))):
+    if res.status == OPTIMAL and res.value > slack(max(1.0, float(np.abs(b).max()))):
         try:
-            inner = canonicalize((P.A, b), tol, interior=res.point[:2])
+            inner = canonicalize((P.A, b), interior=res.point[:2])
         except EmptyInteriorError:
             pass
     if inner is None:
@@ -153,7 +153,7 @@ def _check_split(P, v, offsets, rho=None):
     offsets = np.asarray(offsets, float)
     vtol = 1e-8 * _diameter_ref(P)
     lemma = () if rho is None else (inner_body(P, rho), rho)
-    got = _outcome(_piece_inradii, P, v, offsets, vtol, DEFAULT_TOL, *lemma)
+    got = _outcome(_piece_inradii, P, v, offsets, vtol, *lemma)
     ref = _outcome(_pieces_ref, P, v, offsets.tolist())
     if isinstance(ref, str):
         assert got == ref
@@ -207,7 +207,7 @@ class TestBoundarySplit:
         P = regular_polygon(8)
         _check_split(P, (1.0, 0.0), [0.3, -0.3])
         with pytest.raises(VerificationFailedError) as exc:
-            _piece_inradii(P, np.array([1.0, 0.0]), np.array([0.3, -0.3]), 1e-8, DEFAULT_TOL)
+            _piece_inradii(P, np.array([1.0, 0.0]), np.array([0.3, -0.3]), 1e-8)
         assert exc.value.clause == "pieces"
 
 
@@ -234,7 +234,7 @@ class TestStripLemma:
         vtol = 1e-8 * _diameter_ref(P)
         lp = _CountingLp()
         monkeypatch.setattr(solver, "chebyshev_lp", lp)
-        got = _piece_inradii(P, v, offsets, vtol, DEFAULT_TOL, inner_body(P, s.rho), s.rho)
+        got = _piece_inradii(P, v, offsets, vtol, inner_body(P, s.rho), s.rho)
         assert lp.calls == 2
         ref = _pieces_ref(P, v, offsets.tolist())
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
@@ -276,7 +276,7 @@ class TestStripLemma:
             _check_split(P, v, s.min() + w * np.array([-1.0, 1.0, 3.0]), rho)
         # a repeated cut leaves a piece of width 0, not of inradius 0
         _check_split(P, v, [1.0, 2.0, 2.0, 3.0], rho)
-        assert _outcome(_piece_inradii, P, v, np.array([1.0, 2.0, 2.0, 3.0]), 1e-8, DEFAULT_TOL,
+        assert _outcome(_piece_inradii, P, v, np.array([1.0, 2.0, 2.0, 3.0]), 1e-8,
                         inner_body(P, rho), rho) == "pieces"
 
 
@@ -294,6 +294,14 @@ class TestSmallPolygons:
             assert s.rho == pytest.approx(side / (2 * n), rel=1e-14)
             assert s.verification.ok
             assert s.verification.tolerance == pytest.approx(1e-8 * side * np.sqrt(2), rel=1e-12)
+
+    def test_verify_from_scratch(self):
+        # as `parcut verify` runs it: I_rho is rebuilt from P and the claim,
+        # and its emptiness test must not floor at unit size
+        P = self.square(1e-9)
+        for n in (2, 3, 7):
+            s = solve(P, n)
+            assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
 
     @pytest.mark.parametrize("side", [1e-4, 1e-6])
     def test_wrong_claims_fail(self, side):
