@@ -75,8 +75,7 @@ def _coincidence_tol(scale: float) -> float:
     """Distance below which two dome vertices count as one point.
 
     Kept near machine precision relative to the polygon's diameter
-    `scale`: genuine degeneracies of unperturbed input coincide to
-    ~1e-15 * scale, while perturbed data stays several orders above this.
+    `scale`: genuine degeneracies of the input coincide to ~1e-15 * scale.
     """
     return 1e-13 * scale
 
@@ -224,7 +223,7 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     inline the same arithmetic (`_heights`), and only the apex is solved
     as a point.  Tops, apex and event count are bit for bit those of the
     hierarchy's generic event sweep, `parcut.hierarchy.collapse_sweep`,
-    run non-strict over the whole dome.
+    run over the whole dome.
     """
     m = D.m
     axa, aya, ba = D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m]

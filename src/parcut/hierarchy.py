@@ -1,12 +1,13 @@
 """Facet-peeling hierarchy over the dome (Dobkin-Kirkpatrick style).
 
-The hierarchy needs a simple polytope: exactly three facets at every
-vertex.  A dome with four facet planes through one point (the apex of
-a square or any other regular polygon of more than three edges) is not
-simple, so the hierarchy runs on a
-`perturb`ed dome, whose lifted offsets shrink by a random hair, and
-keeps the unperturbed rows beside it so that queries can re-solve their
-answers on exact data (`parcut.queries`).  `solve` never builds it.
+The hierarchy is built on `build_dome(P)` itself, degenerate or not.
+Where four or more facet planes pass through one point (the apex of a
+square or of any other regular polygon of more than three edges), the
+collapse sweep pops their deaths one after another at the same height,
+so the point becomes a chain of vertices joined by zero-length edges,
+each vertex on exactly three facets: the tie is broken by the order of
+the events, in the spirit of Edelsbrunner and Muecke's Simulation of
+Simplicity, and the lattice stays simple.  `solve` never builds it.
 
 Level 0 is the dome's face lattice, built by one collapse sweep
 (`face_lattice`): every death in the sweep is a lattice vertex, and each
@@ -49,6 +50,8 @@ from .tolerance import slack
 def perturb(D: Dome, seed: int = 0) -> Dome:
     """Shrink each lifted offset by a random hair to break plane ties.
 
+    Nothing in this package calls it: the hierarchy and the sweeps run on
+    the dome as it is.  It stays for callers that want a generic dome.
     The floor is never moved, and determinism follows from the seed.  The
     nominal magnitude is 1e-7 times the polygon diameter, but it is
     capped by the smallest redundancy slack of any row (distance from the
@@ -92,7 +95,7 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
 # the collapse sweep
 
 
-def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
+def collapse_sweep(labels, corners, rows, lam, ctol):
     """Run the edge-collapse sweep over a bounded shrinking convex slice.
 
     labels[j] is the plane carrying edge j of the bottom cycle; corners[j]
@@ -101,12 +104,10 @@ def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
     sweep functional (height h = lam . p, bottom cycle at the minimum h).
     Returns the death events [(point, (la, lb, lc), h)], final last.
 
-    In strict mode an event landing on an existing joint (four planes
-    through one point) raises DegenerateVertexError.  Non-strict mode
-    accepts such coincidences, whether they are the resolution floor of
-    perturbed input or true concurrences of unperturbed input: the
-    relinking is purely combinatorial, and each event still lands at the
-    height where its edge dies.
+    Four or more planes through one point need no special case: their
+    edges die one after another at the same height, in the order the
+    heap pops them.  The relinking is purely combinatorial, and each
+    event lands at the height where its edge dies.
     """
     k = len(labels)
     if k < 3:
@@ -118,23 +119,14 @@ def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
         pt = _solve3(na, oa, nb, ob, nc, oc)
         if pt is None:
             raise GeometryError("final plane triple is singular")
-        if strict:
-            c2 = ctol * ctol
-            for c in corners:
-                if _d2(pt, c) <= c2:
-                    raise DegenerateVertexError(
-                        "four planes concur at the apex; perturb the input"
-                    )
         h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
         return [(pt, (labels[0], labels[1], labels[2]), h)]
     nxt = [(j + 1) % k for j in range(k)]
     prv = [(j - 1) % k for j in range(k)]
     alive = [True] * k
     gen = [0] * k
-    joint = [corners[nxt[j]] for j in range(k)]  # meeting point of edges j, nxt[j]
     h0 = lam[0] * corners[0][0] + lam[1] * corners[0][1] + lam[2] * corners[0][2]
 
-    ctol2 = ctol * ctol
     skip_margin = 100.0 * ctol
     events = []
     heap: list[tuple[float, int, int]] = []
@@ -193,15 +185,10 @@ def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
             continue
         pt = pending_pt[j]
         p, q = prv[j], nxt[j]
-        if strict and (_d2(pt, joint[p]) <= ctol2 or _d2(pt, joint[j]) <= ctol2):
-            raise DegenerateVertexError(
-                "four planes concur at one point; perturb the input"
-            )
         events.append((pt, (labels[p], labels[j], labels[q]), h))
         alive[j] = False
         nxt[p] = q
         prv[q] = p
-        joint[p] = pt
         gen[p] += 1
         gen[q] += 1
         h_now = h
@@ -230,25 +217,12 @@ def collapse_sweep(labels, corners, rows, lam, ctol, strict=True):
     pt = _solve3(na, oa, nb, ob, nc, oc)
     if pt is None:
         raise GeometryError("final plane triple is singular")
-    if strict:
-        for jj in (a, b, c):
-            if _d2(pt, joint[jj]) <= ctol2:
-                raise DegenerateVertexError(
-                    "four planes concur at the apex; perturb the input"
-                )
     h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
     events.append((pt, (labels[a], labels[b], labels[c]), h))
     return events
 
 
-def _d2(p, q):
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    dz = p[2] - q[2]
-    return dx * dx + dy * dy + dz * dz
-
-
-def _dome_sweep(D: Dome, strict: bool):
+def _dome_sweep(D: Dome):
     """Collapse sweep of the whole dome upward from its floor polygon."""
     corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
     return collapse_sweep(
@@ -257,7 +231,6 @@ def _dome_sweep(D: Dome, strict: bool):
         D.row_list(),
         (0.0, 0.0, 1.0),
         _coincidence_tol(D.scale),
-        strict=strict,
     )
 
 
@@ -408,13 +381,12 @@ class BoundedCore:
         return len(self.labels)
 
 
-def face_lattice(D: Dome, strict: bool = True) -> FaceLattice:
+def face_lattice(D: Dome) -> FaceLattice:
     """Full face lattice of the dome in O(m log m).
 
-    Requires a generic dome (no four facet planes through a point); in
-    strict mode a violation raises DegenerateVertexError, which signals
-    that `perturb` should be applied first.  Pipelines that have already
-    perturbed pass strict=False and accept resolution-floor coincidences.
+    The dome need not be generic: four facet planes through one point
+    come out as vertices joined by zero-length edges (`collapse_sweep`),
+    so every vertex lies on exactly three facets.
     """
     m = D.m
     floor = D.floor
@@ -425,7 +397,7 @@ def face_lattice(D: Dome, strict: bool = True) -> FaceLattice:
         p = (float(D.corners[j, 0]), float(D.corners[j, 1]), 0.0)
         corner_vid.append(store.alloc(p, ((j - 1) % m, j, floor), 0, -1))
 
-    events = _dome_sweep(D, strict)
+    events = _dome_sweep(D)
 
     # Assemble each facet cycle from the event chains: going CCW, a lifted
     # facet runs along its floor edge, climbs the side it shares with its
@@ -668,7 +640,7 @@ def peel_level(
         corners = corners_flat[offset : offset + k].tolist()
         offset += k
         nf, _of = rows[f]
-        events = collapse_sweep(labels, corners, rows, nf, ctol, strict=False)
+        events = collapse_sweep(labels, corners, rows, nf, ctol)
 
         # chains per neighbour, in sweep order (see face_lattice)
         left: dict[int, list[int]] = {}
@@ -748,20 +720,13 @@ def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: i
 
 @dataclass
 class Hierarchy:
-    """Nested facet-deletion levels over a (perturbed) dome.
-
-    Queries run against the perturbed rows; `orig_rows` keeps the exact
-    input coefficients so callers can re-solve a combinatorial answer on
-    unperturbed data.
-    """
+    """Nested facet-deletion levels over a dome; queries run on its rows."""
 
     dome: Dome
-    original: Dome
     store: VertexStore
     levels: list[Level]
     core: BoundedCore
     rows: list[tuple]
-    orig_rows: list[tuple]
     scale: float
     core_vertices: list[int] = field(default_factory=list)
     core_edges: list[tuple[int, int]] = field(default_factory=list)
@@ -800,21 +765,13 @@ class Hierarchy:
 def build_hierarchy(
     D: Dome,
     core: BoundedCore,
-    original: Dome | None = None,
     debug: bool = False,
 ) -> Hierarchy:
-    """Stratify the dome down to the bounded core.
-
-    D should be generic (perturb first); `original` carries the exact
-    unperturbed rows for later re-solves and defaults to D itself.
-    """
-    lattice = face_lattice(D, strict=False)
-    if original is None:
-        original = D
+    """Stratify the dome down to the bounded core."""
+    lattice = face_lattice(D)
     store = lattice.store
     levels = [lattice.level]
     rows = D.row_list()
-    orig_rows = [original.row(i) for i in range(original.m + 1)]
     core_set = frozenset(core.labels)
     ctol = _coincidence_tol(D.scale)
 
@@ -840,12 +797,10 @@ def build_hierarchy(
 
     H = Hierarchy(
         dome=D,
-        original=original,
         store=store,
         levels=levels,
         core=core,
         rows=rows,
-        orig_rows=orig_rows,
         scale=D.scale,
         core_vertices=core_vertices,
         core_edges=core_edges,

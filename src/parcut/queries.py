@@ -15,31 +15,23 @@ Three query flavors, all driven by the same descent:
 * `lp_max_constrained`: one extra half-space, solved as "try without it,
   else optimize on its boundary plane" per the section machinery.
 
-Results carry the facet labels that pin the optimum, so callers can
-re-solve the same basis against unperturbed coefficients.
+Results carry the facet labels that pin the optimum.  The hierarchy is
+built on the dome as it is, so every answer is the LP's own value.
 
 On these sit the paper's per-edge root step, which `solve` does not use
 (it reads the same quantities off one sweep of the dome):
 
 * `eval_fi`: the width gap f_i(t) = b_i - min_{I_t} A_i.x - (2n-1) t,
-  from a section LP at height t re-solved on the unperturbed rows.  Near
-  the apex it evaluates below the requested t: the section is taken at
-  min(t, apex - 1e-7 * scale), so at t = M_i = rho on criterion-2 case
-  64 (m = 128, n = 1) it gives f_25 = 5.7e-5 where the oracle gives 0.
+  from one section LP at height t, up to and including t = M_i.
 * `root_lp`: the root of f_i on (0, M_i] for a qualifying edge
   (f_i(M_i) <= 0), as the highest point of the dome under the gap row
-  A_i.x + (2n-1) t <= b_i, re-solved on the unperturbed rows of the
-  LP's basis.  That basis can be stale: on criterion-2 case 340
-  (m = 128, n = 5), edge 98, the section descent names the facet pair
-  (34, 36), though row 35 lives until t = 0.2176, above the root, so the
-  re-solve lands 3.1e-9 relative above the closed-form root 0.21395786.
+  A_i.x + (2n-1) t <= b_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dome import _solve3
 from .errors import NotQualifiedError, OutOfRangeError
 from .geometry import HPolygon
 from .hierarchy import Hierarchy
@@ -436,12 +428,9 @@ def _extreme_index(s, D, stats: QueryStats):
     Classic extreme-vertex binary search on the single ascent/descent sign
     change of the edge increments; exact float comparisons, so a flat or
     noisy plateau can defeat it -- the result is verified to be a local
-    maximum and a linear scan takes over otherwise.
+    maximum and a linear scan takes over otherwise.  Callers scan short
+    cycles themselves, so D > 8 here.
     """
-    if D <= 8:
-        vals = [s(i) for i in range(D)]
-        return max(range(D), key=lambda i: (vals[i], -i))
-
     memo: dict[int, float] = {}
 
     def sv(i):
@@ -497,24 +486,6 @@ def _extreme_index(s, D, stats: QueryStats):
 # the width gap f_i and its root
 
 
-def _resolve_rows(orig_rows, labels, extra=None):
-    """Exact concurrence of up to three original rows (plus one extra)."""
-    rows = [orig_rows[lab] for lab in labels]
-    if extra is not None:
-        rows.append(extra)
-    if len(rows) != 3:
-        return None
-    (n1, o1), (n2, o2), (n3, o3) = rows
-    return _solve3(n1, o1, n2, o2, n3, o3)
-
-
-def _facet_top(H: Hierarchy, i: int, stats: QueryStats) -> float:
-    """M_i re-solved on the unperturbed rows via the winning facet triple."""
-    val, tri = facet_max_t(H, i, stats)
-    pt = _resolve_rows(H.orig_rows, tri)
-    return pt[2] if pt is not None else val
-
-
 def eval_fi(
     H: Hierarchy,
     P: HPolygon,
@@ -529,33 +500,18 @@ def eval_fi(
     `_Mi` is facet i's top when the caller already has it."""
     if stats is None:
         stats = QueryStats()
-    Mi = _Mi if _Mi is not None else _facet_top(H, i, stats)
-    scale = max(H.scale, 1.0)
-    if t > Mi + slack(scale):
+    Mi = _Mi if _Mi is not None else facet_max_t(H, i, stats)[0]
+    if t > Mi + slack(max(H.scale, 1.0)):
         raise OutOfRangeError(f"t={t} beyond facet {i} lifetime M={Mi}")
     if t < 0:
         raise OutOfRangeError("t must be nonnegative")
 
-    apex = lp_max(H, (0.0, 0.0, 1.0), stats)
     a = P.A[i]
     c = (-float(a[0]), -float(a[1]), 0.0)
-    bi = float(P.b[i])
-
-    tq = min(t, apex.value - 1e-7 * scale)
-    tq = max(tq, 0.0)
-    res = lp_max_section(H, ((0.0, 0.0, 1.0), tq), c, stats)
-    if res.status != OPTIMAL:
-        res = lp_max_section(H, ((0.0, 0.0, 1.0), max(0.0, tq - 1e-6 * scale)), c, stats)
+    res = lp_max_section(H, ((0.0, 0.0, 1.0), t), c, stats)
     if res.status != OPTIMAL:
         raise OutOfRangeError(f"slice at t={t} is empty")
-
-    if len(res.basis) == 2:
-        pt = _resolve_rows(H.orig_rows, res.basis, extra=((0.0, 0.0, 1.0), t))
-    else:
-        pt = _resolve_rows(H.orig_rows, res.basis)
-    if pt is None:
-        return bi + res.value - (2 * n - 1) * t
-    return bi - (a[0] * pt[0] + a[1] * pt[1]) - (2 * n - 1) * t
+    return float(P.b[i]) + res.value - (2 * n - 1) * t
 
 
 def root_lp(
@@ -568,7 +524,7 @@ def root_lp(
     """Root of f_i on (0, M_i]; requires the qualification f_i(M_i) <= 0."""
     if stats is None:
         stats = QueryStats()
-    Mi = _facet_top(H, i, stats)
+    Mi = facet_max_t(H, i, stats)[0]
     fM = eval_fi(H, P, i, Mi, n, stats, _Mi=Mi)
     scale = max(H.scale, 1.0)
     if fM > slack(scale) * 10.0:
@@ -577,17 +533,11 @@ def root_lp(
 
 
 def _gap_lp(H: Hierarchy, i: int, n: int, stats: QueryStats) -> float:
-    """Maximize t over the dome cut by the gap row A_i.x + (2n-1) t <= b_i,
-    re-solved on the unperturbed rows; the root of f_i when i qualifies."""
+    """Maximize t over the dome cut by the gap row A_i.x + (2n-1) t <= b_i:
+    the root of f_i when i qualifies."""
     nrm, off = H.rows[i]
     g = (nrm[0], nrm[1], float(2 * n - 1))
     res = lp_max_constrained(H, (0.0, 0.0, 1.0), (g, off), stats)
     if res.status != OPTIMAL:
         raise NotQualifiedError(f"facet {i}: root LP infeasible")
-    if len(res.basis) == 3:
-        pt = _resolve_rows(H.orig_rows, res.basis)
-    else:
-        a = H.original.normals[i]
-        g_row = ((float(a[0]), float(a[1]), float(2 * n - 1)), float(H.original.offsets[i]))
-        pt = _resolve_rows(H.orig_rows, res.basis, extra=g_row)
-    return pt[2] if pt is not None else res.value
+    return res.value

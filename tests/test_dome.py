@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from parcut.dome import build_dome, facet_lifetimes
-from parcut.errors import DegenerateVertexError
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
 from parcut.hierarchy import BoundedCore, _dome_sweep, bounded_core, face_lattice, perturb
 from parcut.oracle import random_polygon
@@ -100,9 +99,11 @@ class TestFaceLattice:
         L = face_lattice(build_dome(equilateral()))
         assert (L.n_vertices, L.n_edges, L.n_facets) == (4, 6, 4)
 
-    def test_square_needs_perturbation(self):
-        with pytest.raises(DegenerateVertexError):
-            face_lattice(build_dome(unit_square()))
+    def test_square_counts(self):
+        # four planes through the apex: two vertices joined by an edge of
+        # length zero, so the lattice is that of a simple polytope
+        L = face_lattice(build_dome(unit_square()))
+        assert (L.n_vertices, L.n_edges, L.n_facets) == (6, 9, 5)
 
     def test_square_perturbed_counts(self):
         D = perturb(build_dome(unit_square()), seed=0)
@@ -242,7 +243,7 @@ class TestBoundedCore:
 
 def _event_sweep_lifetimes(D):
     """Tops, apex and event count read off the hierarchy's event sweep."""
-    events = _dome_sweep(D, strict=False)
+    events = _dome_sweep(D)
     M = np.empty(D.m)
     for pt, tri, _h in events[:-1]:
         M[tri[1]] = pt[2]

@@ -11,16 +11,18 @@ from parcut.hierarchy import (
     build_hierarchy,
     face_lattice,
     peel_level,
-    perturb,
     pick_color,
     six_color,
 )
 
 
-def _hierarchy_for(P, seed=0, debug=False):
-    D = perturb(build_dome(P), seed=seed)
+def _hierarchy_for(P, debug=False):
+    D = build_dome(P)
     core = bounded_core(D)
     return build_hierarchy(D, core, debug=debug)
+
+
+GENERIC_HEXAGON = canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)])
 
 
 def _check_proper(coloring, adj):
@@ -44,7 +46,7 @@ class TestSixColor:
         assert max(col.values()) <= 6
 
     def test_hexagon_dome_graph(self):
-        D = perturb(build_dome(regular_polygon(6)), seed=0)
+        D = build_dome(regular_polygon(6))
         adj = face_lattice(D).adjacency()
         col = six_color(adj)
         _check_proper(col, adj)
@@ -73,7 +75,7 @@ class TestPickColor:
         assert 100 not in out
 
     def test_ratio_on_hexagon(self):
-        D = perturb(build_dome(regular_polygon(6)), seed=0)
+        D = build_dome(regular_polygon(6))
         L = face_lattice(D)
         core = bounded_core(D)
         coloring = six_color(L.adjacency())
@@ -84,7 +86,9 @@ class TestPickColor:
 
 class TestPeel:
     def test_hexagon_dome_single_peel(self):
-        D = perturb(build_dome(regular_polygon(6)), seed=0)
+        # a generic hexagon: no four planes through one point, so every
+        # new vertex lies strictly beyond the removed plane
+        D = build_dome(GENERIC_HEXAGON)
         L = face_lattice(D)
         core = bounded_core(D)
         outside = sorted(L.level.index_set - core.labels)
@@ -105,7 +109,7 @@ class TestPeel:
             assert n[0] * p[0] + n[1] * p[1] + n[2] * p[2] > off
 
     def test_non_independent_rejected(self):
-        D = perturb(build_dome(regular_polygon(8)), seed=0)
+        D = build_dome(regular_polygon(8))
         L = face_lattice(D)
         adj = L.adjacency()
         f = 0
@@ -132,7 +136,7 @@ class TestBuildHierarchy:
         rng = np.random.default_rng(5)
         for trial in range(5):
             P = canonicalize(rng.normal(size=(24, 2)))
-            _hierarchy_for(P, seed=trial, debug=True)
+            _hierarchy_for(P, debug=True)
 
     def test_storage_linear(self):
         for m in (16, 64, 256):
@@ -152,8 +156,26 @@ class TestBuildHierarchy:
             F = len(lv.cycles)
             assert V - E + F == 2
 
+    def test_domes_that_are_not_simple(self):
+        # four or more planes through one point (the apex of the square,
+        # the regular polygons and the thin rectangle): the sweep breaks
+        # the tie by event order, so every level stays a simple polytope
+        shapes = [
+            canonicalize([(0, 0), (1, 0), (1, 1), (0, 1)]),
+            regular_polygon(6),
+            regular_polygon(64),
+            canonicalize([(0, 0), (1, 0), (1, 1e-9), (0, 1e-9)]),
+        ]
+        for P in shapes:
+            H = _hierarchy_for(P, debug=True)
+            for lv in H.levels:
+                V = len(lv.verts)
+                E = len(lv.edge_map())
+                F = len(lv.cycles)
+                assert (V - E + F, 2 * E) == (2, 3 * V), P.m
+
     def test_dump_deterministic(self):
-        H1 = _hierarchy_for(regular_polygon(12), seed=3)
-        H2 = _hierarchy_for(regular_polygon(12), seed=3)
+        H1 = _hierarchy_for(regular_polygon(12))
+        H2 = _hierarchy_for(regular_polygon(12))
         assert H1.dump() == H2.dump()
         assert "level 0" in H1.dump()

@@ -6,9 +6,9 @@ import pytest
 from parcut.dome import build_dome
 from parcut.errors import EmptyInteriorError
 from parcut.geometry import canonicalize, inradius_incenter
-from parcut.hierarchy import bounded_core, build_hierarchy, perturb
+from parcut.hierarchy import bounded_core, build_hierarchy
 from parcut.oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
-from parcut.queries import eval_fi
+from parcut.queries import eval_fi, facet_max_t
 from parcut.solver import solve, verify_solution
 
 SQ3 = math.sqrt(3.0)
@@ -56,14 +56,11 @@ class TestOracleMi:
         for trial in range(5):
             P = canonicalize(rng.normal(size=(10, 2)))
             D0 = build_dome(P)
-            Dp = perturb(D0, seed=trial)
-            H = build_hierarchy(Dp, bounded_core(Dp), original=D0)
-            from parcut.queries import QueryStats, _facet_top
-
+            H = build_hierarchy(D0, bounded_core(D0))
             diam = max(1.0, float(np.abs(P.vertices).max()))
             for i in range(P.m):
                 a = oracle_Mi(P, i)
-                b = _facet_top(H, i, QueryStats())
+                b = facet_max_t(H, i)[0]
                 assert abs(a - b) < 1e-9 * diam
 
 
@@ -172,8 +169,7 @@ class TestGridAgreement:
         for trial in range(4):
             P = random_polygon(16, seed=trial)
             D0 = build_dome(P)
-            Dp = perturb(D0, seed=trial)
-            H = build_hierarchy(Dp, bounded_core(Dp), original=D0)
+            H = build_hierarchy(D0, bounded_core(D0))
             diam = max(1.0, float(np.abs(P.vertices).max()) * 2)
             n = 1 + trial % 4
             for i in range(0, P.m, 3):

@@ -5,23 +5,27 @@ import pytest
 
 from parcut.dome import build_dome
 from parcut.geometry import canonicalize, regular_polygon
-from parcut.hierarchy import bounded_core, build_hierarchy, perturb
+from parcut.hierarchy import bounded_core, build_hierarchy
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
+from parcut.oracle import oracle_fi, random_polygon
 from parcut.queries import (
     QueryStats,
+    eval_fi,
     facet_max_t,
     lp_max,
     lp_max_constrained,
     lp_max_facet,
     lp_max_section,
+    root_lp,
 )
+from parcut.solver import solve
 
 SQ3 = math.sqrt(3.0)
 
 
-def hier(P, seed=0):
-    D = perturb(build_dome(P), seed=seed)
-    return build_hierarchy(D, bounded_core(D), original=build_dome(P))
+def hier(P):
+    D = build_dome(P)
+    return build_hierarchy(D, bounded_core(D))
 
 
 def square_hier():
@@ -48,7 +52,7 @@ class TestLpMax:
         rng = np.random.default_rng(0)
         for trial in range(6):
             P = canonicalize(rng.normal(size=(64, 2)) * rng.uniform(0.5, 3))
-            H = hier(P, seed=trial)
+            H = hier(P)
             rows = _dome_rows(H)
             for k in range(60):
                 c = tuple(rng.normal(size=3))
@@ -129,7 +133,7 @@ class TestSections:
         rng = np.random.default_rng(2)
         for trial in range(4):
             P = canonicalize(rng.normal(size=(64, 2)))
-            H = hier(P, seed=trial)
+            H = hier(P)
             rows = _dome_rows(H)
             apex = lp_max(H, (0.0, 0.0, 1.0)).value
             hits = 0
@@ -214,3 +218,38 @@ class TestStatsEnvelope:
             counts[m] = stats.vertex_inspections / 20
         # far below the log^3 envelope; just check it is not linear in m
         assert counts[1024] < counts[64] * 8
+
+
+def _criterion_2_case(k):
+    """Polygon and piece count of case k of acceptance criterion 2."""
+    m = [8, 16, 32, 64, 128, 256][k % 6]
+    model = ["circle", "ellipse", "smoothed"][k % 3]
+    return random_polygon(m, seed=k, model=model), 1 + k % 8
+
+
+class TestEngineAgainstClosedForm:
+    """The hierarchy's per-edge queries against `solve`'s closed form and
+    the oracle, on criterion-2 cases where a perturbed hierarchy re-solved
+    on the original rows erred: a stale section basis (case 340), an
+    evaluation below the requested height near the apex (case 64), and
+    evaluations at the top of a facet off by 1e-9 to 1e-5."""
+
+    def test_root_lp_matches_closed_form_roots(self):
+        for k in (10, 40, 64, 164, 305, 329, 340, 352):
+            P, n = _criterion_2_case(k)
+            H = hier(P)
+            root = solve(P, n).diagnostics.root
+            for i in np.nonzero(~np.isnan(root))[0].tolist():
+                got = root_lp(H, P, i, n)
+                assert got == pytest.approx(root[i], rel=1e-12, abs=0), (k, i)
+
+    def test_eval_fi_matches_oracle(self):
+        # (case, edge, t / M_i)
+        evals = [(64, 25, 1.0), (10, 30, 1.0), (164, 0, 1.0), (352, 100, 1.0),
+                 (329, 72, 1.0), (329, 244, 1.0), (305, 85, 1.0), (40, 29, 0.5)]
+        for k, i, frac in evals:
+            P, n = _criterion_2_case(k)
+            H = hier(P)
+            t = facet_max_t(H, i)[0] * frac
+            err = abs(eval_fi(H, P, i, t, n) - oracle_fi(P, i, t, n))
+            assert err <= 1e-12 * H.scale, (k, i, err)
