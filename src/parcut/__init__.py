@@ -7,10 +7,11 @@ inradius.  `solve` reads every edge lifetime off one collapse sweep of
 the 3-D dome of P and solves for rho in closed form inside the bracket
 of lifetimes where it lies; the per-edge diagnostics, three float
 arrays indexed by edge, come from the same bracket.  The paper's
-Dobkin-Kirkpatrick style facet-peeling hierarchy, with its
-polylogarithmic LP queries, is exported for direct use; a brute-force
-oracle cross-checks both.  Every predicate compares with one fixed
-slack, `tolerance.slack`.
+Dobkin-Kirkpatrick style facet-peeling hierarchy, which deletes only
+facets of at most 11 vertices, is exported for direct use with its
+polylogarithmic LP queries, each step of which scans one such facet; a
+brute-force oracle cross-checks both.  Every predicate compares with
+one fixed slack, `tolerance.slack`.
 """
 
 from .errors import (
@@ -20,7 +21,6 @@ from .errors import (
     InvalidPieceCountError,
     NonFiniteInputError,
     NonIndependentRemovalError,
-    NotPlanarError,
     NotQualifiedError,
     OutOfRangeError,
     UnboundedError,
@@ -49,8 +49,6 @@ from .hierarchy import (
     face_lattice,
     peel_level,
     perturb,
-    pick_color,
-    six_color,
 )
 from .queries import (
     QueryStats,

@@ -85,22 +85,22 @@ def _coincidence_tol(scale: float) -> float:
 
 
 def _solve3(n1, o1, n2, o2, n3, o3):
-    """Concurrence point of three planes n.p = o, or None if near-singular.
+    """Concurrence point of three dome planes n.p = o, or None if near-singular.
 
-    Planes sharing an identical t-coefficient (all lifted facet rows do)
-    are differenced first: the subtraction is exact for nearby doubles and
-    removes the catastrophic cancellation that plain Cramer suffers when
-    the three normals are almost parallel (adjacent rows of a fine-grained
-    polygon).  Written branch-heavy and allocation-free; this sits on the
-    innermost path of every sweep.
+    Dome rows only: a lifted row has t-coefficient 1 and the floor -1, and
+    a triple holds at most one floor row, so at least two of the three
+    rows are lifted and share their t-coefficient.  Those are differenced
+    first: the subtraction is exact for nearby doubles and removes the
+    catastrophic cancellation that plain Cramer suffers when the three
+    normals are almost parallel (adjacent rows of a fine-grained polygon).
+    Written branch-heavy and allocation-free; this sits on the innermost
+    path of every sweep.
     """
     t1 = n1[2]
     t2 = n2[2]
     t3 = n3[2]
     if t1 == t2:
         if t2 == t3:
-            if t1 == 0.0:
-                return None  # three vertical planes never share a point
             dx1 = n2[0] - n1[0]
             dy1 = n2[1] - n1[1]
             do1 = o2 - o1
@@ -117,43 +117,14 @@ def _solve3(n1, o1, n2, o2, n3, o3):
         pa, qa, pb, qb, no, oo = n1, o1, n2, o2, n3, o3
     elif t2 == t3:
         pa, qa, pb, qb, no, oo = n2, o2, n3, o3, n1, o1
-    elif t1 == t3:
-        pa, qa, pb, qb, no, oo = n1, o1, n3, o3, n2, o2
     else:
-        # generic rows: plain Cramer
-        d11 = n2[1] * t3 - t2 * n3[1]
-        d12 = n2[0] * t3 - t2 * n3[0]
-        d13 = n2[0] * n3[1] - n2[1] * n3[0]
-        det = n1[0] * d11 - n1[1] * d12 + t1 * d13
-        s = (
-            (abs(n1[0]) + abs(n1[1]) + abs(t1))
-            * (abs(n2[0]) + abs(n2[1]) + abs(t2))
-            * (abs(n3[0]) + abs(n3[1]) + abs(t3))
-        )
-        if abs(det) <= 1e-14 * s:
-            return None
-        x = o1 * d11 - n1[1] * (o2 * t3 - t2 * o3) + t1 * (o2 * n3[1] - n2[1] * o3)
-        y = n1[0] * (o2 * t3 - t2 * o3) - o1 * d12 + t1 * (n2[0] * o3 - o2 * n3[0])
-        z = n1[0] * (n2[1] * o3 - o2 * n3[1]) - n1[1] * (n2[0] * o3 - o2 * n3[0]) + o1 * d13
-        return (x / det, y / det, z / det)
+        pa, qa, pb, qb, no, oo = n1, o1, n3, o3, n2, o2
 
-    # two rows share the t-coefficient: difference them exactly
+    # two lifted rows and the floor: difference the lifted ones exactly
     dx = pb[0] - pa[0]
     dy = pb[1] - pa[1]
     do = qb - qa
     ta = pa[2]
-    if ta == 0.0:
-        ex, ey, eo = pa[0], pa[1], qa
-        tn = no[2]
-        if tn == 0.0:
-            return None
-        det = dx * ey - ex * dy
-        s = (abs(dx) + abs(dy)) * (abs(ex) + abs(ey))
-        if abs(det) <= 1e-14 * s:
-            return None
-        x = (do * ey - eo * dy) / det
-        y = (dx * eo - ex * do) / det
-        return (x, y, (oo - no[0] * x - no[1] * y) / tn)
     r = no[2] / ta
     ex = no[0] - r * pa[0]
     ey = no[1] - r * pa[1]

@@ -21,10 +21,6 @@ class DegenerateVertexError(GeometryError):
     """More than three facet planes meet at a point beyond tolerance."""
 
 
-class NotPlanarError(GeometryError):
-    """Facet adjacency graph has no vertex of degree <= 5; not planar."""
-
-
 class NonIndependentRemovalError(GeometryError):
     """Two facets scheduled for removal in one round are adjacent."""
 

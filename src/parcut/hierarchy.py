@@ -16,14 +16,19 @@ sweep (`collapse_sweep`) keeps every event as a point with its three
 planes and runs over any bottom cycle, bounding planes and sweep
 direction; `parcut.dome.facet_lifetimes`, which `solve` runs, is its
 heights-only specialization to the whole dome and is tested against it.
-Each round six-colors the facet adjacency graph, picks the color class
-hitting the most removable facets, and deletes that class (never
-touching the bounded core, a few facets that bound a polytope alone).
-Deleting an independent set keeps every hole local: the lattice over
-each hole is recomputed with the same collapse sweep used to build the
-dome, and each vertex born this way records the deleted facet as its
-killer.  Because at least a sixth of the removable facets go per round,
-the depth is O(log m) and total storage stays linear.
+Each round deletes the facets that `removal_set` picks: a maximal
+independent set, taken greedily fewest vertices first, of the facets
+with at most `MAX_PEEL_VERTICES` = 11 vertices outside the bounded core
+(a few facets that bound a polytope alone, never touched).  This is
+Kirkpatrick's low-degree rule, read on facets.  Deleting an independent
+set keeps every hole local: the lattice over each hole is recomputed
+with the same collapse sweep used to build the dome, and each vertex
+born this way records the deleted facet as its killer.  More than half
+of a level's F facets have at most 11 vertices and each deleted one
+rules out at most 12 of them, so a round deletes at least (F/2 - 6)/12
+facets: the depth is O(log m) and total storage stays linear.  Every
+facet a query reinstates has at most 11 vertices, so each query step is
+one short scan (`parcut.queries`).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .errors import (
     DegenerateVertexError,
     GeometryError,
     NonIndependentRemovalError,
-    NotPlanarError,
 )
 from .geometry import _corners
 from .lp import OPTIMAL, UNBOUNDED, small_lp
@@ -495,87 +499,41 @@ def _cone_coefficients(D: Dome, basis) -> list[float]:
 # the hierarchy
 
 
-def six_color(adjacency: dict[int, set[int]]) -> dict[int, int]:
-    """Proper coloring with at most 6 colors by minimum-degree peeling.
-
-    Works on any planar graph: every subgraph has a vertex of degree <= 5,
-    so peeling succeeds and the greedy unwind always finds a free color.
-    """
-    deg = {v: len(s) for v, s in adjacency.items()}
-    removed: set[int] = set()
-    cand = [v for v in adjacency if deg[v] <= 5]
-    stack: list[int] = []
-    while cand:
-        v = cand.pop()
-        if v in removed:
-            continue
-        removed.add(v)
-        stack.append(v)
-        for u in adjacency[v]:
-            if u not in removed:
-                deg[u] -= 1
-                if deg[u] == 5:
-                    cand.append(u)
-    if len(stack) != len(adjacency):
-        raise NotPlanarError("no vertex of degree <= 5; adjacency not planar")
-
-    colors: dict[int, int] = {}
-    for v in reversed(stack):
-        used = {colors[u] for u in adjacency[v] if u in colors}
-        for c in range(1, 7):
-            if c not in used:
-                colors[v] = c
-                break
-        else:
-            raise NotPlanarError("greedy unwind needed a 7th color")
-    return colors
+# The most vertices a deleted facet may have.  Every vertex of a level
+# lies on exactly three facets, so with F facets the cycle lengths sum to
+# 2E = 6F - 12 (Euler) and fewer than half of the facets have 12 or more
+# vertices; a taken facet of at most 11 vertices borders at most 11 others,
+# so it blocks at most 12 of the qualifying facets.  This is Kirkpatrick's
+# low-degree rule (1983), read on the facets of the dome.
+MAX_PEEL_VERTICES = 11
 
 
-def _augment_independent(
-    adjacency: dict[int, set[int]],
-    chosen: list[int],
-    index_set: frozenset[int],
-    core: frozenset[int],
+def removal_set(
+    level: Level, adjacency: dict[int, set[int]], core: frozenset[int]
 ) -> list[int]:
-    """Grow a removal set to a maximal independent set outside the core.
+    """Greedy maximal independent set of the facets outside the core with
+    at most `MAX_PEEL_VERTICES` vertices, taken in (cycle length, index)
+    order; returned sorted.
 
-    The color class already guarantees the one-sixth progress bound; any
-    independent superset only removes more per round, so this is a pure
-    depth optimization with every invariant intact.
+    Fewest vertices first: on `random_polygon(1024, seed=1,
+    model="ellipse")` the levels then hold 5.45 m vertices in all, against
+    5.99 m when taken in index order.  The order is deterministic, and so
+    is `Hierarchy.dump`.
     """
-    blocked: set[int] = set(chosen)
-    for f in chosen:
-        blocked |= adjacency[f]
-    out = list(chosen)
-    for f in sorted(index_set - core):
+    cycles = level.cycles
+    cand = sorted(
+        (len(cyc), f)
+        for f, cyc in cycles.items()
+        if f not in core and len(cyc) <= MAX_PEEL_VERTICES
+    )
+    blocked: set[int] = set()
+    out = []
+    for _k, f in cand:
         if f not in blocked:
             out.append(f)
             blocked.add(f)
             blocked |= adjacency[f]
     out.sort()
-    return out
-
-
-def pick_color(
-    coloring: dict[int, int], index_set: frozenset[int], core: frozenset[int]
-) -> list[int]:
-    """Choose the color class with the most removable facets.
-
-    Returns the class minus the core, sorted; pigeonhole guarantees at
-    least a sixth of the removable facets.  Ties go to the smallest color.
-    """
-    removable = index_set - core
-    if not removable:
-        return []
-    counts: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    for f, c in coloring.items():
-        if f in removable:
-            counts[c] = counts.get(c, 0) + 1
-            members.setdefault(c, []).append(f)
-    best = max(counts, key=lambda c: (counts[c], -c))
-    out = sorted(members[best])
-    assert len(out) >= -(-len(removable) // 6), "pigeonhole violated"
     return out
 
 
@@ -767,7 +725,14 @@ def build_hierarchy(
     core: BoundedCore,
     debug: bool = False,
 ) -> Hierarchy:
-    """Stratify the dome down to the bounded core."""
+    """Stratify the dome down to the bounded core, one `removal_set` per round.
+
+    The proven rate, (F/2 - 6)/12 of a level's F facets per round, bounds
+    the depth by about log(m)/log(24/23).  The build checks the depth
+    against log(m)/log(6/5) + 2 instead, the bound criterion 6c tests;
+    measured depths sit well below it: 15 for the regular 3000- and
+    4096-gons and 20 for the regular 65536-gon (bound 62.8).
+    """
     lattice = face_lattice(D)
     store = lattice.store
     levels = [lattice.level]
@@ -778,18 +743,16 @@ def build_hierarchy(
     while levels[-1].index_set != core_set:
         cur = levels[-1]
         adj = cur.adjacency(store.tris)
-        coloring = six_color(adj)
-        removal = pick_color(coloring, cur.index_set, core_set)
+        removal = removal_set(cur, adj, core_set)
         if not removal:
             raise GeometryError("no removable facets left but core not reached")
-        removal = _augment_independent(adj, removal, cur.index_set, core_set)
         nxt, _kills = peel_level(cur, removal, store, rows, len(levels), ctol, adjacency=adj)
         levels.append(nxt)
 
     m = D.m
     max_depth = math.log(max(m, 2)) / math.log(6.0 / 5.0) + 2.0
     if len(levels) - 1 > max_depth:
-        raise GeometryError("hierarchy deeper than the 6-coloring bound allows")
+        raise GeometryError("hierarchy deeper than log(m)/log(6/5) + 2")
 
     top = levels[-1]
     core_vertices = sorted(top.verts)

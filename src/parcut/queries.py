@@ -1,17 +1,21 @@
 """LP maximization on the hierarchy in polylogarithmic time.
 
-Three query flavors, all driven by the same descent:
+Three query flavors, all driven by the same descent, which does a
+constant amount of work per level: a deleted facet has at most
+`hierarchy.MAX_PEEL_VERTICES` vertices, so every facet it reinstates is
+scanned whole.
 
 * `lp_max`: maximize a linear objective over the full dome.  Solve on the
   tiny core by enumeration, then walk levels downward; when the incumbent
   vertex gets cut off, its kill record names the one reinstated facet that
-  did it, and the optimum moves onto that facet (a planar sub-LP).
+  did it, and the optimum moves onto that facet (a planar sub-LP, solved
+  by a scan of the facet's vertex cycle).
 * `lp_max_section`: maximize over the dome cut by a plane.  A section
   vertex lives on an edge of the current level; it is tracked as its
   facet pair plus the two endpoint vertices, which are refreshed from the
   kill records at every level.  When the point itself is cut off, the
   killer facet intersects the plane in a segment whose ends are found by
-  binary search on the facet's vertex cycle.
+  a scan of the facet's vertex cycle.
 * `lp_max_constrained`: one extra half-space, solved as "try without it,
   else optimize on its boundary plane" per the section machinery.
 
@@ -49,7 +53,6 @@ class QueryStats:
     levels_visited: int = 0
     facet_sub_lps: int = 0
     vertex_inspections: int = 0
-    binary_search_steps: int = 0
     trace: list[float] | None = None
 
 
@@ -115,33 +118,29 @@ def facet_max_t(H: Hierarchy, i: int, stats: QueryStats | None = None):
 
 
 def _facet_descend(H: Hierarchy, level: int, facet: int, c, stats: QueryStats) -> int:
-    """Maximizer vertex of c over one facet of the polytope at `level`.
+    """Maximizer vertex of c over one facet of the polytope at `level`, by
+    a scan of the facet's vertex cycle there (ties to the smaller point).
 
-    The hierarchy stores every facet's cyclic vertex array per level, and
-    the cycle of a facet is a convex polygon, so the planar sub-LP of the
-    descent is a single extreme-vertex binary search on that array.
+    In a descent the facet is a deleted one, reinstated, so its cycle has
+    at most `hierarchy.MAX_PEEL_VERTICES` vertices.  `facet_max_t` and
+    `lp_max_facet` may ask for any facet and pay its cycle's length.  At
+    level 0 the m lifted facets' cycles hold 5m - 6 vertices in all (the
+    floor holds m of the 6F - 12), so `facet_max_t` on every edge, as
+    `eval_fi` and `root_lp` run it, costs O(m) together; single cycles
+    can be long: the regular 4096-gon has 285 longer than 8, up to 155.
     """
     cyc = H.levels[level].cycles[facet]
     pts = H.store.pts
-    D = len(cyc)
-    if D <= 8:
-        stats.vertex_inspections += D
-        best = cyc[0]
-        bp = pts[best]
-        bestval = c[0] * bp[0] + c[1] * bp[1] + c[2] * bp[2]
-        for w in cyc[1:]:
-            p = pts[w]
-            val = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
-            if val > bestval or (val == bestval and p < bp):
-                best, bp, bestval = w, p, val
-        return best
-
-    def s(i):
-        p = pts[cyc[i]]
-        stats.vertex_inspections += 1
-        return c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
-
-    return cyc[_extreme_index(s, D, stats)]
+    stats.vertex_inspections += len(cyc)
+    best = cyc[0]
+    bp = pts[best]
+    bestval = c[0] * bp[0] + c[1] * bp[1] + c[2] * bp[2]
+    for w in cyc[1:]:
+        p = pts[w]
+        val = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
+        if val > bestval or (val == bestval and p < bp):
+            best, bp, bestval = w, p, val
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +277,12 @@ def _section_descend(H: Hierarchy, n, d, c, stop_level: int, stats: QueryStats):
 def _segment_on_facet(H: Hierarchy, level: int, facet: int, n, d, c, ztol, stats: QueryStats):
     """Optimum of c on {plane} intersected with one facet polygon.
 
-    The plane cuts the convex vertex cycle in at most one segment; its two
-    ends sit on cycle edges located by binary search from the extreme
-    vertices.  Returns the better end as (u, v, pair, x) or None when the
-    plane misses the facet (the whole section is then empty).
+    The plane cuts the convex vertex cycle in at most one segment, whose
+    ends are on-plane vertices or sign changes along the cycle.  One scan
+    of the cycle finds them; it has at most `hierarchy.MAX_PEEL_VERTICES`
+    vertices, since only deleted facets are reinstated.  Returns the
+    better end as (u, v, pair, x) or None when the plane misses the facet
+    (the whole section is then empty).
     """
     cyc = H.levels[level].cycles[facet]
     pts = H.store.pts
@@ -289,197 +290,54 @@ def _segment_on_facet(H: Hierarchy, level: int, facet: int, n, d, c, ztol, stats
     D = len(cyc)
     nx, ny, nz = n
 
-    if D <= 24:
-        # scan path: cycles this small dominate the call mix, so skip the
-        # binary-search machinery and enumerate candidate section points
-        stats.vertex_inspections += D
-        svals = []
-        push = svals.append
-        smax = -1e400
-        smin = 1e400
-        for w in cyc:
-            p = pts[w]
-            sw = nx * p[0] + ny * p[1] + nz * p[2] - d
-            push(sw)
-            if sw > smax:
-                smax = sw
-            if sw < smin:
-                smin = sw
-        if smax < -ztol or smin > ztol:
-            return None
-        best = None
-        bestval = -1e400
-        cx, cy, cz = c
-        for i in range(D):
-            sa = svals[i]
-            wa = cyc[i]
-            if -ztol <= sa <= ztol:
-                p = pts[wa]
-                val = cx * p[0] + cy * p[1] + cz * p[2]
-                if val > bestval or (val == bestval and best is not None and p < best[3]):
-                    best = (wa, wa, None, p)
-                    bestval = val
-                continue
-            j = i + 1 if i + 1 < D else 0
-            sb = svals[j]
-            if (sa > ztol and sb < -ztol) or (sa < -ztol and sb > ztol):
-                wb = cyc[j]
-                pa = pts[wa]
-                pb = pts[wb]
-                lam = sa / (sa - sb)
-                xx = (
-                    pa[0] + lam * (pb[0] - pa[0]),
-                    pa[1] + lam * (pb[1] - pa[1]),
-                    pa[2] + lam * (pb[2] - pa[2]),
-                )
-                val = cx * xx[0] + cy * xx[1] + cz * xx[2]
-                if val > bestval or (val == bestval and best is not None and xx < best[3]):
-                    ta = tris[wa]
-                    tb = tris[wb]
-                    shared = [lab for lab in ta if lab in tb]
-                    best = (wa, wb, (shared[0], shared[1]), xx)
-                    bestval = val
-        return best
-
-    def s(i):
-        p = pts[cyc[i]]
-        stats.vertex_inspections += 1
-        return nx * p[0] + ny * p[1] + nz * p[2] - d
-
-    imax = _extreme_index(s, D, stats)
-    smax = s(imax)
-    if smax < -ztol:
+    stats.vertex_inspections += D
+    svals = []
+    push = svals.append
+    smax = -1e400
+    smin = 1e400
+    for w in cyc:
+        p = pts[w]
+        sw = nx * p[0] + ny * p[1] + nz * p[2] - d
+        push(sw)
+        if sw > smax:
+            smax = sw
+        if sw < smin:
+            smin = sw
+    if smax < -ztol or smin > ztol:
         return None
-    imin = _extreme_index(lambda i: -s(i), D, stats)
-    smin = s(imin)
-    if smin > ztol:
-        return None
-
-    ends = []
-    if abs(smax) <= ztol or abs(smin) <= ztol:
-        # Tangency: the plane grazes the facet in a vertex or a whole edge
-        # (adjacent facet planes do the latter).  Collect the contiguous
-        # on-plane band around the touching extreme.
-        start = imax if abs(smax) <= ztol else imin
-        band = [start]
-        for step in (1, -1):
-            i = start
-            for _ in range(D - 1):
-                i = (i + step) % D
-                if i == start or abs(s(i)) > ztol:
-                    break
-                band.append(i)
-        seen = set()
-        for i in band:
-            w = cyc[i]
-            if w not in seen:
-                seen.add(w)
-                ends.append((w, w, None, pts[w]))
-    if smax > ztol and smin < -ztol:
-        for fwd in (1, -1):
-            a, b = _sign_change(s, imax, imin, D, fwd, ztol, stats)
-            wa, wb = cyc[a], cyc[b]
-            pa, pb = pts[wa], pts[wb]
-            sa = nx * pa[0] + ny * pa[1] + nz * pa[2] - d
-            sb = nx * pb[0] + ny * pb[1] + nz * pb[2] - d
-            if abs(sa) <= ztol:
-                ends.append((wa, wa, None, pa))
-                continue
+    best = None
+    bestval = -1e400
+    cx, cy, cz = c
+    for i in range(D):
+        sa = svals[i]
+        wa = cyc[i]
+        if -ztol <= sa <= ztol:
+            p = pts[wa]
+            val = cx * p[0] + cy * p[1] + cz * p[2]
+            if val > bestval or (val == bestval and best is not None and p < best[3]):
+                best = (wa, wa, None, p)
+                bestval = val
+            continue
+        j = i + 1 if i + 1 < D else 0
+        sb = svals[j]
+        if (sa > ztol and sb < -ztol) or (sa < -ztol and sb > ztol):
+            wb = cyc[j]
+            pa = pts[wa]
+            pb = pts[wb]
             lam = sa / (sa - sb)
-            x = (
+            xx = (
                 pa[0] + lam * (pb[0] - pa[0]),
                 pa[1] + lam * (pb[1] - pa[1]),
                 pa[2] + lam * (pb[2] - pa[2]),
             )
-            ta = tris[wa]
-            tb = tris[wb]
-            shared = [lab for lab in ta if lab in tb]
-            ends.append((wa, wb, (shared[0], shared[1]), x))
-
-    best = None
-    bestval = -1e400
-    for (a, b, pair, x) in ends:
-        val = c[0] * x[0] + c[1] * x[1] + c[2] * x[2]
-        if val > bestval or (val == bestval and best is not None and x < best[3]):
-            best = (a, b, pair, x)
-            bestval = val
+            val = cx * xx[0] + cy * xx[1] + cz * xx[2]
+            if val > bestval or (val == bestval and best is not None and xx < best[3]):
+                ta = tris[wa]
+                tb = tris[wb]
+                shared = [lab for lab in ta if lab in tb]
+                best = (wa, wb, (shared[0], shared[1]), xx)
+                bestval = val
     return best
-
-
-def _sign_change(s, imax, imin, D, direction, ztol, stats: QueryStats):
-    """Edge index pair (a, a+dir) where s crosses from >= 0 to < -ztol on
-    the arc from imax to imin; s is monotone along each arc."""
-    span = (imin - imax) * direction % D
-    lo, hi = 0, span  # s(imax + dir*lo) >= 0 > s(imax + dir*hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        stats.binary_search_steps += 1
-        if s((imax + direction * mid) % D) < -ztol:
-            hi = mid
-        else:
-            lo = mid
-    return (imax + direction * lo) % D, (imax + direction * hi) % D
-
-
-def _extreme_index(s, D, stats: QueryStats):
-    """Index of the cyclic maximum of a linear functional over a convex
-    vertex cycle.
-
-    Classic extreme-vertex binary search on the single ascent/descent sign
-    change of the edge increments; exact float comparisons, so a flat or
-    noisy plateau can defeat it -- the result is verified to be a local
-    maximum and a linear scan takes over otherwise.  Callers scan short
-    cycles themselves, so D > 8 here.
-    """
-    memo: dict[int, float] = {}
-
-    def sv(i):
-        i %= D
-        v = memo.get(i)
-        if v is None:
-            v = s(i)
-            memo[i] = v
-        return v
-
-    def ascending(i):
-        stats.binary_search_steps += 1
-        return sv(i + 1) > sv(i)
-
-    def is_peak(i):
-        return not ascending(i) and ascending(i - 1)
-
-    if is_peak(0):
-        return 0
-    lo, hi = 0, D
-    steps_cap = 4 * D.bit_length() + 16
-    steps = 0
-    while lo + 1 < hi and steps < steps_cap:
-        steps += 1
-        mid = (lo + hi) // 2
-        if is_peak(mid):
-            return mid
-        alo = ascending(lo)
-        amid = ascending(mid)
-        if alo and not amid:
-            hi = mid
-        elif not alo and amid:
-            lo = mid
-        elif alo:  # both ascending: past the valley iff value dropped
-            if sv(lo) > sv(mid):
-                hi = mid
-            else:
-                lo = mid
-        else:  # both descending: climbed back iff value rose
-            if sv(lo) < sv(mid):
-                hi = mid
-            else:
-                lo = mid
-    cand = lo % D
-    if is_peak(cand):
-        return cand
-    # plateau or noise: exact fallback
-    vals = [s(i) for i in range(D)]
-    return max(range(D), key=lambda i: (vals[i], -i))
 
 
 # ---------------------------------------------------------------------------

@@ -195,10 +195,14 @@ def test_criterion_6_complexity_envelopes():
     for e in range(6, 17, 2):
         m = 2**e
         P = regular_polygon(m)
-        gc.collect()
-        t0 = time.perf_counter()
-        s = solve(P, 2)
-        times[m] = time.perf_counter() - t0
+        # least of three calls, each after a full collection: one call's
+        # time on a shared machine swings with its neighbours' load
+        times[m] = math.inf
+        for _ in range(3):
+            gc.collect()
+            t0 = time.perf_counter()
+            s = solve(P, 2)
+            times[m] = min(times[m], time.perf_counter() - t0)
         log2m = math.log2(m)
         if s.stats["vertex_inspections"] > C_SOLVE * m * log2m**4:
             solve_ok = False

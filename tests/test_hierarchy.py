@@ -7,13 +7,15 @@ from parcut.dome import build_dome
 from parcut.errors import NonIndependentRemovalError
 from parcut.geometry import canonicalize, regular_polygon
 from parcut.hierarchy import (
+    MAX_PEEL_VERTICES,
+    Level,
     bounded_core,
     build_hierarchy,
     face_lattice,
     peel_level,
-    pick_color,
-    six_color,
+    removal_set,
 )
+from parcut.oracle import random_polygon
 
 
 def _hierarchy_for(P, debug=False):
@@ -25,63 +27,40 @@ def _hierarchy_for(P, debug=False):
 GENERIC_HEXAGON = canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)])
 
 
-def _check_proper(coloring, adj):
-    for v, nb in adj.items():
-        for u in nb:
-            assert coloring[u] != coloring[v]
+class TestRemovalSet:
+    def _check(self, level, adj, core):
+        out = removal_set(level, adj, core)
+        taken = set(out)
+        assert out == sorted(taken)
+        short = {f for f, cyc in level.cycles.items() if len(cyc) <= MAX_PEEL_VERTICES}
+        assert taken <= short - core
+        for f in out:
+            assert not adj[f] & taken, f"facets {f} and a neighbour both taken"
+        for f in short - core - taken:
+            assert adj[f] & taken, f"facet {f} could still be taken"
+        return out
 
+    def test_every_level(self):
+        # independent, outside the core, short, and maximal among the
+        # short facets outside the core, on every level of a build
+        for P in (regular_polygon(64), GENERIC_HEXAGON, random_polygon(256, seed=4)):
+            H = _hierarchy_for(P)
+            core = H.core.labels
+            for lv in H.levels[:-1]:
+                adj = lv.adjacency(H.store.tris)
+                assert self._check(lv, adj, core)
+            assert removal_set(H.levels[-1], H.levels[-1].adjacency(H.store.tris), core) == []
 
-class TestSixColor:
-    def test_k4(self):
-        adj = {i: {j for j in range(4) if j != i} for i in range(4)}
-        col = six_color(adj)
-        _check_proper(col, adj)
-        assert len(set(col.values())) == 4
-
-    def test_cube_graph(self):
-        # facet adjacency of a cube: opposite facets not adjacent
-        adj = {i: set(range(6)) - {i, i ^ 1} for i in range(6)}
-        col = six_color(adj)
-        _check_proper(col, adj)
-        assert max(col.values()) <= 6
-
-    def test_hexagon_dome_graph(self):
-        D = build_dome(regular_polygon(6))
-        adj = face_lattice(D).adjacency()
-        col = six_color(adj)
-        _check_proper(col, adj)
-
-    def test_k7_rejected(self):
-        from parcut.errors import NotPlanarError
-
-        adj = {i: {j for j in range(7) if j != i} for i in range(7)}
-        with pytest.raises(NotPlanarError):
-            six_color(adj)
-
-
-class TestPickColor:
-    def test_fixed_point(self):
-        core = frozenset({0, 1, 2, 3})
-        coloring = {0: 1, 1: 2, 2: 3, 3: 4}
-        assert pick_color(coloring, frozenset(core), core) == []
-
-    def test_pigeonhole(self):
-        # 12 removable facets, 6 colors: best class has at least 2
-        core = frozenset({100})
-        coloring = {i: (i % 6) + 1 for i in range(12)}
-        coloring[100] = 1
-        out = pick_color(coloring, frozenset(range(12)) | core, core)
-        assert len(out) >= 2
-        assert 100 not in out
-
-    def test_ratio_on_hexagon(self):
-        D = build_dome(regular_polygon(6))
-        L = face_lattice(D)
-        core = bounded_core(D)
-        coloring = six_color(L.adjacency())
-        removal = pick_color(coloring, L.level.index_set, core.labels)
-        removable = len(L.level.index_set - core.labels)
-        assert len(removal) >= math.ceil(removable / 6)
+    def test_fewest_vertices_first(self):
+        # a path 0 - 1 - 2 of facets with 5, 4 and 5 vertices, and a facet
+        # 3 of 12 vertices that borders nothing and is never taken
+        cycles = {0: list(range(5)), 1: list(range(4)), 2: list(range(5)), 3: list(range(12))}
+        adj = {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
+        level = Level(frozenset(cycles), cycles, [])
+        assert removal_set(level, adj, frozenset()) == [1]
+        assert removal_set(level, adj, frozenset({1})) == [0, 2]
+        cycles[1] = list(range(6))
+        assert removal_set(level, adj, frozenset()) == [0, 2]
 
 
 class TestPeel:
@@ -173,6 +152,16 @@ class TestBuildHierarchy:
                 E = len(lv.edge_map())
                 F = len(lv.cycles)
                 assert (V - E + F, 2 * E) == (2, 3 * V), P.m
+
+    def test_deleted_facets_are_short(self):
+        # every facet deleted between levels l and l + 1 has at most 11
+        # vertices at level l, so a query reinstating it scans at most 11
+        for P in (regular_polygon(4096), random_polygon(1024, seed=2)):
+            H = _hierarchy_for(P)
+            for l in range(H.depth):
+                cur = H.levels[l]
+                for f in cur.index_set - H.levels[l + 1].index_set:
+                    assert len(cur.cycles[f]) <= 11, (P.m, l, f, len(cur.cycles[f]))
 
     def test_dump_deterministic(self):
         H1 = _hierarchy_for(regular_polygon(12))
