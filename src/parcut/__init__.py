@@ -41,8 +41,6 @@ from .geometry import (
 )
 from .dome import Dome, Lifetimes, build_dome, facet_lifetimes
 from .hierarchy import (
-    BoundedCore,
-    FaceLattice,
     Hierarchy,
     bounded_core,
     build_hierarchy,

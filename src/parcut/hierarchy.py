@@ -10,33 +10,40 @@ the events, in the spirit of Edelsbrunner and Muecke's Simulation of
 Simplicity, and the lattice stays simple.  `solve` never builds it.
 
 Level 0 is the dome's face lattice, built by one collapse sweep
-(`face_lattice`): every death in the sweep is a lattice vertex, and each
-facet's vertex cycle is read off the chains of deaths beside it.  The
-sweep (`collapse_sweep`) keeps every event as a point with its three
-planes and runs over any bottom cycle, bounding planes and sweep
-direction; `parcut.dome.facet_lifetimes`, which `solve` runs, is its
-heights-only specialization to the whole dome and is tested against it.
-Each round deletes the facets that `removal_set` picks: a maximal
-independent set, taken greedily fewest vertices first, of the facets
-with at most `MAX_PEEL_VERTICES` = 11 vertices outside the bounded core
-(a few facets that bound a polytope alone, never touched).  This is
+(`face_lattice`, which returns the vertex store and level 0): every
+death in the sweep is a lattice vertex, and each facet's vertex cycle is
+read off the path of deaths across its face (`_sweep_paths`).  The sweep
+(`collapse_sweep`) keeps every event as a point with its three planes
+and runs over any bottom cycle, bounding planes and sweep direction;
+`parcut.dome.facet_lifetimes`, which `solve` runs, is its heights-only
+specialization to the whole dome and is tested against it.
+
+`build_hierarchy(D)` finds the bounded core itself (`bounded_core`: a
+few facets that bound a polytope alone, never touched).  Each round
+deletes the facets that `removal_set` picks: a maximal independent set,
+taken greedily fewest vertices first, of the facets with at most
+`MAX_PEEL_VERTICES` = 11 vertices outside the core.  This is
 Kirkpatrick's low-degree rule, read on facets.  Deleting an independent
-set keeps every hole local: the lattice over each hole is recomputed
-with the same collapse sweep used to build the dome, and each vertex
-born this way records the deleted facet as its killer.  More than half
-of a level's F facets have at most 11 vertices and each deleted one
-rules out at most 12 of them, so a round deletes at least (F/2 - 6)/12
-facets: the depth is O(log m) and total storage stays linear.  Every
-facet a query reinstates has at most 11 vertices, so each query step is
-one short scan (`parcut.queries`).
+set keeps every hole local: `peel_level` caps each hole with the same
+collapse sweep, run in the deleted facet's plane over its own cycle, and
+each vertex born this way records the deleted facet as its killer.
+More than half of a level's F facets have at most 11 vertices and each
+deleted one rules out at most 12 of them, so a round deletes at least
+(F/2 - 6)/12 facets: the depth is O(log m) and total storage stays
+linear.  Every facet a query reinstates has at most 11 vertices, so
+each query step is one short scan (`parcut.queries`).
+
+Each fact is stored once.  The `VertexStore`, shared by all levels,
+holds every vertex's point, its three facets, and the level and facet
+of its birth, in lists that only grow.  A `Level` holds only its facet
+cycles and the vertices on them; its facet set is read off the cycles.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,39 +115,33 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
     sweep functional (height h = lam . p, bottom cycle at the minimum h).
     Returns the death events [(point, (la, lb, lc), h)], final last.
 
-    Four or more planes through one point need no special case: their
-    edges die one after another at the same height, in the order the
-    heap pops them.  The relinking is purely combinatorial, and each
-    event lands at the height where its edge dies.
+    Each live edge's death is estimated where its plane meets those of
+    its two live neighbours, by one `estimate`: at the start, for both
+    neighbours after each death, and when a stalled sweep re-admits every
+    edge.  An estimate more than 100 ctol below the current height is an
+    edge that is growing, not dying, and is not queued.  Four or more
+    planes through one point need no special case: their edges die one
+    after another at the same height, in the order the heap pops them.
+    The relinking is purely combinatorial, and each event lands at the
+    height where its edge dies.
     """
     k = len(labels)
     if k < 3:
         raise GeometryError("slice needs at least 3 edges")
-    if k == 3:
-        na, oa = rows[labels[0]]
-        nb, ob = rows[labels[1]]
-        nc, oc = rows[labels[2]]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        if pt is None:
-            raise GeometryError("final plane triple is singular")
-        h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
-        return [(pt, (labels[0], labels[1], labels[2]), h)]
     nxt = [(j + 1) % k for j in range(k)]
     prv = [(j - 1) % k for j in range(k)]
     alive = [True] * k
     gen = [0] * k
-    h0 = lam[0] * corners[0][0] + lam[1] * corners[0][1] + lam[2] * corners[0][2]
-
+    lrows = [rows[lab] for lab in labels]
+    lam0, lam1, lam2 = lam
     skip_margin = 100.0 * ctol
     events = []
     heap: list[tuple[float, int, int]] = []
     pending_pt: dict[int, tuple] = {}
 
-    lrows = [rows[lab] for lab in labels]
-    lam0, lam1, lam2 = lam
-    push = heapq.heappush
-
-    def estimate(j, h_now, margin):
+    def estimate(j, lim):
+        """Queue edge j's death under its current neighbours unless it
+        lies below height lim."""
         na, oa = lrows[prv[j]]
         nb, ob = lrows[j]
         nc, oc = lrows[nxt[j]]
@@ -148,30 +149,18 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
         if pt is None:
             return
         h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-        if h < h_now - margin:
-            return  # edge currently growing; no death under these neighbors
+        if h < lim:
+            return
         pending_pt[j] = pt
-        push(heap, (h, j, gen[j]))
+        heapq.heappush(heap, (h, j, gen[j]))
 
-    lim0 = h0 - skip_margin
-    na, oa = lrows[k - 1]
-    nb, ob = lrows[0]
-    for j in range(k):  # initial estimates, inlined like the event loop
-        nc, oc = lrows[j + 1 - k]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        na, oa, nb, ob = nb, ob, nc, oc
-        if pt is None:
-            continue
-        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-        if h < lim0:
-            continue
-        pending_pt[j] = pt
-        push(heap, (h, j, 0))
+    c0 = corners[0]
+    h0 = lam0 * c0[0] + lam1 * c0[1] + lam2 * c0[2]
+    for j in range(k):
+        estimate(j, h0 - skip_margin)
 
     n_alive = k
-    h_now = h0
     retries = 0
-    pop = heapq.heappop
     while n_alive > 3:
         if not heap:
             # All candidates were filtered as past events; numerical noise
@@ -182,46 +171,32 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
             for j in range(k):
                 if alive[j]:
                     gen[j] += 1
-                    estimate(j, h_now, math.inf)
+                    estimate(j, -math.inf)
             continue
-        h, j, g = pop(heap)
+        h, j, g = heapq.heappop(heap)
         if not alive[j] or g != gen[j]:
             continue
-        pt = pending_pt[j]
         p, q = prv[j], nxt[j]
-        events.append((pt, (labels[p], labels[j], labels[q]), h))
+        events.append((pending_pt[j], (labels[p], labels[j], labels[q]), h))
         alive[j] = False
         nxt[p] = q
         prv[q] = p
         gen[p] += 1
         gen[q] += 1
-        h_now = h
         n_alive -= 1
-        # re-estimate both neighbours (inlined: hottest loop of the build)
-        lim = h_now - skip_margin
-        for e in (p, q):
-            na, oa = lrows[prv[e]]
-            nb, ob = lrows[e]
-            nc, oc = lrows[nxt[e]]
-            ept = _solve3(na, oa, nb, ob, nc, oc)
-            if ept is None:
-                continue
-            eh = lam0 * ept[0] + lam1 * ept[1] + lam2 * ept[2]
-            if eh < lim:
-                continue
-            pending_pt[e] = ept
-            push(heap, (eh, e, gen[e]))
+        estimate(p, h - skip_margin)
+        estimate(q, h - skip_margin)
 
     a = alive.index(True)
     b = nxt[a]
     c = nxt[b]
-    na, oa = rows[labels[a]]
-    nb, ob = rows[labels[b]]
-    nc, oc = rows[labels[c]]
+    na, oa = lrows[a]
+    nb, ob = lrows[b]
+    nc, oc = lrows[c]
     pt = _solve3(na, oa, nb, ob, nc, oc)
     if pt is None:
         raise GeometryError("final plane triple is singular")
-    h = lam[0] * pt[0] + lam[1] * pt[1] + lam[2] * pt[2]
+    h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
     events.append((pt, (labels[a], labels[b], labels[c]), h))
     return events
 
@@ -245,15 +220,7 @@ def _dome_sweep(D: Dome):
 class VertexStore:
     """Append-only store of lattice vertices shared by all hierarchy levels."""
 
-    __slots__ = (
-        "pts",
-        "tris",
-        "birth_level",
-        "birth_killer",
-        "by_triple",
-        "_tris_buf",
-        "_pts_buf",
-    )
+    __slots__ = ("pts", "tris", "birth_level", "birth_killer", "by_triple")
 
     def __init__(self):
         self.pts: list[tuple[float, float, float]] = []
@@ -261,32 +228,6 @@ class VertexStore:
         self.birth_level: list[int] = []
         self.birth_killer: list[int] = []
         self.by_triple: dict[tuple[int, int, int], int] = {}
-        self._tris_buf = None
-        self._pts_buf = None
-
-    def tri_array(self):
-        """Triples as a growing numpy array covering every current vertex.
-
-        Extends incrementally, so repeated calls during the hierarchy
-        build convert each new vertex exactly once."""
-        n = len(self.tris)
-        buf = self._tris_buf
-        if buf is None:
-            self._tris_buf = np.asarray(self.tris, dtype=np.int64).reshape(n, 3)
-        elif len(buf) < n:
-            extra = np.asarray(self.tris[len(buf):], dtype=np.int64).reshape(-1, 3)
-            self._tris_buf = np.concatenate([buf, extra])
-        return self._tris_buf
-
-    def pts_array(self):
-        n = len(self.pts)
-        buf = self._pts_buf
-        if buf is None:
-            self._pts_buf = np.asarray(self.pts, dtype=float).reshape(n, 3)
-        elif len(buf) < n:
-            extra = np.asarray(self.pts[len(buf):], dtype=float).reshape(-1, 3)
-            self._pts_buf = np.concatenate([buf, extra])
-        return self._pts_buf
 
     def alloc(self, point, triple, level: int, killer: int) -> int:
         vid = len(self.pts)
@@ -313,9 +254,13 @@ class VertexStore:
 class Level:
     """One hierarchy level: which facets are present and their vertex cycles."""
 
-    index_set: frozenset[int]
     cycles: dict[int, list[int]]
     verts: list[int]  # ids of the vertices on some cycle
+
+    @property
+    def index_set(self) -> frozenset[int]:
+        """Labels of the facets present at this level."""
+        return frozenset(self.cycles)
 
     def edge_map(self) -> dict[tuple[int, int], list[int]]:
         """Undirected vertex pair -> the (two) facets sharing that edge."""
@@ -344,98 +289,57 @@ class Level:
         return adj
 
 
-@dataclass
-class FaceLattice:
-    """Complete face lattice of a dome (level-0 view plus vertex store)."""
+def _sweep_paths(events, store: VertexStore, level: int, killer: int) -> dict[int, list[int]]:
+    """Store every event of a collapse sweep as a vertex born at `level`
+    with `killer`, and return each plane's path of new vertices.
 
-    dome: Dome
-    store: VertexStore
-    level: Level
-
-    @property
-    def n_facets(self) -> int:
-        return len(self.level.cycles)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.level.verts)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.level.edge_map())
-
-    def edges(self) -> dict[tuple[int, int], list[int]]:
-        return self.level.edge_map()
-
-    def facets(self) -> dict[int, list[int]]:
-        return self.level.cycles
-
-    def adjacency(self) -> dict[int, set[int]]:
-        return self.level.adjacency(self.store.tris)
+    A plane's path runs across its face from the start corner of its
+    bottom edge to the end corner: the deaths of its predecessors, in
+    sweep order, then its own death, then the deaths of its successors,
+    in reverse sweep order.
+    """
+    near_start: dict[int, list[int]] = {}  # deaths of the plane's predecessors
+    near_end: dict[int, list[int]] = {}  # deaths of its successors
+    top: dict[int, int] = {}
+    for pt, tri, _h in events[:-1]:
+        lp, le, lq = tri
+        vid = store.alloc(pt, tri, level, killer)
+        near_end.setdefault(lp, []).append(vid)
+        top[le] = vid
+        near_start.setdefault(lq, []).append(vid)
+    fpt, ftri, _fh = events[-1]
+    fvid = store.alloc(fpt, ftri, level, killer)
+    for lab in ftri:
+        if lab in top:
+            raise GeometryError(f"facet {lab} died twice in the sweep")
+        top[lab] = fvid
+    return {g: near_start.get(g, []) + [v] + near_end.get(g, [])[::-1] for g, v in top.items()}
 
 
-@dataclass(frozen=True)
-class BoundedCore:
-    """A few facet labels whose half-spaces alone already bound a polytope."""
-
-    labels: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-def face_lattice(D: Dome) -> FaceLattice:
-    """Full face lattice of the dome in O(m log m).
+def face_lattice(D: Dome) -> tuple[VertexStore, Level]:
+    """Full face lattice of the dome in O(m log m): the vertex store and
+    level 0.
 
     The dome need not be generic: four facet planes through one point
     come out as vertices joined by zero-length edges (`collapse_sweep`),
     so every vertex lies on exactly three facets.
     """
     m = D.m
-    floor = D.floor
     store = VertexStore()
-
-    corner_vid = []
-    for j in range(m):
-        p = (float(D.corners[j, 0]), float(D.corners[j, 1]), 0.0)
-        corner_vid.append(store.alloc(p, ((j - 1) % m, j, floor), 0, -1))
-
-    events = _dome_sweep(D)
-
-    # Assemble each facet cycle from the event chains: going CCW, a lifted
-    # facet runs along its floor edge, climbs the side it shares with its
-    # successor (events where it was the left neighbour), crosses its top
-    # vertex and descends the other side.
-    left: dict[int, list[int]] = {i: [] for i in range(m)}
-    right: dict[int, list[int]] = {i: [] for i in range(m)}
-    top: dict[int, int] = {}
-    for pt, (lp, le, lq), _h in events[:-1]:
-        vid = store.alloc(pt, (lp, le, lq), 0, -1)
-        right[lp].append(vid)
-        top[le] = vid
-        left[lq].append(vid)
-    fpt, ftri, _fh = events[-1]
-    fvid = store.alloc(fpt, ftri, 0, -1)
-    for lab in ftri:
-        if lab in top:
-            raise GeometryError(f"facet {lab} died twice in the sweep")
-        top[lab] = fvid
-
-    cycles: dict[int, list[int]] = {floor: corner_vid}
+    corner_vid = [
+        store.alloc((x, y, 0.0), ((j - 1) % m, j, D.floor), 0, -1)
+        for j, (x, y) in enumerate(D.corners.tolist())
+    ]
+    paths = _sweep_paths(_dome_sweep(D), store, 0, -1)
+    # going CCW, a lifted facet runs along its floor edge and returns over
+    # its path of deaths
+    cycles: dict[int, list[int]] = {D.floor: corner_vid}
     for i in range(m):
-        cycles[i] = (
-            [corner_vid[i], corner_vid[(i + 1) % m]]
-            + right[i]
-            + [top[i]]
-            + left[i][::-1]
-        )
-
-    level = Level(frozenset(range(m + 1)), cycles, list(range(len(store))))
-    return FaceLattice(D, store, level)
+        cycles[i] = [corner_vid[i], corner_vid[(i + 1) % m]] + paths[i][::-1]
+    return store, Level(cycles, list(range(len(store))))
 
 
-def bounded_core(D: Dome) -> BoundedCore:
+def bounded_core(D: Dome) -> frozenset[int]:
     """Find <= 6 facets that bound a polytope on their own.
 
     Start from the floor facet and chase the face maximizing t: if that
@@ -481,7 +385,7 @@ def bounded_core(D: Dome) -> BoundedCore:
             chk = small_lp(core_rows, tuple(obj))
             if chk.status == UNBOUNDED:
                 raise GeometryError("core candidate is unbounded")
-    return BoundedCore(frozenset(labels))
+    return frozenset(labels)
 
 
 def _cone_coefficients(D: Dome, basis) -> list[float]:
@@ -544,99 +448,61 @@ def peel_level(
     rows,
     new_level_index: int,
     ctol: float,
-    adjacency: dict[int, set[int]] | None = None,
-):
+    adjacency: dict[int, set[int]],
+) -> Level:
     """Delete an independent facet set; rebuild the lattice over each hole.
 
-    Returns the next Level plus the kill records {new vid: deleted facet}.
+    Returns the next Level; each new vertex goes into `store` born at
+    `new_level_index` with the deleted facet over it as its killer.
     Raises NonIndependentRemovalError when two deleted facets share an
     edge (their holes would interact and the local sweep would be wrong),
-    checked against `adjacency`, the level's facet adjacency, which is
-    built when not given.
+    checked against `adjacency`, the level's facet adjacency.
+
+    Each hole is capped by one collapse sweep in the deleted facet's
+    plane, whose bottom cycle is the facet's own: the plane of edge j is
+    the one facet other than f on both of the edge's end vertices.
     """
-    if adjacency is None:
-        adjacency = level.adjacency(store.tris)
-    removal_set = set(removal)
+    removed = set(removal)
     for f in removal:
-        if adjacency[f] & removal_set:
+        if adjacency[f] & removed:
             raise NonIndependentRemovalError(
                 f"facet {f} and a neighbour are both being removed"
             )
 
-    kills: dict[int, int] = {}
-    fresh_all: list[int] = []
+    tris = store.tris
+    pts = store.pts
+    first_new = len(store)
+    dead: set[int] = set()
     cycles = dict(level.cycles)
     # per neighbour: dying corner -> (partner corner, directed cap path)
     patches: dict[int, dict[int, tuple[int, list[int]]]] = {}
-
-    # Edge neighbours of every removed facet in one vectorized pass: the
-    # facet shared by consecutive cycle vertices is the duplicate entry of
-    # their concatenated sorted triples that is not the facet itself.
-    cycs = [level.cycles[f] for f in removal]
-    lens = [len(c) for c in cycs]
-    total = sum(lens)
-    flat = np.fromiter(itertools.chain.from_iterable(cycs), np.int64, total)
-    nxt_flat = np.fromiter(
-        itertools.chain.from_iterable(c[1:] + c[:1] for c in cycs), np.int64, total
-    )
-    tna = store.tri_array()
-    cat = np.sort(np.concatenate([tna[flat], tna[nxt_flat]], axis=1), axis=1)
-    dup = cat[:, 1:] == cat[:, :-1]
-    fvals = np.repeat(np.asarray(removal, dtype=np.int64), lens)
-    shared = np.where(dup, cat[:, :-1], -1)
-    shared = np.where(shared == fvals[:, None], -1, shared)
-    lab_flat = shared.max(axis=1)
-    if (lab_flat < 0).any() or dup.sum(axis=1).max() > 2:
-        raise GeometryError("a removed facet edge has no unique neighbour")
-    corners_flat = store.pts_array()[flat]
-
-    offset = 0
-    for fi, f in enumerate(removal):
+    for f in removal:
         cyc = cycles.pop(f)
-        k = lens[fi]
-        labels = lab_flat[offset : offset + k].tolist()
-        corners = corners_flat[offset : offset + k].tolist()
-        offset += k
+        dead.update(cyc)
+        labels = []
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            shared = [g for g in tris[u] if g != f and g in tris[v]]
+            if len(shared) != 1:
+                raise GeometryError("a removed facet edge has no unique neighbour")
+            labels.append(shared[0])
         nf, _of = rows[f]
-        events = collapse_sweep(labels, corners, rows, nf, ctol)
-
-        # chains per neighbour, in sweep order (see face_lattice)
-        left: dict[int, list[int]] = {}
-        right: dict[int, list[int]] = {}
-        top: dict[int, int] = {}
-        for pt, (lp, le, lq), _h in events[:-1]:
-            vid = store.alloc(pt, (lp, le, lq), new_level_index, f)
-            kills[vid] = f
-            fresh_all.append(vid)
-            right.setdefault(lp, []).append(vid)
-            top[le] = vid
-            left.setdefault(lq, []).append(vid)
-        fpt, ftri, _fh = events[-1]
-        fvid = store.alloc(fpt, ftri, new_level_index, f)
-        kills[fvid] = f
-        fresh_all.append(fvid)
-        for lab in ftri:
-            if lab in top:
-                raise GeometryError(f"cap of facet {f}: neighbour died twice")
-            top[lab] = fvid
-
-        for j in range(k):
-            g = labels[j]
+        events = collapse_sweep(labels, [pts[u] for u in cyc], rows, nf, ctol)
+        paths = _sweep_paths(events, store, new_level_index, f)
+        k = len(cyc)
+        for j, g in enumerate(labels):
             va = cyc[j]
             vb = cyc[(j + 1) % k]
-            middle = left.get(g, []) + [top[g]] + right.get(g, [])[::-1]
             entry = patches.setdefault(g, {})
-            entry[va] = (vb, middle)
-            entry[vb] = (va, middle[::-1])
+            entry[va] = (vb, paths[g])
+            entry[vb] = (va, paths[g][::-1])
 
     # one linear pass per affected neighbour applies all of its patches
     for g, entry in patches.items():
         cycles[g] = _apply_patches(cycles[g], entry, g)
 
-    old_arr = np.asarray(level.verts, dtype=np.int64)
-    keep = old_arr[~np.isin(old_arr, flat, assume_unique=False)]
-    verts = keep.tolist() + fresh_all
-    return Level(level.index_set - removal_set, cycles, verts), kills
+    verts = [v for v in level.verts if v not in dead]
+    verts.extend(range(first_new, len(store)))
+    return Level(cycles, verts)
 
 
 def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: int) -> list[int]:
@@ -683,15 +549,18 @@ class Hierarchy:
     dome: Dome
     store: VertexStore
     levels: list[Level]
-    core: BoundedCore
+    core: frozenset[int]
     rows: list[tuple]
-    scale: float
-    core_vertices: list[int] = field(default_factory=list)
-    core_edges: list[tuple[int, int]] = field(default_factory=list)
+    core_vertices: list[int]
+    core_edges: list[tuple[int, int]]
 
     @property
     def m(self) -> int:
         return self.dome.m
+
+    @property
+    def scale(self) -> float:
+        return self.dome.scale
 
     @property
     def depth(self) -> int:
@@ -720,34 +589,30 @@ class Hierarchy:
         return "\n".join(out) + "\n"
 
 
-def build_hierarchy(
-    D: Dome,
-    core: BoundedCore,
-    debug: bool = False,
-) -> Hierarchy:
-    """Stratify the dome down to the bounded core, one `removal_set` per round.
+def build_hierarchy(D: Dome, debug: bool = False) -> Hierarchy:
+    """Stratify the dome down to its `bounded_core`, one `removal_set` per
+    round, each deleted by `peel_level`.
 
     The proven rate, (F/2 - 6)/12 of a level's F facets per round, bounds
     the depth by about log(m)/log(24/23).  The build checks the depth
     against log(m)/log(6/5) + 2 instead, the bound criterion 6c tests;
     measured depths sit well below it: 15 for the regular 3000- and
-    4096-gons and 20 for the regular 65536-gon (bound 62.8).
+    4096-gons and 20 for the regular 65536-gon (bound 62.8).  `debug`
+    runs `_debug_validate`'s exhaustive checks on the result.
     """
-    lattice = face_lattice(D)
-    store = lattice.store
-    levels = [lattice.level]
+    store, level = face_lattice(D)
+    levels = [level]
     rows = D.row_list()
-    core_set = frozenset(core.labels)
+    core = bounded_core(D)
     ctol = _coincidence_tol(D.scale)
 
-    while levels[-1].index_set != core_set:
+    while levels[-1].index_set != core:
         cur = levels[-1]
         adj = cur.adjacency(store.tris)
-        removal = removal_set(cur, adj, core_set)
+        removal = removal_set(cur, adj, core)
         if not removal:
             raise GeometryError("no removable facets left but core not reached")
-        nxt, _kills = peel_level(cur, removal, store, rows, len(levels), ctol, adjacency=adj)
-        levels.append(nxt)
+        levels.append(peel_level(cur, removal, store, rows, len(levels), ctol, adj))
 
     m = D.m
     max_depth = math.log(max(m, 2)) / math.log(6.0 / 5.0) + 2.0
@@ -755,18 +620,14 @@ def build_hierarchy(
         raise GeometryError("hierarchy deeper than log(m)/log(6/5) + 2")
 
     top = levels[-1]
-    core_vertices = sorted(top.verts)
-    core_edges = sorted(top.edge_map().keys())
-
     H = Hierarchy(
         dome=D,
         store=store,
         levels=levels,
         core=core,
         rows=rows,
-        scale=D.scale,
-        core_vertices=core_vertices,
-        core_edges=core_edges,
+        core_vertices=sorted(top.verts),
+        core_edges=sorted(top.edge_map().keys()),
     )
     if debug:
         _debug_validate(H)

@@ -50,8 +50,6 @@ class QueryStats:
     Setting `trace` to a list additionally records the incumbent objective
     value at every level of a full-dimensional descent."""
 
-    levels_visited: int = 0
-    facet_sub_lps: int = 0
     vertex_inspections: int = 0
     trace: list[float] | None = None
 
@@ -64,13 +62,13 @@ def lp_max(H: Hierarchy, c, stats: QueryStats | None = None) -> LpResult:
     """Exact maximizer vertex of the dome for objective c."""
     if stats is None:
         stats = QueryStats()
-    vid = _vertex_descend(H, tuple(map(float, c)), 0, stats)
+    vid = _vertex_descend(H, tuple(map(float, c)), stats)
     p = H.store.pts[vid]
     val = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
     return LpResult(OPTIMAL, p, val, H.store.tris[vid])
 
 
-def _vertex_descend(H: Hierarchy, c, stop_level: int, stats: QueryStats) -> int:
+def _vertex_descend(H: Hierarchy, c, stats: QueryStats) -> int:
     pts = H.store.pts
     birth = H.store.birth_level
     best = -1
@@ -87,10 +85,8 @@ def _vertex_descend(H: Hierarchy, c, stop_level: int, stats: QueryStats) -> int:
     trace = stats.trace
     if trace is not None:
         trace.append(bestval)
-    for l in range(H.depth - 1, stop_level - 1, -1):
-        stats.levels_visited += 1
+    for l in range(H.depth - 1, -1, -1):
         if birth[vid] == l + 1:
-            stats.facet_sub_lps += 1
             vid = _facet_descend(H, l, killer[vid], c, stats)
         if trace is not None:
             p = pts[vid]
@@ -152,7 +148,7 @@ def lp_max_section(H: Hierarchy, plane, c, stats: QueryStats | None = None) -> L
     if stats is None:
         stats = QueryStats()
     (n, d) = plane
-    sec = _section_descend(H, tuple(map(float, n)), float(d), tuple(map(float, c)), 0, stats)
+    sec = _section_descend(H, tuple(map(float, n)), float(d), tuple(map(float, c)), stats)
     if sec is None:
         return LpResult(INFEASIBLE)
     u, v, pair, x = sec
@@ -185,8 +181,8 @@ def _sorted_triple(a, b, c):
     return (a, b, c)
 
 
-def _section_descend(H: Hierarchy, n, d, c, stop_level: int, stats: QueryStats):
-    """Core-to-`stop_level` descent of the best plane point.
+def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):
+    """Core-to-level-0 descent of the best plane point.
 
     Returns (u, v, pair, x): the optimum x on the edge between vertices u
     and v carried by the facet pair; u == v marks a vertex lying exactly
@@ -198,7 +194,7 @@ def _section_descend(H: Hierarchy, n, d, c, stop_level: int, stats: QueryStats):
     killer = H.store.birth_killer
     by_triple = H.store.by_triple
     nx, ny, nz = n
-    ztol = 1e-10 * (abs(nx) + abs(ny) + abs(nz)) * max(H.scale, 1.0)
+    ztol = 1e-10 * (abs(nx) + abs(ny) + abs(nz)) * H.scale
 
     # seed on the core by scanning its few edges
     best = None
@@ -237,8 +233,7 @@ def _section_descend(H: Hierarchy, n, d, c, stop_level: int, stats: QueryStats):
         return None
 
     u, v, pair, x = best
-    for l in range(H.depth - 1, stop_level - 1, -1):
-        stats.levels_visited += 1
+    for l in range(H.depth - 1, -1, -1):
         hits = []
         if birth[u] == l + 1:
             hits.append(killer[u])
@@ -359,7 +354,7 @@ def eval_fi(
     if stats is None:
         stats = QueryStats()
     Mi = _Mi if _Mi is not None else facet_max_t(H, i, stats)[0]
-    if t > Mi + slack(max(H.scale, 1.0)):
+    if t > Mi + slack(H.scale):
         raise OutOfRangeError(f"t={t} beyond facet {i} lifetime M={Mi}")
     if t < 0:
         raise OutOfRangeError("t must be nonnegative")
@@ -384,8 +379,7 @@ def root_lp(
         stats = QueryStats()
     Mi = facet_max_t(H, i, stats)[0]
     fM = eval_fi(H, P, i, Mi, n, stats, _Mi=Mi)
-    scale = max(H.scale, 1.0)
-    if fM > slack(scale) * 10.0:
+    if fM > slack(H.scale) * 10.0:
         raise NotQualifiedError(f"facet {i}: f_i(M_i) = {fM:g} > 0")
     return _gap_lp(H, i, n, stats)
 

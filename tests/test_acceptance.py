@@ -11,7 +11,7 @@ import numpy as np
 
 from parcut.dome import build_dome
 from parcut.geometry import canonicalize, diameter, regular_polygon
-from parcut.hierarchy import bounded_core, build_hierarchy
+from parcut.hierarchy import build_hierarchy
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
 from parcut.oracle import oracle_solve, random_polygon
 from parcut.queries import (
@@ -141,7 +141,7 @@ def test_criterion_5_lp_query_correctness():
         P = random_polygon(m, seed=int(rng.integers(1 << 30)))
         D0 = build_dome(P)
         rng.integers(1 << 30)  # unused draw: keeps this criterion's polygons and queries fixed
-        H = build_hierarchy(D0, bounded_core(D0))
+        H = build_hierarchy(D0)
         rows = list(H.rows)
         apex = lp_max(H, (0.0, 0.0, 1.0)).value
         for _ in range(120):
@@ -208,7 +208,7 @@ def test_criterion_6_complexity_envelopes():
             solve_ok = False
 
         D0 = build_dome(P)
-        H = build_hierarchy(D0, bounded_core(D0))
+        H = build_hierarchy(D0)
         if H.depth > math.log(m) / math.log(6 / 5) + 2:
             depth_ok = False
         if H.total_vertices() > 12 * m:

@@ -6,7 +6,7 @@ import pytest
 
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
-from parcut.hierarchy import BoundedCore, _dome_sweep, bounded_core, face_lattice, perturb
+from parcut.hierarchy import _dome_sweep, bounded_core, face_lattice, perturb
 from parcut.oracle import random_polygon
 from parcut.lp import OPTIMAL, small_lp
 
@@ -94,36 +94,38 @@ class TestBuildDome:
             )
 
 
+def lattice_counts(D):
+    """(V, E, F) of the dome's face lattice."""
+    _store, level = face_lattice(D)
+    return len(level.verts), len(level.edge_map()), len(level.cycles)
+
+
 class TestFaceLattice:
     def test_triangle_is_tetrahedron(self):
-        L = face_lattice(build_dome(equilateral()))
-        assert (L.n_vertices, L.n_edges, L.n_facets) == (4, 6, 4)
+        assert lattice_counts(build_dome(equilateral())) == (4, 6, 4)
 
     def test_square_counts(self):
         # four planes through the apex: two vertices joined by an edge of
         # length zero, so the lattice is that of a simple polytope
-        L = face_lattice(build_dome(unit_square()))
-        assert (L.n_vertices, L.n_edges, L.n_facets) == (6, 9, 5)
+        assert lattice_counts(build_dome(unit_square())) == (6, 9, 5)
 
     def test_square_perturbed_counts(self):
         D = perturb(build_dome(unit_square()), seed=0)
-        L = face_lattice(D)
-        assert (L.n_vertices, L.n_edges, L.n_facets) == (6, 9, 5)
+        assert lattice_counts(D) == (6, 9, 5)
 
     def test_hexagon_perturbed_counts(self):
         # simple 3-polytope with F = m+1 facets: V = 2F-4, E = 3F-6
         D = perturb(build_dome(regular_polygon(6)), seed=0)
-        L = face_lattice(D)
-        assert (L.n_vertices, L.n_edges, L.n_facets) == (10, 15, 7)
+        assert lattice_counts(D) == (10, 15, 7)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for trial in range(8):
             P = canonicalize(rng.normal(size=(rng.integers(4, 9), 2)))
             D = perturb(build_dome(P), seed=trial)
-            L = face_lattice(D)
+            store, level = face_lattice(D)
             ref = brute_force_vertices(D)
-            got = [L.store.pts[v] for v in L.level.verts]
+            got = [store.pts[v] for v in level.verts]
             assert len(got) == len(ref)
             for p in ref:
                 assert any(np.allclose(p, q, atol=1e-7 * D.scale) for q in got)
@@ -131,30 +133,28 @@ class TestFaceLattice:
     def test_euler_and_simplicity(self):
         for m, seed in [(8, 1), (16, 2), (64, 1)]:
             D = perturb(build_dome(regular_polygon(m)), seed=seed)
-            L = face_lattice(D)
-            V, E, F = L.n_vertices, L.n_edges, L.n_facets
+            V, E, F = lattice_counts(D)
             assert V - E + F == 2
             assert V == 2 * (m + 1) - 4
             # every vertex on exactly 3 facets, genericity after perturb
             count = {}
-            for f, cyc in L.facets().items():
+            for f, cyc in face_lattice(D)[1].cycles.items():
                 for v in cyc:
                     count[v] = count.get(v, 0) + 1
             assert set(count.values()) == {3}
 
     def test_vertices_on_their_planes(self):
         D = perturb(build_dome(regular_polygon(9)), seed=3)
-        L = face_lattice(D)
-        for v in L.level.verts:
-            p = L.store.pts[v]
-            for lab in L.store.tris[v]:
+        store, level = face_lattice(D)
+        for v in level.verts:
+            p = store.pts[v]
+            for lab in store.tris[v]:
                 n, o = D.row(lab)
                 assert abs(np.dot(n, p) - o) < 1e-8 * D.scale
 
     def test_facet_cycles_are_edges_of_both(self):
         D = perturb(build_dome(regular_polygon(7)), seed=4)
-        L = face_lattice(D)
-        for pair, facets in L.edges().items():
+        for pair, facets in face_lattice(D)[1].edge_map().items():
             assert len(facets) == 2
 
     def test_perturb_deterministic(self):
@@ -195,32 +195,25 @@ class TestFaceLattice:
 
     def test_triangle_unchanged_by_perturbation(self):
         D0 = build_dome(equilateral())
-        L0 = face_lattice(D0)
-        L1 = face_lattice(perturb(D0, seed=0))
-        assert (L0.n_vertices, L0.n_edges, L0.n_facets) == (
-            L1.n_vertices,
-            L1.n_edges,
-            L1.n_facets,
-        )
+        assert lattice_counts(D0) == lattice_counts(perturb(D0, seed=0))
 
 
 class TestBoundedCore:
     def test_triangle_core_is_everything(self):
         D = build_dome(equilateral())
-        core = bounded_core(D)
-        assert core.labels == frozenset(range(4))
+        assert bounded_core(D) == frozenset(range(4))
 
     def test_square_core(self):
         D = perturb(build_dome(unit_square()), seed=0)
         core = bounded_core(D)
-        assert D.floor in core.labels
-        assert core.size <= 6
+        assert D.floor in core
+        assert len(core) <= 6
         _assert_bounded(D, core)
 
     def test_hexagon_core(self):
         D = perturb(build_dome(regular_polygon(6)), seed=0)
         core = bounded_core(D)
-        assert core.size <= 6
+        assert len(core) <= 6
         _assert_bounded(D, core)
 
     def test_rectangle_ridge_core(self):
@@ -228,7 +221,7 @@ class TestBoundedCore:
         P = canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)])
         D = build_dome(P)
         core = bounded_core(D)
-        assert core.size <= 6
+        assert len(core) <= 6
         _assert_bounded(D, core)
 
     def test_random_cores_bounded(self):
@@ -237,7 +230,7 @@ class TestBoundedCore:
             P = canonicalize(rng.normal(size=(12, 2)))
             D = perturb(build_dome(P), seed=trial)
             core = bounded_core(D)
-            assert core.size <= 6
+            assert len(core) <= 6
             _assert_bounded(D, core)
 
 
@@ -307,8 +300,8 @@ class TestFacetLifetimes:
             assert life.readmits == 0
 
 
-def _assert_bounded(D, core: BoundedCore):
-    rows = [D.row(i) for i in sorted(core.labels)]
+def _assert_bounded(D, core: frozenset[int]):
+    rows = [D.row(i) for i in sorted(core)]
     for k in range(3):
         for sgn in (1.0, -1.0):
             obj = [0.0, 0.0, 0.0]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import build_dome
-from parcut.errors import NonIndependentRemovalError
+from parcut.dome import _coincidence_tol, build_dome
+from parcut.errors import GeometryError, NonIndependentRemovalError
 from parcut.geometry import canonicalize, regular_polygon
 from parcut.hierarchy import (
     MAX_PEEL_VERTICES,
@@ -19,9 +19,7 @@ from parcut.oracle import random_polygon
 
 
 def _hierarchy_for(P, debug=False):
-    D = build_dome(P)
-    core = bounded_core(D)
-    return build_hierarchy(D, core, debug=debug)
+    return build_hierarchy(build_dome(P), debug=debug)
 
 
 GENERIC_HEXAGON = canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)])
@@ -45,7 +43,7 @@ class TestRemovalSet:
         # short facets outside the core, on every level of a build
         for P in (regular_polygon(64), GENERIC_HEXAGON, random_polygon(256, seed=4)):
             H = _hierarchy_for(P)
-            core = H.core.labels
+            core = H.core
             for lv in H.levels[:-1]:
                 adj = lv.adjacency(H.store.tris)
                 assert self._check(lv, adj, core)
@@ -56,7 +54,7 @@ class TestRemovalSet:
         # 3 of 12 vertices that borders nothing and is never taken
         cycles = {0: list(range(5)), 1: list(range(4)), 2: list(range(5)), 3: list(range(12))}
         adj = {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
-        level = Level(frozenset(cycles), cycles, [])
+        level = Level(cycles, [])
         assert removal_set(level, adj, frozenset()) == [1]
         assert removal_set(level, adj, frozenset({1})) == [0, 2]
         cycles[1] = list(range(6))
@@ -68,43 +66,51 @@ class TestPeel:
         # a generic hexagon: no four planes through one point, so every
         # new vertex lies strictly beyond the removed plane
         D = build_dome(GENERIC_HEXAGON)
-        L = face_lattice(D)
-        core = bounded_core(D)
-        outside = sorted(L.level.index_set - core.labels)
+        store, level = face_lattice(D)
+        outside = sorted(level.index_set - bounded_core(D))
         assert outside, "hexagon dome should have at least one non-core facet"
         f = outside[0]
-        from parcut.dome import _coincidence_tol
-
         rows = [D.row(i) for i in range(D.m + 1)]
-        nxt, kills = peel_level(
-            L.level, [f], L.store, rows, 1, _coincidence_tol(D.scale)
-        )
-        assert len(nxt.cycles) == len(L.level.cycles) - 1
-        assert all(k == f for k in kills.values())
+        adj = level.adjacency(store.tris)
+        nxt = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
+        assert len(nxt.cycles) == len(level.cycles) - 1
+        born = [v for v in nxt.verts if store.birth_level[v] == 1]
+        assert born
+        assert all(store.birth_killer[v] == f for v in born)
         # new vertices really do violate the removed facet
         n, off = rows[f]
-        for vid in kills:
-            p = L.store.pts[vid]
+        for vid in born:
+            p = store.pts[vid]
             assert n[0] * p[0] + n[1] * p[1] + n[2] * p[2] > off
 
     def test_non_independent_rejected(self):
         D = build_dome(regular_polygon(8))
-        L = face_lattice(D)
-        adj = L.adjacency()
+        store, level = face_lattice(D)
+        adj = level.adjacency(store.tris)
         f = 0
         g = sorted(adj[f])[0]
-        from parcut.dome import _coincidence_tol
-
         rows = [D.row(i) for i in range(D.m + 1)]
         with pytest.raises(NonIndependentRemovalError):
-            peel_level(L.level, [f, g], L.store, rows, 1, _coincidence_tol(D.scale))
+            peel_level(level, [f, g], store, rows, 1, _coincidence_tol(D.scale), adj)
+
+    def test_edge_without_unique_neighbour_rejected(self):
+        # swapping two vertices of a cycle makes one of its edges join
+        # vertices that share no facet besides the deleted one
+        D = build_dome(GENERIC_HEXAGON)
+        store, level = face_lattice(D)
+        adj = level.adjacency(store.tris)
+        cyc = level.cycles[5]
+        cyc[0], cyc[1] = cyc[1], cyc[0]
+        rows = [D.row(i) for i in range(D.m + 1)]
+        with pytest.raises(GeometryError, match="a removed facet edge has no unique neighbour"):
+            peel_level(level, [5], store, rows, 1, _coincidence_tol(D.scale), adj)
 
 
 class TestBuildHierarchy:
     def test_triangle_trivial(self):
         H = _hierarchy_for(canonicalize([(0, 0), (1, 0), (0.5, 0.8)]), debug=True)
         assert H.depth <= 1
-        assert H.core.labels == frozenset(range(4))
+        assert H.core == frozenset(range(4))
 
     def test_depth_bound_64(self):
         H = _hierarchy_for(regular_polygon(64), debug=True)
@@ -124,7 +130,7 @@ class TestBuildHierarchy:
 
     def test_core_is_last_level(self):
         H = _hierarchy_for(regular_polygon(32))
-        assert H.levels[-1].index_set == H.core.labels
+        assert H.levels[-1].index_set == H.core
 
     def test_every_level_valid_polytope(self):
         H = _hierarchy_for(regular_polygon(20), debug=True)

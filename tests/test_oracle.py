@@ -6,7 +6,7 @@ import pytest
 from parcut.dome import build_dome
 from parcut.errors import EmptyInteriorError
 from parcut.geometry import canonicalize, inradius_incenter
-from parcut.hierarchy import bounded_core, build_hierarchy
+from parcut.hierarchy import build_hierarchy
 from parcut.oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
 from parcut.queries import eval_fi, facet_max_t
 from parcut.solver import solve, verify_solution
@@ -56,7 +56,7 @@ class TestOracleMi:
         for trial in range(5):
             P = canonicalize(rng.normal(size=(10, 2)))
             D0 = build_dome(P)
-            H = build_hierarchy(D0, bounded_core(D0))
+            H = build_hierarchy(D0)
             diam = max(1.0, float(np.abs(P.vertices).max()))
             for i in range(P.m):
                 a = oracle_Mi(P, i)
@@ -169,7 +169,7 @@ class TestGridAgreement:
         for trial in range(4):
             P = random_polygon(16, seed=trial)
             D0 = build_dome(P)
-            H = build_hierarchy(D0, bounded_core(D0))
+            H = build_hierarchy(D0)
             diam = max(1.0, float(np.abs(P.vertices).max()) * 2)
             n = 1 + trial % 4
             for i in range(0, P.m, 3):

@@ -5,7 +5,7 @@ import pytest
 
 from parcut.dome import build_dome
 from parcut.geometry import canonicalize, regular_polygon
-from parcut.hierarchy import bounded_core, build_hierarchy
+from parcut.hierarchy import build_hierarchy
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
 from parcut.oracle import oracle_fi, random_polygon
 from parcut.queries import (
@@ -24,8 +24,7 @@ SQ3 = math.sqrt(3.0)
 
 
 def hier(P):
-    D = build_dome(P)
-    return build_hierarchy(D, bounded_core(D))
+    return build_hierarchy(build_dome(P))
 
 
 def square_hier():
@@ -242,6 +241,22 @@ class TestEngineAgainstClosedForm:
             for i in np.nonzero(~np.isnan(root))[0].tolist():
                 got = root_lp(H, P, i, n)
                 assert got == pytest.approx(root[i], rel=1e-12, abs=0), (k, i)
+
+    def test_root_lp_matches_closed_form_below_unit_size(self):
+        # the engine's tolerances follow the polygon's scale: floored at
+        # unit size they swamp the geometry of a polygon 1e-6 across.
+        # k = 0 at 1e-9 is left out: there `solve` itself raises, from the
+        # absolute 1e-12 floor of `tolerance.slack`, not from the engine
+        cases = [(1e-6, k) for k in range(6)] + [(1e-9, k) for k in range(1, 6)]
+        for s, k in cases:
+            P0 = random_polygon(24 + k, seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
+            P = canonicalize(P0.vertices * s)
+            n = 2 + k % 3
+            H = hier(P)
+            root = solve(P, n).diagnostics.root
+            for i in np.nonzero(~np.isnan(root))[0].tolist():
+                got = root_lp(H, P, i, n)
+                assert got == pytest.approx(root[i], rel=1e-12, abs=0), (s, k, i)
 
     def test_eval_fi_matches_oracle(self):
         # (case, edge, t / M_i)

@@ -6,7 +6,7 @@ import pytest
 from parcut.dome import build_dome
 from parcut.errors import InvalidPieceCountError, NotQualifiedError, OutOfRangeError, VerificationFailedError
 from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
-from parcut.hierarchy import bounded_core, build_hierarchy
+from parcut.hierarchy import build_hierarchy
 from parcut.oracle import oracle_fi, random_polygon
 from parcut.queries import eval_fi, facet_max_t, root_lp
 from parcut.solver import Cut, place_cuts, solve, verify_solution
@@ -28,8 +28,7 @@ def equilateral():
 
 
 def hier_for(P):
-    D0 = build_dome(P)
-    return build_hierarchy(D0, bounded_core(D0))
+    return build_hierarchy(build_dome(P))
 
 
 class TestEvalFi:
