@@ -388,42 +388,70 @@ def inner_body(P: HPolygon, t: float, interior=None) -> HPolygon | None:
         return None
 
 
-def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=()):
+def _spread_rows(A: np.ndarray) -> np.ndarray:
+    """`chebyshev_lp`'s sample start: the first and the last row, in angle
+    order, of each of _LP_BATCH equal angle bins; every row up to
+    2 * _LP_BATCH rows."""
+    m = len(A)
+    if m <= 2 * _LP_BATCH:
+        return np.ones(m, dtype=bool)
+    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+    order = np.argsort(ang, kind="stable")
+    bins = np.minimum((ang[order] * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
+    change = np.nonzero(np.diff(bins))[0]
+    used = np.zeros(m, dtype=bool)
+    used[order[[0, m - 1]]] = True
+    used[order[change]] = True
+    used[order[change + 1]] = True
+    return used
+
+
+def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks=None):
     """Maximize t subject to A x + t <= b and the lifted rows `extras`.
 
     With unit rows of A this is the largest disk, of radius t centred at
     x, inside {A x <= b}; `extras` are ((a_x, a_y, a_t), offset) rows such
     as the floor t >= 0.  Returns the LpResult of `small_lp`.
 
-    Solved by constraint generation: start from the first and the last
-    row, in angle order, of each of _LP_BATCH equal angle bins, plus every
-    extra row, then add the rows the optimum violates, most violated first,
-    until it violates none.  An optimum of a subset that is feasible for
-    every row is optimal for all of them.  The start rows bound the LP
-    whenever all rows do: consecutive start normals lie within one bin or
-    are consecutive normals of the rows, so no two are pi or more apart.
-    An unbounded start (possible only by rounding) falls back to every
-    row.  Up to 2 * _LP_BATCH rows it is a single LP over all rows.
+    Solved by constraint generation: start from a subset of the rows plus
+    every extra row, then add the rows the optimum violates, most violated
+    first, until it violates none.  An optimum of a subset that is feasible
+    for every row is optimal for all of them, so the start changes the
+    number of rounds, never the optimal value beyond rounding.
+
+    Given `points`, one or more (x, y) near which largest disks are
+    expected to be centred, the start is the 4 rows of least depth
+    b - A.x at the nearest of them.  Where the points are the ends of the
+    edge or the vertex of optimal centres, those include every row the
+    largest disks touch, and the LP ends in one round.  Otherwise, and
+    when that start is unbounded, the start is the first and the last
+    row, in angle order, of each of _LP_BATCH equal angle bins, or every
+    row up to 2 * _LP_BATCH rows.  Those bin rows bound the LP whenever
+    all rows do: consecutive start normals lie within one bin or are
+    consecutive normals of the rows, so no two are pi or more apart.  An
+    unbounded bin start (possible only by rounding) falls back to every
+    row.  A Counter `fallbacks`, when given, counts "hint" for each
+    unbounded start at `points` and "every_row" for each unbounded bin
+    start.
     """
     m = len(b)
-    if m <= 2 * _LP_BATCH:
-        used = np.ones(m, dtype=bool)
-    else:
-        ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-        order = np.argsort(ang, kind="stable")
-        bins = np.minimum((ang[order] * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
-        change = np.nonzero(np.diff(bins))[0]
+    hinted = points is not None and m > 4
+    if hinted:
+        depth = (b - np.asarray(points, float).reshape(-1, 2) @ A.T).min(axis=0)
         used = np.zeros(m, dtype=bool)
-        used[order[[0, m - 1]]] = True
-        used[order[change]] = True
-        used[order[change + 1]] = True
+        used[np.argpartition(depth, 4)[:4]] = True
+    else:
+        used = _spread_rows(A)
     extras = list(extras)
     while True:
         idx = np.nonzero(used)[0]
         rows = [((a0, a1, 1.0), bi) for (a0, a1), bi in zip(A[idx].tolist(), b[idx].tolist())]
         res = small_lp(rows + extras, (0.0, 0.0, 1.0))
         if res.status == UNBOUNDED and not used.all():
-            used[:] = True
+            if fallbacks is not None:
+                fallbacks["hint" if hinted else "every_row"] += 1
+            used = _spread_rows(A) if hinted else np.ones(m, dtype=bool)
+            hinted = False
             continue
         if res.status != OPTIMAL:
             return res

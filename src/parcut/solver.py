@@ -28,16 +28,18 @@ The n-1 cuts are then equally spaced along that normal and the answer is
 verified from scratch.  Per-edge diagnostics are read off the same
 bracket as float arrays indexed by edge: an edge's root is reported only
 when it lies there, and nan stands for a value not reported.
-`Solution.stats["fallbacks"]` counts the path's two safety nets: the
-sweep's re-admissions after its heap ran empty early, and the inner
-bodies at n >= 2 that the lifetimes could not assemble, so that
-`inner_body` built them.
+`Solution.stats["fallbacks"]` counts the path's safety nets: the
+sweep's re-admissions after its heap ran empty early, the inner bodies
+at n >= 2 that the lifetimes could not assemble, so that `inner_body`
+built them, and, from the verification, the piece LPs whose start at
+I_rho was unbounded and those that fell back to every row.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +105,7 @@ class VerificationReport:
     max_piece_inradius: float
     tolerance: float
     ok: bool
+    fallbacks: dict[str, int]
 
 
 @dataclass
@@ -266,7 +269,8 @@ def solve(P, n: int) -> Solution:
             "lp_queries": work["probes"],
             "vertex_inspections": life.events + work["rows"],
             "binary_search_steps": work["steps"],
-            "fallbacks": {"sweep_readmits": life.readmits, "inner_body": int(inner_fallback)},
+            "fallbacks": {"sweep_readmits": life.readmits, "inner_body": int(inner_fallback),
+                          **report.fallbacks},
         },
     )
 
@@ -306,8 +310,18 @@ def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = Non
     ]
 
 
+def _far_edge(X: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The vertex of the convex cycle X where s is largest and its
+    neighbour with the larger s: the ends of the edge where s is largest,
+    or of an edge through the vertex where it is."""
+    i = int(np.argmax(s))
+    j = (i + 1) % len(s) if s[(i + 1) % len(s)] > s[i - 1] else i - 1
+    return X[[i, j]]
+
+
 def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
-                   inner: HPolygon | None = None, rho: float = 0.0) -> list[float]:
+                   inner: HPolygon | None = None, rho: float = 0.0,
+                   fallbacks: Counter | None = None) -> list[float]:
     """Inradius of each piece of P between consecutive cut offsets along v.
 
     Interior pieces are settled by the strip lemma when the inner body
@@ -337,6 +351,19 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     own edges' rows and its one or two slab rows, and its vertex cycle is
     its own edges' endpoints (a convex polygon inside P holding the piece)
     clipped by its slab rows.
+
+    Given I_rho, each end piece's LP starts at I_rho's face farthest
+    along -v (piece 0) or +v (piece k): the ends of its edge there, or
+    of an edge through its vertex there (`_far_edge`).  For an honest
+    claim piece 0 is P's part with v.x <= s_min + rho, so a disk of
+    radius r >= rho in it is centred in I_r, within I_rho, at
+    v.x <= s_min + rho - r: r = rho, and the centre lies on I_rho's face
+    at s_min (likewise for piece k at s_max).  The LP then starts from
+    the rows those disks touch and ends in one round of 4 rows plus the
+    floor and slab rows (`chebyshev_lp`).  The hint comes from I_rho
+    alone and changes only the number of rounds, never a value.  The
+    Counter `fallbacks` counts the LPs whose hinted start was unbounded
+    ("hint") and those whose angle-bin start was ("every_row").
     """
     A, b, V = P.A, P.b, P.vertices
     m = P.m
@@ -346,14 +373,17 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     vx, vy = float(v[0]), float(v[1])
     inradii = np.zeros(k + 1)
     settled = np.zeros(k + 1, dtype=bool)
-    if inner is not None and k >= 2:
-        lo, hi = offsets[:-1], offsets[1:]
-        w = (hi - lo) / 2
-        mid = (lo + hi) / 2
+    hints = {}
+    if inner is not None:
         s = inner.vertices[:, 0] * vx + inner.vertices[:, 1] * vy
-        eps = min(_LEMMA_REL * max(abs(offsets[0]), abs(offsets[-1]), rho), vtol)
-        settled[1:k] = (w > 0) & (w <= rho + eps) & (mid >= s.min()) & (mid <= s.max())
-        inradii[1:k] = w
+        hints = {k: _far_edge(inner.vertices, s), 0: _far_edge(inner.vertices, -s)}
+        if k >= 2:
+            lo, hi = offsets[:-1], offsets[1:]
+            w = (hi - lo) / 2
+            mid = (lo + hi) / 2
+            eps = min(_LEMMA_REL * max(abs(offsets[0]), abs(offsets[-1]), rho), vtol)
+            settled[1:k] = (w > 0) & (w <= rho + eps) & (mid >= s.min()) & (mid <= s.max())
+            inradii[1:k] = w
 
     proj = V[:, 0] * vx + V[:, 1] * vy
     prev = np.roll(proj, 1)
@@ -366,7 +396,10 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
 
     for j in np.nonzero(~settled)[0].tolist():
         E = edge[bounds[j]:bounds[j + 1]]
-        verts = V[np.union1d((E - 1) % m, E)]
+        # E ascends, so vertex e - 1 goes just before each edge e whose
+        # predecessor is not in E: the endpoints in order, with no sort
+        gap = np.flatnonzero(np.diff(E, prepend=E[-1:] - m) != 1)
+        verts = V[np.insert(E, gap, E[gap] - 1)]
         extras = [_FLOOR]
         if j > 0:
             verts = clip_halfplane(verts, -v, -offsets[j - 1])
@@ -376,7 +409,7 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
             extras.append(((vx, vy, 1.0), float(offsets[j])))
         if len(verts) < 3:
             raise VerificationFailedError("pieces", "degenerate piece produced")
-        res = chebyshev_lp(A[E], b[E], extras)
+        res = chebyshev_lp(A[E], b[E], extras, hints.get(j), fallbacks)
         if res.status != OPTIMAL:
             raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
         inradii[j] = res.value
@@ -408,12 +441,22 @@ def verify_solution(
     its slab; the two end pieces and any piece that fails the lemma's
     test (or every piece, when I_rho is empty) get an inradius LP that
     reads only their own edges, found by splitting P's boundary at the
-    cuts in one sorted pass (`_piece_inradii`).
+    cuts in one sorted pass (`_piece_inradii`).  Each end piece's LP
+    starts at I_rho's face farthest along the cut normal, where an honest
+    claim's end piece centres its largest disks; the I_rho it uses is the
+    one rebuilt here from P and the claim (or the solver's own, which
+    `solve` passes in).  The start changes the number of LP rounds, never
+    a value.  With no cuts and I_rho empty the one piece is P, whose
+    inradius the width check has just solved for.  The report's
+    `fallbacks` counts the piece LPs whose start at I_rho was unbounded
+    ("piece_hint") and those whose angle-bin start fell back to every row
+    ("piece_every_row").
     """
     diam = _diam if _diam is not None else diameter(P)
     vtol = 1e-8 * diam
 
     inner = _inner if _inner is not None else inner_body(P, rho)
+    r = None
     if inner is None:
         r, _ = inradius_incenter(P)
         if rho > r + vtol:
@@ -434,7 +477,11 @@ def verify_solution(
     if not np.all(np.hypot(*(normals - v).T) <= 1e-8):
         raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
     offsets = np.array([float(cut.offset) for cut in cuts])
-    inradii = _piece_inradii(P, v, offsets, vtol, inner, rho)
+    fallbacks = Counter()
+    if r is not None and not cuts:  # the one piece is P, whose LP gave r
+        inradii = [r]
+    else:
+        inradii = _piece_inradii(P, v, offsets, vtol, inner, rho, fallbacks)
     if len(inradii) != n:
         raise VerificationFailedError("pieces", f"{len(inradii)} pieces, wanted {n}")
     max_r = max(inradii)
@@ -452,4 +499,5 @@ def verify_solution(
         max_piece_inradius=float(max_r),
         tolerance=vtol,
         ok=True,
+        fallbacks={"piece_hint": fallbacks["hint"], "piece_every_row": fallbacks["every_row"]},
     )

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -363,6 +364,25 @@ class TestAgainstLoops:
             got = chebyshev_lp(P.A[perm], P.b[perm])
             assert got.status == ref.status == OPTIMAL
             assert got.value == pytest.approx(ref.value, abs=1e-12)
+
+    def test_chebyshev_lp_hint_falls_back(self):
+        # near the middle of a finely sampled arc the 4 rows of least depth
+        # have nearly equal normals, so the hinted start is unbounded; the
+        # LP starts again from every row (m <= 128) or from the angle bins
+        # (m > 128) and reaches the optimum it reaches without the hint
+        floor = ((0.0, 0.0, -1.0), 0.0)
+        for P in (regular_polygon(100), random_polygon(120, seed=3, model="ellipse"),
+                  regular_polygon(1000), random_polygon(700, seed=4, model="smoothed")):
+            scale = float(np.abs(P.b).max())
+            for j in (0, P.m // 3):
+                point = 0.99 * (P.vertices[j - 1] + P.vertices[j]) / 2  # inside, by edge j
+                for extras in ((), (floor,)):
+                    ref = chebyshev_lp(P.A, P.b, extras)
+                    fallbacks = Counter()
+                    got = chebyshev_lp(P.A, P.b, extras, point, fallbacks)
+                    assert got.status == ref.status == OPTIMAL
+                    assert abs(got.value - ref.value) <= 1e-12 * scale
+                    assert fallbacks == Counter(hint=1)
 
     def test_min_width(self):
         rng = np.random.default_rng(21)

@@ -335,10 +335,10 @@ class TestLifetimePath:
 
         P = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)])
         ref = solve(P, 2)
-        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0}
+        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "piece_hint": 0, "piece_every_row": 0}
         monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
         s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0}
+        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0, "piece_hint": 0, "piece_every_row": 0}
         assert s.rho == ref.rho and s.winner == ref.winner
         assert s.verification.ok
 
@@ -350,10 +350,32 @@ class TestLifetimePath:
         assert ref.stats["fallbacks"]["inner_body"] == 0
         monkeypatch.setattr(solver_mod, "_inner_from_lifetimes", lambda *args: None)
         s = solve(P, 3)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1}
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1, "piece_hint": 0, "piece_every_row": 0}
         assert s.rho == ref.rho and s.winner == ref.winner
         assert [c.offset for c in s.cuts] == pytest.approx([c.offset for c in ref.cuts], abs=1e-12)
         assert s.verification.ok
+
+    def test_piece_lp_fallbacks_are_counted(self, monkeypatch):
+        # a stand-in small_lp that calls every LP of fewer than 200 rows
+        # unbounded: each end piece of the 1000-gon (about 500 rows) falls
+        # back from its start at I_rho to the angle bins, and from those to
+        # every row, and still finds its inradius
+        import parcut.geometry as geometry_mod
+        from parcut.lp import UNBOUNDED, LpResult, small_lp
+
+        P = random_polygon(1000, seed=5)
+        ref = solve(P, 2)
+
+        def short_unbounded(rows, *args, **kwargs):
+            if len(rows) < 200:
+                return LpResult(UNBOUNDED)
+            return small_lp(rows, *args, **kwargs)
+
+        monkeypatch.setattr(geometry_mod, "small_lp", short_unbounded)
+        s = solve(P, 2)
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "piece_hint": 2, "piece_every_row": 2}
+        assert s.verification.fallbacks == {"piece_hint": 2, "piece_every_row": 2}
+        assert s.verification.piece_inradii == pytest.approx(ref.verification.piece_inradii, abs=1e-12 * s.rho)
 
     def test_thin_rectangle(self):
         # 1 x 1e-9: rho = h / (2n) along (0, 1); verification's 1e-8 slack

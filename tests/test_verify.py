@@ -4,14 +4,20 @@ The reference clips P at every cut in turn, solves each piece's inradius
 LP over every row of P, and finds the inner body's interior point with one
 LP over every row.  The verification under test settles interior pieces
 by the strip lemma, splits P's boundary at the cuts and gives each
-remaining piece's LP only its own edges.
+remaining piece's LP only its own edges.  An end piece's LP starts from
+the rows of least depth at the ends of I_rho's edge farthest along the
+cut normal, I_rho being the inner body that verification rebuilt from P
+and the claim; the start may change the number of LP rounds, never a
+value, so the reference has no such start.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from parcut.errors import EmptyInteriorError, VerificationFailedError
-from parcut import solver
+from parcut import geometry, solver
 from parcut.geometry import canonicalize, clip_halfplane, inner_body, inradius_incenter, min_width, regular_polygon
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
@@ -239,6 +245,33 @@ class TestStripLemma:
         ref = _pieces_ref(P, v, offsets.tolist())
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
 
+    def test_end_piece_lp_is_one_round(self, monkeypatch):
+        # I_rho meets the cut normal in an edge (the winner's row) at one end
+        # of a random draw and in a vertex at the other, and in an edge at
+        # both ends of the regular 4096-gon; each end piece's LP is a single
+        # small_lp call of at most 6 rows either way
+        polygons = [random_polygon(4096, seed=s, model=model)
+                    for s, model in enumerate(("circle", "ellipse", "smoothed"))]
+        for P in polygons + [regular_polygon(4096)]:
+            s = solve(P, 2)
+            v = np.asarray(s.direction)
+            offsets = np.array([c.offset for c in s.cuts])
+            inner = inner_body(P, s.rho)
+            rows = []
+
+            def counting_lp(constraints, *args, **kwargs):
+                rows.append(len(constraints))
+                return small_lp(constraints, *args, **kwargs)
+
+            fallbacks = Counter()
+            with monkeypatch.context() as mp:
+                mp.setattr(geometry, "small_lp", counting_lp)
+                got = _piece_inradii(P, v, offsets, 1e-8 * _diameter_ref(P), inner, s.rho, fallbacks)
+            assert len(rows) == 2 and max(rows) <= 6, rows
+            assert not fallbacks
+            ref = _pieces_ref(P, v, offsets.tolist())
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
+
     def test_random_slabs(self, monkeypatch):
         # slabs of random half-width up to just over rho, at random starts:
         # the lemma settles those whose midline lies in I_rho, the LP the rest
@@ -278,6 +311,21 @@ class TestStripLemma:
         _check_split(P, v, [1.0, 2.0, 2.0, 3.0], rho)
         assert _outcome(_piece_inradii, P, v, np.array([1.0, 2.0, 2.0, 3.0]), 1e-8,
                         inner_body(P, rho), rho) == "pieces"
+
+
+def test_one_piece_reuses_the_inradius():
+    # at n = 1 I_rho is empty, so the width check solves P's inradius LP;
+    # the one piece is P, and its inradius is that value, not a third LP
+    for P in (random_polygon(64, seed=1), random_polygon(1000, seed=2, model="ellipse")):
+        s = solve(P, 1)
+        lp = _CountingLp()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "chebyshev_lp", lp)
+            mp.setattr(solver, "chebyshev_lp", lp)
+            rep = verify_solution(P, 1, s.rho, s.direction, s.cuts)
+        assert lp.calls == 2  # inner_body's feasibility LP and the inradius
+        r = _piece_inradii(P, np.asarray(s.direction), np.array([]), 1e-8 * _diameter_ref(P))
+        assert rep.piece_inradii == r == [inradius_incenter(P)[0]]
 
 
 class TestSmallPolygons:
