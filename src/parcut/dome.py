@@ -8,17 +8,17 @@ un-normalized normal (A_i, 1) so that slice algebra stays exact.
 
 Sweeping upward from the floor, the slice is a convex polygon whose
 edges die one by one, and each death is a vertex of the dome.
-`facet_lifetimes` reads every facet's top, the height at which its
-polygon edge leaves the inner body, off one heights-only sweep of the
-dome as it is: no dome vertex is kept but the apex.  The event sweep
-that keeps every vertex, over any bottom cycle, belongs to the
-hierarchy (`parcut.hierarchy.collapse_sweep`); both share `_solve3` and
-the coincidence tolerance.
+`facet_lifetimes` is the one sweep of the whole dome.  It reads every
+facet's top, the height at which its polygon edge leaves the inner body,
+off the dome as it is, and keeps no dome vertex but the apex: only the
+order of the deaths, from which the hierarchy's level 0 replays every
+vertex (`parcut.hierarchy.face_lattice`).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +147,22 @@ class Lifetimes:
     highest point, i.e. the incenter and the inradius.  `events` counts
     the sweep's vertex events, and `readmits` the times its heap ran
     empty early and every live edge was estimated again (a safety net).
+    `order` holds the m - 3 edges that die before the last three, in order.
     """
 
     M: np.ndarray
     apex: tuple[float, float, float]
     events: int
     readmits: int
+    order: np.ndarray
 
 
 def _heights(ax, ay, b, p, e, q):
-    """Height where lifted row e meets rows p and q, for index arrays, and
-    where that triple is not near-singular.
+    """Point (x, y, t) where lifted row e meets rows p and q, for index
+    arrays, and where that triple is not near-singular.
 
     `_solve3`'s branch for three rows of t-coefficient 1, in its operation
-    order, so each height is bit for bit the point's t that it returns.
+    order, so each point is bit for bit the one it returns.
     """
     dx1 = ax[e] - ax[p]
     dy1 = ay[e] - ay[p]
@@ -173,7 +175,7 @@ def _heights(ax, ay, b, p, e, q):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (do1 * dy2 - do2 * dy1) / det
         y = (dx1 * do2 - dx2 * do1) / det
-    return b[p] - ax[p] * x - ay[p] * y, ok
+    return x, y, b[p] - ax[p] * x - ay[p] * y, ok
 
 
 def facet_lifetimes(D: Dome) -> Lifetimes:
@@ -192,15 +194,15 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     Only heights are kept, on flat lists of the lifted rows: the m first
     estimates come from one numpy pass, the two re-estimates per death
     inline the same arithmetic (`_heights`), and only the apex is solved
-    as a point.  Tops, apex and event count are bit for bit those of the
-    hierarchy's generic event sweep, `parcut.hierarchy.collapse_sweep`,
-    run over the whole dome.
+    as a point.  Each popped edge goes into `order`, C ints allocated
+    once (a list or a growing array raises `solve`'s peak memory at
+    2^16); the hierarchy's `face_lattice` replays it into every vertex.
     """
     m = D.m
     axa, aya, ba = D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m]
     skip = 100.0 * _coincidence_tol(D.scale)
     idx = np.arange(m)
-    h, ok = _heights(axa, aya, ba, np.roll(idx, 1), idx, np.roll(idx, -1))
+    h, ok = _heights(axa, aya, ba, np.roll(idx, 1), idx, np.roll(idx, -1))[2:]
     live = np.nonzero(ok & ~(h < -skip))[0]  # the floor is at height 0
     heap = list(zip(h[live].tolist(), live.tolist(), [0] * len(live)))
     heapq.heapify(heap)  # pops as if pushed one by one: the tuples are distinct
@@ -210,6 +212,7 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     prv = [m - 1] + list(range(m - 1))
     gen = [0] * m  # generation of each edge's estimate; -1 once it died
     M = [0.0] * m
+    order = array("i", [0]) * (m - 3)
     n_alive = m
     readmits = 0
     pop = heapq.heappop
@@ -224,7 +227,7 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
             e = np.array([j for j in range(m) if gen[j] >= 0])
             for j in e.tolist():
                 gen[j] += 1
-            h, ok = _heights(axa, aya, ba, np.array(prv)[e], e, np.array(nxt)[e])
+            h, ok = _heights(axa, aya, ba, np.array(prv)[e], e, np.array(nxt)[e])[2:]
             for hj, j in zip(h[ok].tolist(), e[ok].tolist()):
                 push(heap, (hj, j, gen[j]))
             continue
@@ -234,6 +237,7 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
         p = prv[j]
         q = nxt[j]
         M[j] = h
+        order[m - n_alive] = j
         gen[j] = -1
         nxt[p] = q
         prv[q] = p
@@ -285,4 +289,4 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     if apex is None:
         raise GeometryError("final plane triple is singular")
     M[a] = M[nxt[a]] = M[c] = apex[2]
-    return Lifetimes(np.array(M), apex, m - 2, readmits)
+    return Lifetimes(np.array(M), apex, m - 2, readmits, np.frombuffer(order, np.intc))

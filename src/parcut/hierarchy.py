@@ -9,14 +9,13 @@ each vertex on exactly three facets: the tie is broken by the order of
 the events, in the spirit of Edelsbrunner and Muecke's Simulation of
 Simplicity, and the lattice stays simple.  `solve` never builds it.
 
-Level 0 is the dome's face lattice, built by one collapse sweep
-(`face_lattice`, which returns the vertex store and level 0): every
-death in the sweep is a lattice vertex, and each facet's vertex cycle is
-read off the path of deaths across its face (`_sweep_paths`).  The sweep
-(`collapse_sweep`) keeps every event as a point with its three planes
-and runs over any bottom cycle, bounding planes and sweep direction;
-`parcut.dome.facet_lifetimes`, which `solve` runs, is its heights-only
-specialization to the whole dome and is tested against it.
+Level 0 is the dome's face lattice (`face_lattice`, which returns the
+vertex store and level 0).  It is read off the one sweep of the whole
+dome, `parcut.dome.facet_lifetimes`, which `solve` runs too: replaying
+its death order gives every vertex with its three planes, and each
+facet's vertex cycle is the path of deaths across its face
+(`_sweep_paths`).  The event sweep `collapse_sweep`, which keeps every
+event as a point, only caps the holes that deleting a facet leaves.
 
 `build_hierarchy(D)` finds the bounded core itself (`bounded_core`: a
 few facets that bound a polytope alone, never touched).  Each round
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import Dome, _coincidence_tol, _solve3
+from .dome import Dome, _coincidence_tol, _heights, _solve3, facet_lifetimes
 from .errors import (
     DegenerateVertexError,
     GeometryError,
@@ -106,14 +105,15 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
 # the collapse sweep
 
 
-def collapse_sweep(labels, corners, rows, lam, ctol):
-    """Run the edge-collapse sweep over a bounded shrinking convex slice.
+def collapse_sweep(labels, bottom, rows, lam, ctol):
+    """Run the edge-collapse sweep over a bounded shrinking convex slice:
+    the cap over the hole a deleted facet leaves (`peel_level`).
 
-    labels[j] is the plane carrying edge j of the bottom cycle; corners[j]
-    is the 3-D corner where edge j starts (shared with edge j-1).  rows
-    maps a label to its half-space (n, off) with n . p <= off; lam is the
-    sweep functional (height h = lam . p, bottom cycle at the minimum h).
-    Returns the death events [(point, (la, lb, lc), h)], final last.
+    labels[j] is the plane carrying edge j of the bottom cycle, and bottom
+    is a 3-D point on that cycle.  rows maps a label to its half-space
+    (n, off) with n . p <= off; lam is the sweep functional (height
+    h = lam . p, bottom cycle at the minimum h).  Returns the death
+    events [(point, (la, lb, lc))], final last.
 
     Each live edge's death is estimated where its plane meets those of
     its two live neighbours, by one `estimate`: at the start, for both
@@ -130,8 +130,7 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
         raise GeometryError("slice needs at least 3 edges")
     nxt = [(j + 1) % k for j in range(k)]
     prv = [(j - 1) % k for j in range(k)]
-    alive = [True] * k
-    gen = [0] * k
+    gen = [0] * k  # generation of each edge's estimate; -1 once it died
     lrows = [rows[lab] for lab in labels]
     lam0, lam1, lam2 = lam
     skip_margin = 100.0 * ctol
@@ -154,8 +153,7 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
         pending_pt[j] = pt
         heapq.heappush(heap, (h, j, gen[j]))
 
-    c0 = corners[0]
-    h0 = lam0 * c0[0] + lam1 * c0[1] + lam2 * c0[2]
+    h0 = lam0 * bottom[0] + lam1 * bottom[1] + lam2 * bottom[2]
     for j in range(k):
         estimate(j, h0 - skip_margin)
 
@@ -169,16 +167,16 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
             if retries > 2:
                 raise GeometryError("collapse sweep stalled; inconsistent input")
             for j in range(k):
-                if alive[j]:
+                if gen[j] >= 0:
                     gen[j] += 1
                     estimate(j, -math.inf)
             continue
         h, j, g = heapq.heappop(heap)
-        if not alive[j] or g != gen[j]:
+        if g != gen[j]:
             continue
         p, q = prv[j], nxt[j]
-        events.append((pending_pt[j], (labels[p], labels[j], labels[q]), h))
-        alive[j] = False
+        events.append((pending_pt[j], (labels[p], labels[j], labels[q])))
+        gen[j] = -1
         nxt[p] = q
         prv[q] = p
         gen[p] += 1
@@ -187,7 +185,7 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
         estimate(p, h - skip_margin)
         estimate(q, h - skip_margin)
 
-    a = alive.index(True)
+    a = next(j for j in range(k) if gen[j] >= 0)
     b = nxt[a]
     c = nxt[b]
     na, oa = lrows[a]
@@ -196,25 +194,22 @@ def collapse_sweep(labels, corners, rows, lam, ctol):
     pt = _solve3(na, oa, nb, ob, nc, oc)
     if pt is None:
         raise GeometryError("final plane triple is singular")
-    h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-    events.append((pt, (labels[a], labels[b], labels[c]), h))
+    events.append((pt, (labels[a], labels[b], labels[c])))
     return events
-
-
-def _dome_sweep(D: Dome):
-    """Collapse sweep of the whole dome upward from its floor polygon."""
-    corners3 = [(x, y, 0.0) for x, y in zip(*D.corners.T.tolist())]  # columns: see row_list
-    return collapse_sweep(
-        list(range(D.m)),
-        corners3,
-        D.row_list(),
-        (0.0, 0.0, 1.0),
-        _coincidence_tol(D.scale),
-    )
 
 
 # ---------------------------------------------------------------------------
 # vertex store and per-level lattice data
+
+
+def _sorted_triple(a, b, c):
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return (a, b, c)
 
 
 class VertexStore:
@@ -231,14 +226,7 @@ class VertexStore:
 
     def alloc(self, point, triple, level: int, killer: int) -> int:
         vid = len(self.pts)
-        a, b, c = triple
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        tri = (a, b, c)
+        tri = _sorted_triple(*triple)
         self.pts.append((float(point[0]), float(point[1]), float(point[2])))
         self.tris.append(tri)
         self.birth_level.append(level)
@@ -301,13 +289,13 @@ def _sweep_paths(events, store: VertexStore, level: int, killer: int) -> dict[in
     near_start: dict[int, list[int]] = {}  # deaths of the plane's predecessors
     near_end: dict[int, list[int]] = {}  # deaths of its successors
     top: dict[int, int] = {}
-    for pt, tri, _h in events[:-1]:
+    for pt, tri in events[:-1]:
         lp, le, lq = tri
         vid = store.alloc(pt, tri, level, killer)
         near_end.setdefault(lp, []).append(vid)
         top[le] = vid
         near_start.setdefault(lq, []).append(vid)
-    fpt, ftri, _fh = events[-1]
+    fpt, ftri = events[-1]
     fvid = store.alloc(fpt, ftri, level, killer)
     for lab in ftri:
         if lab in top:
@@ -318,19 +306,37 @@ def _sweep_paths(events, store: VertexStore, level: int, killer: int) -> dict[in
 
 def face_lattice(D: Dome) -> tuple[VertexStore, Level]:
     """Full face lattice of the dome in O(m log m): the vertex store and
-    level 0.
+    level 0, from `facet_lifetimes`' death order.
 
-    The dome need not be generic: four facet planes through one point
-    come out as vertices joined by zero-length edges (`collapse_sweep`),
-    so every vertex lies on exactly three facets.
+    Replaying the order over fresh links gives each death's edge j and
+    its neighbours p and q then; one `_heights` pass solves every
+    (p, j, q), bit for bit the point the sweep popped, and the three
+    edges left share the apex.  Four facet planes through one point come
+    out as vertices joined by zero-length edges, so every vertex lies on
+    exactly three facets.
     """
     m = D.m
+    life = facet_lifetimes(D)
+    nxt = list(range(1, m)) + [0]
+    prv = [m - 1] + list(range(m - 1))
+    tris = []
+    for j in life.order.tolist():
+        p, q = prv[j], nxt[j]
+        tris.append((p, j, q))
+        nxt[p] = q
+        prv[q] = p
+    p, e, q = np.array(tris, np.int64).reshape(-1, 3).T
+    xs, ys, ts = _heights(D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m], p, e, q)[:3]
+    events = list(zip(zip(xs.tolist(), ys.tolist(), ts.tolist()), tris))
+    a = min(set(range(m)).difference(e.tolist()))  # the first edge left, as the sweep takes it
+    events.append((life.apex, (a, nxt[a], nxt[nxt[a]])))
+
     store = VertexStore()
     corner_vid = [
         store.alloc((x, y, 0.0), ((j - 1) % m, j, D.floor), 0, -1)
         for j, (x, y) in enumerate(D.corners.tolist())
     ]
-    paths = _sweep_paths(_dome_sweep(D), store, 0, -1)
+    paths = _sweep_paths(events, store, 0, -1)
     # going CCW, a lifted facet runs along its floor edge and returns over
     # its path of deaths
     cycles: dict[int, list[int]] = {D.floor: corner_vid}
@@ -486,7 +492,7 @@ def peel_level(
                 raise GeometryError("a removed facet edge has no unique neighbour")
             labels.append(shared[0])
         nf, _of = rows[f]
-        events = collapse_sweep(labels, [pts[u] for u in cyc], rows, nf, ctol)
+        events = collapse_sweep(labels, pts[cyc[0]], rows, nf, ctol)
         paths = _sweep_paths(events, store, new_level_index, f)
         k = len(cyc)
         for j, g in enumerate(labels):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import NotQualifiedError, OutOfRangeError
 from .geometry import HPolygon
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, _sorted_triple
 from .lp import INFEASIBLE, OPTIMAL, LpResult
 from .tolerance import slack
 
@@ -169,16 +169,6 @@ def lp_max_constrained(H: Hierarchy, c, extra, stats: QueryStats | None = None) 
     if val <= hoff + slack(abs(hoff) + H.scale * (abs(g[0]) + abs(g[1]) + abs(g[2]))):
         return res
     return lp_max_section(H, (g, hoff), c, stats)
-
-
-def _sorted_triple(a, b, c):
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return (a, b, c)
 
 
 def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import parcut.dome as dome_mod
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
-from parcut.hierarchy import _dome_sweep, bounded_core, face_lattice, perturb
+from parcut.hierarchy import bounded_core, build_hierarchy, collapse_sweep, face_lattice, perturb
 from parcut.oracle import random_polygon
 from parcut.lp import OPTIMAL, small_lp
 
@@ -234,15 +235,27 @@ class TestBoundedCore:
             _assert_bounded(D, core)
 
 
-def _event_sweep_lifetimes(D):
-    """Tops, apex and event count read off the hierarchy's event sweep."""
-    events = _dome_sweep(D)
+def _check_against_event_sweep(D, ctol):
+    """`facet_lifetimes` and level 0 against the generic event sweep run
+    over the whole dome upward from its floor, bit for bit: tops, apex,
+    event count, death order, and every new vertex with its planes."""
+    bottom = (float(D.corners[0, 0]), float(D.corners[0, 1]), 0.0)
+    events = collapse_sweep(list(range(D.m)), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
     M = np.empty(D.m)
-    for pt, tri, _h in events[:-1]:
+    for pt, tri in events[:-1]:
         M[tri[1]] = pt[2]
-    apex, tri, _h = events[-1]
+    apex, tri = events[-1]
     M[list(tri)] = apex[2]
-    return M, apex, len(events)
+    life = facet_lifetimes(D)
+    assert life.M.tobytes() == M.tobytes(), D.m
+    assert life.apex == apex, D.m
+    assert life.events == len(events), D.m
+    assert life.order.tolist() == [tri[1] for _pt, tri in events[:-1]], D.m
+    store, _level = face_lattice(D)
+    got = np.array(store.pts[D.m:])
+    assert got.tobytes() == np.array([pt for pt, _tri in events]).tobytes(), D.m
+    assert store.tris[D.m:] == [tuple(sorted(tri)) for _pt, tri in events], D.m
+    return life
 
 
 def _reference_polygons():
@@ -287,17 +300,22 @@ class TestFacetLifetimes:
             assert life.apex == pytest.approx((c[0], c[1], r), abs=1e-9)
             assert life.events == P.m - 2
 
-    def test_matches_event_sweep(self):
-        # the heights-only sweep against the generic one it replaces on
-        # solve's path: bit for bit, not to a tolerance
+    def test_matches_event_sweep(self, monkeypatch):
+        # the one dome sweep, and the level 0 replayed from its death
+        # order, against the generic event sweep that caps the hierarchy's
+        # holes: bit for bit, not to a tolerance
         for P in _reference_polygons():
             D = build_dome(P)
-            life = facet_lifetimes(D)
-            M, apex, events = _event_sweep_lifetimes(D)
-            assert life.M.tobytes() == M.tobytes(), P.m
-            assert life.apex == apex, P.m
-            assert life.events == events, P.m
-            assert life.readmits == 0
+            assert _check_against_event_sweep(D, dome_mod._coincidence_tol(D.scale)).readmits == 0
+        # degenerate apexes: four planes through one point, and a segment
+        for P in (unit_square(), canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)]),
+                  regular_polygon(6), random_polygon(1024, seed=1, model="ellipse")):
+            build_hierarchy(build_dome(P), debug=True)
+        # a negative coincidence tolerance drops every estimate: the heap
+        # empties and both sweeps re-admit every edge once
+        D = build_dome(canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]))
+        monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
+        assert _check_against_event_sweep(D, -1e3 * D.scale).readmits == 1
 
 
 def _assert_bounded(D, core: frozenset[int]):

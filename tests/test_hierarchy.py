@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import parcut.hierarchy as hierarchy_mod
 from parcut.dome import _coincidence_tol, build_dome
 from parcut.errors import GeometryError, NonIndependentRemovalError
 from parcut.geometry import canonicalize, regular_polygon
@@ -168,6 +169,29 @@ class TestBuildHierarchy:
                 cur = H.levels[l]
                 for f in cur.index_set - H.levels[l + 1].index_set:
                     assert len(cur.cycles[f]) <= 11, (P.m, l, f, len(cur.cycles[f]))
+
+    def test_sweeps_the_dome_once(self, monkeypatch):
+        # level 0 is replayed from facet_lifetimes' death order, and the
+        # event sweep only ever caps the hole of one short deleted facet
+        lifetimes, sweeps = [], []
+        real_lifetimes, real_sweep = hierarchy_mod.facet_lifetimes, hierarchy_mod.collapse_sweep
+
+        def lifetimes_spy(D):
+            lifetimes.append(D.m)
+            return real_lifetimes(D)
+
+        def sweep_spy(labels, *args):
+            sweeps.append(len(labels))
+            return real_sweep(labels, *args)
+
+        monkeypatch.setattr(hierarchy_mod, "facet_lifetimes", lifetimes_spy)
+        monkeypatch.setattr(hierarchy_mod, "collapse_sweep", sweep_spy)
+        for P in (regular_polygon(4096), random_polygon(1024, seed=1, model="ellipse")):
+            lifetimes.clear()
+            sweeps.clear()
+            _hierarchy_for(P)
+            assert lifetimes == [P.m]
+            assert sweeps and max(sweeps) <= MAX_PEEL_VERTICES, (P.m, sorted(set(sweeps)))
 
     def test_dump_deterministic(self):
         H1 = _hierarchy_for(regular_polygon(12))
