@@ -17,8 +17,9 @@ facet's vertex cycle is the path of deaths across its face
 (`_sweep_paths`).  The event sweep `collapse_sweep`, which keeps every
 event as a point, only caps the holes that deleting a facet leaves.
 
-`build_hierarchy(D)` finds the bounded core itself (`bounded_core`: a
-few facets that bound a polytope alone, never touched).  Each round
+`build_hierarchy(D)` reads both level 0 and the bounded core off that
+one sweep (`bounded_core`: the floor and 3 or 4 lifted facets that bound
+a polytope alone and are never deleted, found with no LP).  Each round
 deletes the facets that `removal_set` picks: a maximal independent set,
 taken greedily fewest vertices first, of the facets with at most
 `MAX_PEEL_VERTICES` = 11 vertices outside the core.  This is
@@ -40,21 +41,20 @@ cycles and the vertices on them; its facet set is read off the cycles.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import Dome, _coincidence_tol, _heights, _solve3, facet_lifetimes
+from .dome import Dome, Lifetimes, _coincidence_tol, _heights, _solve3, facet_lifetimes
 from .errors import (
     DegenerateVertexError,
     GeometryError,
     NonIndependentRemovalError,
 )
-from .geometry import _corners
-from .lp import OPTIMAL, UNBOUNDED, small_lp
-from .tolerance import slack
+from .geometry import _corners, _turns
 
 
 def perturb(D: Dome, seed: int = 0) -> Dome:
@@ -113,7 +113,8 @@ def collapse_sweep(labels, bottom, rows, lam, ctol):
     is a 3-D point on that cycle.  rows maps a label to its half-space
     (n, off) with n . p <= off; lam is the sweep functional (height
     h = lam . p, bottom cycle at the minimum h).  Returns the death
-    events [(point, (la, lb, lc))], final last.
+    events [(point, (la, lb, lc))], final last, and the number of times
+    the heap ran empty early and every live edge was re-admitted.
 
     Each live edge's death is estimated where its plane meets those of
     its two live neighbours, by one `estimate`: at the start, for both
@@ -195,7 +196,7 @@ def collapse_sweep(labels, bottom, rows, lam, ctol):
     if pt is None:
         raise GeometryError("final plane triple is singular")
     events.append((pt, (labels[a], labels[b], labels[c])))
-    return events
+    return events, retries
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,9 @@ def _sweep_paths(events, store: VertexStore, level: int, killer: int) -> dict[in
     return {g: near_start.get(g, []) + [v] + near_end.get(g, [])[::-1] for g, v in top.items()}
 
 
-def face_lattice(D: Dome) -> tuple[VertexStore, Level]:
+def face_lattice(D: Dome, life: Lifetimes) -> tuple[VertexStore, Level]:
     """Full face lattice of the dome in O(m log m): the vertex store and
-    level 0, from `facet_lifetimes`' death order.
+    level 0, from the death order of its sweep `life = facet_lifetimes(D)`.
 
     Replaying the order over fresh links gives each death's edge j and
     its neighbours p and q then; one `_heights` pass solves every
@@ -316,7 +317,6 @@ def face_lattice(D: Dome) -> tuple[VertexStore, Level]:
     exactly three facets.
     """
     m = D.m
-    life = facet_lifetimes(D)
     nxt = list(range(1, m)) + [0]
     prv = [m - 1] + list(range(m - 1))
     tris = []
@@ -345,64 +345,64 @@ def face_lattice(D: Dome) -> tuple[VertexStore, Level]:
     return store, Level(cycles, list(range(len(store))))
 
 
-def bounded_core(D: Dome) -> frozenset[int]:
-    """Find <= 6 facets that bound a polytope on their own.
+def _bounds(A: np.ndarray) -> bool:
+    """Whether lifted rows of normals A, in CCW order, bound a polytope with
+    the floor: each normal turns left from the last, beyond `_turns`' rounding."""
+    B = np.roll(A, -1, axis=0)
+    cross, cut = _turns(0.0, 0.0, A[:, 0], A[:, 1], B[:, 0], B[:, 1])
+    return bool(np.all(cross > cut))
 
-    Start from the floor facet and chase the face maximizing t: if that
-    face is a vertex its three facets plus the floor suffice; if it is an
-    edge, add the facets binding the edge's two endpoints.
+
+def _spread(th: np.ndarray, k: int) -> np.ndarray:
+    """Positions of k of the ascending angles th whose widest cyclic gap is
+    least, by bisection on that gap g: from each start, k - 1 jumps to the
+    farthest angle within g must leave a closing gap of at most g."""
+    s = len(th)
+    th2 = np.concatenate([th, th + 2 * math.pi])
+    first = np.arange(s)
+
+    def jumps(g):
+        pick = [first]
+        for left in range(k - 1, 0, -1):  # leave room for the picks to come
+            far = np.searchsorted(th2, th2[pick[-1]] + g, "right") - 1
+            pick.append(np.minimum(far, first + s - left))
+        return np.array(pick), th2[first + s] - th2[pick[-1]] <= g
+
+    lo, hi = 0.0, 2 * math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if jumps(mid)[1].any():
+            hi = mid
+        else:
+            lo = mid
+    pick, ok = jumps(hi)
+    return np.sort(pick[:, np.argmax(ok)] % s)
+
+
+def bounded_core(D: Dome, life: Lifetimes) -> frozenset[int]:
+    """The floor and 3 lifted facets, or 4 where no 3 do, that bound a
+    polytope on their own, read off the sweep: at most five facets.
+
+    S holds the rows alive at the latest point of `life.order` where they
+    bound (`_bounds`): the last three, and the latest deaths before them
+    as far back as it takes; adding rows only narrows the widest gap
+    between normals, so a binary search finds S.  Of S the core keeps the
+    3 or 4 rows with the smallest widest gap (`_spread`): picked by their
+    turn alone, the regular 64-gon's come out nearly antiparallel and its
+    build meets a singular plane triple.
     """
-    rows = D.row_list()
-    res = small_lp(rows, (0.0, 0.0, 1.0))
-    if res.status != OPTIMAL:
-        raise GeometryError("dome has no apex; invalid input")
-    basis = [i for i in res.basis if i != D.floor]
-
-    lam = _cone_coefficients(D, basis)
-    support = [i for i, l in zip(basis, lam) if l > 1e-7 * max(lam)]
-
-    labels = {D.floor}
-    if len(support) == 3:
-        labels.update(support)
-    elif len(support) == 2:
-        a, b = support
-        labels.update((a, b))
-        na, nb = D.normals[a], D.normals[b]
-        u = np.cross(na, nb)
-        u /= np.linalg.norm(u)
-        eqs = [((na[0], na[1], na[2]), float(D.offsets[a])),
-               ((nb[0], nb[1], nb[2]), float(D.offsets[b]))]
-        for sgn in (1.0, -1.0):
-            end = small_lp(rows, tuple(sgn * u), equalities=eqs)
-            if end.status != OPTIMAL:
-                raise GeometryError("apex ridge endpoint LP failed")
-            labels.update(i for i in end.basis if i not in (a, b))
-    else:
-        raise GeometryError("unexpected apex support; dome rows degenerate")
-
-    if len(labels) > 6:
-        raise GeometryError("bounded core exceeded 6 facets")
-
-    core_rows = [D.row(i) for i in sorted(labels)]
-    for k in range(3):
-        obj = [0.0, 0.0, 0.0]
-        for sgn in (1.0, -1.0):
-            obj[k] = sgn
-            chk = small_lp(core_rows, tuple(obj))
-            if chk.status == UNBOUNDED:
-                raise GeometryError("core candidate is unbounded")
-    return frozenset(labels)
-
-
-def _cone_coefficients(D: Dome, basis) -> list[float]:
-    """Write (0,0,1) as a nonnegative combination of the basis normals."""
-    N = np.array([D.normals[i] for i in basis], float)
-    target = np.array([0.0, 0.0, 1.0])
-    lam, *_ = np.linalg.lstsq(N.T, target, rcond=None)
-    resid = N.T @ lam - target
-    if np.linalg.norm(resid) > 1e-6:
-        raise GeometryError("apex KKT system inconsistent")
-    return [max(float(v), 0.0) for v in lam]
+    m = D.m
+    N = D.normals[:m, :2]
+    rank = np.full(m, m)  # when each row dies; the three at the apex never do
+    rank[life.order] = np.arange(m - 3)
+    back = bisect.bisect_left(range(m - 2), True, key=lambda j: _bounds(N[rank >= m - 3 - j]))
+    S = np.nonzero(rank >= m - 3 - back)[0]
+    th = (np.arctan2(N[S, 1], N[S, 0]) - math.atan2(N[S[0], 1], N[S[0], 0])) % (2 * math.pi)
+    for k in (3, 4):
+        rows = S[_spread(th, k)] if len(S) >= k else S
+        if _bounds(N[rows]):
+            return frozenset(rows.tolist()) | {D.floor}
+    raise GeometryError("no 3 or 4 lifted facets bound the dome; invalid input")
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +455,12 @@ def peel_level(
     new_level_index: int,
     ctol: float,
     adjacency: dict[int, set[int]],
-) -> Level:
+) -> tuple[Level, int]:
     """Delete an independent facet set; rebuild the lattice over each hole.
 
-    Returns the next Level; each new vertex goes into `store` born at
-    `new_level_index` with the deleted facet over it as its killer.
+    Returns the next Level and the re-admissions of its cap sweeps; each
+    new vertex goes into `store` born at `new_level_index` with the
+    deleted facet over it as its killer.
     Raises NonIndependentRemovalError when two deleted facets share an
     edge (their holes would interact and the local sweep would be wrong),
     checked against `adjacency`, the level's facet adjacency.
@@ -482,6 +483,7 @@ def peel_level(
     cycles = dict(level.cycles)
     # per neighbour: dying corner -> (partner corner, directed cap path)
     patches: dict[int, dict[int, tuple[int, list[int]]]] = {}
+    readmits = 0
     for f in removal:
         cyc = cycles.pop(f)
         dead.update(cyc)
@@ -492,7 +494,8 @@ def peel_level(
                 raise GeometryError("a removed facet edge has no unique neighbour")
             labels.append(shared[0])
         nf, _of = rows[f]
-        events = collapse_sweep(labels, pts[cyc[0]], rows, nf, ctol)
+        events, retries = collapse_sweep(labels, pts[cyc[0]], rows, nf, ctol)
+        readmits += retries
         paths = _sweep_paths(events, store, new_level_index, f)
         k = len(cyc)
         for j, g in enumerate(labels):
@@ -508,7 +511,7 @@ def peel_level(
 
     verts = [v for v in level.verts if v not in dead]
     verts.extend(range(first_new, len(store)))
-    return Level(cycles, verts)
+    return Level(cycles, verts), readmits
 
 
 def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: int) -> list[int]:
@@ -550,15 +553,16 @@ def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: i
 
 @dataclass
 class Hierarchy:
-    """Nested facet-deletion levels over a dome; queries run on its rows."""
+    """Nested facet-deletion levels over a dome; queries run on its rows.
+    `readmits` counts the times a sweep of the build, the dome's or a
+    cap's, re-admitted every live edge after its heap ran empty early."""
 
     dome: Dome
     store: VertexStore
     levels: list[Level]
     core: frozenset[int]
     rows: list[tuple]
-    core_vertices: list[int]
-    core_edges: list[tuple[int, int]]
+    readmits: int
 
     @property
     def m(self) -> int:
@@ -595,22 +599,24 @@ class Hierarchy:
         return "\n".join(out) + "\n"
 
 
-def build_hierarchy(D: Dome, debug: bool = False) -> Hierarchy:
+def build_hierarchy(D: Dome) -> Hierarchy:
     """Stratify the dome down to its `bounded_core`, one `removal_set` per
-    round, each deleted by `peel_level`.
+    round, each deleted by `peel_level`.  The dome is swept once: its
+    `facet_lifetimes` give both level 0 and the core.
 
     The proven rate, (F/2 - 6)/12 of a level's F facets per round, bounds
     the depth by about log(m)/log(24/23).  The build checks the depth
     against log(m)/log(6/5) + 2 instead, the bound criterion 6c tests;
     measured depths sit well below it: 15 for the regular 3000- and
-    4096-gons and 20 for the regular 65536-gon (bound 62.8).  `debug`
-    runs `_debug_validate`'s exhaustive checks on the result.
+    4096-gons and 20 for the regular 65536-gon (bound 62.8).
     """
-    store, level = face_lattice(D)
+    life = facet_lifetimes(D)
+    store, level = face_lattice(D, life)
     levels = [level]
     rows = D.row_list()
-    core = bounded_core(D)
+    core = bounded_core(D, life)
     ctol = _coincidence_tol(D.scale)
+    readmits = life.readmits
 
     while levels[-1].index_set != core:
         cur = levels[-1]
@@ -618,64 +624,12 @@ def build_hierarchy(D: Dome, debug: bool = False) -> Hierarchy:
         removal = removal_set(cur, adj, core)
         if not removal:
             raise GeometryError("no removable facets left but core not reached")
-        levels.append(peel_level(cur, removal, store, rows, len(levels), ctol, adj))
+        nxt, retries = peel_level(cur, removal, store, rows, len(levels), ctol, adj)
+        levels.append(nxt)
+        readmits += retries
 
     m = D.m
     max_depth = math.log(max(m, 2)) / math.log(6.0 / 5.0) + 2.0
     if len(levels) - 1 > max_depth:
         raise GeometryError("hierarchy deeper than log(m)/log(6/5) + 2")
-
-    top = levels[-1]
-    H = Hierarchy(
-        dome=D,
-        store=store,
-        levels=levels,
-        core=core,
-        rows=rows,
-        core_vertices=sorted(top.verts),
-        core_edges=sorted(top.edge_map().keys()),
-    )
-    if debug:
-        _debug_validate(H)
-    return H
-
-
-def _debug_validate(H: Hierarchy) -> None:
-    """Exhaustive build-time checks: geometric fidelity and kill uniqueness."""
-    allow = slack(H.scale) * 1e3
-    for l, lv in enumerate(H.levels):
-        ids = sorted(lv.index_set)
-        for v in lv.verts:
-            p = H.store.pts[v]
-            for lab in ids:
-                n, off = H.rows[lab]
-                val = n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
-                if val > off + allow:
-                    raise GeometryError(
-                        f"level {l}: vertex {v} violates facet {lab} by {val - off:g}"
-                    )
-        if l == 0:
-            continue
-        # Kill records: a new vertex sits beyond its killer and beyond no
-        # other removed facet.  Violations can be arbitrarily small (just
-        # above the deleted plane) so the test threshold is the noise
-        # floor, not the comparison slack.
-        vtol = _coincidence_tol(H.scale)
-        removed = sorted(H.levels[l - 1].index_set - lv.index_set)
-        for v in lv.verts:
-            if H.store.birth_level[v] != l:
-                continue
-            p = H.store.pts[v]
-            killer = H.store.birth_killer[v]
-            for lab in removed:
-                n, off = H.rows[lab]
-                excess = n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - off
-                if lab == killer:
-                    if excess < -vtol:
-                        raise GeometryError(
-                            f"level {l}: vertex {v} does not violate its killer {killer}"
-                        )
-                elif excess > vtol:
-                    raise GeometryError(
-                        f"level {l}: vertex {v} violates {lab} besides killer {killer}"
-                    )
+    return Hierarchy(dome=D, store=store, levels=levels, core=core, rows=rows, readmits=readmits)

@@ -45,12 +45,15 @@ from .tolerance import slack
 
 @dataclass
 class QueryStats:
-    """Instrumentation counters for the complexity acceptance envelopes.
+    """Instrumentation counters for the complexity acceptance envelopes,
+    and `noise_floor_survivals`, the section points kept although a
+    reinstated facet cut them off, by a hair, without reaching the plane.
 
     Setting `trace` to a list additionally records the incumbent objective
     value at every level of a full-dimensional descent."""
 
     vertex_inspections: int = 0
+    noise_floor_survivals: int = 0
     trace: list[float] | None = None
 
 
@@ -74,7 +77,7 @@ def _vertex_descend(H: Hierarchy, c, stats: QueryStats) -> int:
     best = -1
     bestval = -1e400
     bestpt = None
-    for vid in H.core_vertices:
+    for vid in H.levels[-1].verts:
         p = pts[vid]
         v = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
         stats.vertex_inspections += 1
@@ -178,51 +181,17 @@ def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):
     and v carried by the facet pair; u == v marks a vertex lying exactly
     on the plane.  None when the plane misses the polytope.
     """
-    pts = H.store.pts
-    tris = H.store.tris
     birth = H.store.birth_level
     killer = H.store.birth_killer
     by_triple = H.store.by_triple
     nx, ny, nz = n
     ztol = 1e-10 * (abs(nx) + abs(ny) + abs(nz)) * H.scale
 
-    # seed on the core by scanning its few edges
-    best = None
-    bestval = -1e400
-    for (u, v) in H.core_edges:
-        pu = pts[u]
-        pv = pts[v]
-        su = nx * pu[0] + ny * pu[1] + nz * pu[2] - d
-        sv = nx * pv[0] + ny * pv[1] + nz * pv[2] - d
-        stats.vertex_inspections += 2
-        cand = []
-        if abs(su) <= ztol:
-            cand.append((u, u, pu))
-        if abs(sv) <= ztol:
-            cand.append((v, v, pv))
-        if (su > ztol and sv < -ztol) or (su < -ztol and sv > ztol):
-            lam = su / (su - sv)
-            x = (
-                pu[0] + lam * (pv[0] - pu[0]),
-                pu[1] + lam * (pv[1] - pu[1]),
-                pu[2] + lam * (pv[2] - pu[2]),
-            )
-            cand.append((u, v, x))
-        for (a, b, x) in cand:
-            val = c[0] * x[0] + c[1] * x[1] + c[2] * x[2]
-            if val > bestval or (val == bestval and best is not None and x < best[3]):
-                pair = None
-                if a != b:
-                    ta = tris[a]
-                    tb = tris[b]
-                    shared = [lab for lab in ta if lab in tb]
-                    pair = (shared[0], shared[1])
-                best = (a, b, pair, x)
-                bestval = val
-    if best is None:
+    # seed on the top level: the best plane point on the core's facets
+    secs = [sec for f in sorted(H.core) if (sec := _segment_on_facet(H, H.depth, f, n, d, c, ztol, stats))]
+    if not secs:
         return None
-
-    u, v, pair, x = best
+    u, v, pair, x = max(secs, key=lambda sec: c[0] * sec[3][0] + c[1] * sec[3][1] + c[2] * sec[3][2])
     for l in range(H.depth - 1, -1, -1):
         hits = []
         if birth[u] == l + 1:
@@ -250,6 +219,7 @@ def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):
                 return None  # decisively cut off and the facet misses the plane
             # marginal violation yet the killer facet does not reach the
             # plane: noise-floor call, treat the point as surviving
+            stats.noise_floor_survivals += 1
         # point survives; refresh endpoint vertices onto the current level
         if u != v:
             if birth[u] == l + 1:
@@ -265,7 +235,8 @@ def _segment_on_facet(H: Hierarchy, level: int, facet: int, n, d, c, ztol, stats
     The plane cuts the convex vertex cycle in at most one segment, whose
     ends are on-plane vertices or sign changes along the cycle.  One scan
     of the cycle finds them; it has at most `hierarchy.MAX_PEEL_VERTICES`
-    vertices, since only deleted facets are reinstated.  Returns the
+    vertices, since only deleted facets are reinstated and the descent
+    starts on the few facets of the core.  Returns the
     better end as (u, v, pair, x) or None when the plane misses the facet
     (the whole section is then empty).
     """

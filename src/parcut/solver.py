@@ -24,15 +24,18 @@ inradius.  `solve` finds it without any hierarchy:
   the gap row).  The smallest root is rho, and its edge normal is the
   cut direction; ties within rounding break by lowest index.
 
-The n-1 cuts are then equally spaced along that normal and the answer is
-verified from scratch.  Per-edge diagnostics are read off the same
-bracket as float arrays indexed by edge: an edge's root is reported only
-when it lies there, and nan stands for a value not reported.
+The n-1 cuts are then equally spaced along that normal and checked by
+`verify_solution` on `solve`'s own I_rho and dome diameter, so a wrong
+lifetime could pass; called with P and the claim alone, as `parcut
+verify` calls it, it checks from scratch.  Per-edge diagnostics are read
+off the same bracket as float arrays indexed by edge: an edge's root is
+reported only when it lies there, and nan stands for a value not reported.
 `Solution.stats["fallbacks"]` counts the path's safety nets: the
 sweep's re-admissions after its heap ran empty early, the inner bodies
 at n >= 2 that the lifetimes could not assemble, so that `inner_body`
-built them, and, from the verification, the piece LPs whose start at
-I_rho was unbounded and those that fell back to every row.
+built them, the bracket's gap roots whose plane triple was singular,
+and, from the verification, the piece LPs whose start at I_rho was
+unbounded and those that fell back to every row.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     rows meet, so f_i is linear and its root is the concurrence of those
     two rows with the gap row (A_i, 2n-1) . (x, t) = b_i.  Solved like
     `_solve3`: the two lifted rows share their t-coefficient, so they are
-    differenced exactly first.  Singular triples give +inf.
+    differenced exactly first.  Singular triples give +inf, which `solve`
+    counts in `stats["fallbacks"]["singular_gap"]`.
     """
     k = _antipodes(ang[S])
     p = S[k]
@@ -270,7 +274,7 @@ def solve(P, n: int) -> Solution:
             "vertex_inspections": life.events + work["rows"],
             "binary_search_steps": work["steps"],
             "fallbacks": {"sweep_readmits": life.readmits, "inner_body": int(inner_fallback),
-                          **report.fallbacks},
+                          "singular_gap": int(np.count_nonzero(tau == np.inf)), **report.fallbacks},
         },
     )
 
@@ -434,14 +438,17 @@ def verify_solution(
     Raises VerificationFailedError otherwise.  Every check allows 1e-8
     times P's diameter, whatever its size.
 
-    It reads only P and the claim, never the solver's state, in
-    O((m + n) log m): the inner body I_rho comes from a Chebyshev LP by
-    constraint generation and a dual hull.  Interior pieces are settled
-    by the strip lemma against I_rho, each reporting the half-width of
-    its slab; the two end pieces and any piece that fails the lemma's
-    test (or every piece, when I_rho is empty) get an inradius LP that
-    reads only their own edges, found by splitting P's boundary at the
-    cuts in one sorted pass (`_piece_inradii`).  Each end piece's LP
+    Called with P and the claim alone, as `parcut verify` calls it, it
+    reads nothing of the solver's state and runs in O((m + n) log m): the
+    inner body I_rho comes from a Chebyshev LP by constraint generation
+    and a dual hull.  `solve` passes its own I_rho (`_inner`) and dome
+    diameter (`_diam`) instead, so its own check rests on its lifetimes.
+    Interior pieces are settled by the strip lemma against I_rho, each
+    reporting the half-width of its slab; the two end pieces and any
+    piece that fails the lemma's test (or every piece, when I_rho is
+    empty) get an inradius LP that reads only their own edges, found by
+    splitting P's boundary at the cuts in one sorted pass
+    (`_piece_inradii`).  Each end piece's LP
     starts at I_rho's face farthest along the cut normal, where an honest
     claim's end piece centres its largest disks; the I_rho it uses is the
     one rebuilt here from P and the claim (or the solver's own, which

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from parcut.dome import build_dome
+from parcut.errors import NotQualifiedError
 from parcut.geometry import canonicalize, diameter, regular_polygon
 from parcut.hierarchy import build_hierarchy
 from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
@@ -19,6 +20,7 @@ from parcut.queries import (
     lp_max,
     lp_max_constrained,
     lp_max_section,
+    root_lp,
 )
 from parcut.solver import solve, verify_solution
 
@@ -29,6 +31,9 @@ SQ3 = math.sqrt(3.0)
 # solve totals a factor >= 50 under 0.1 * m * log2(m)^4 across 2^6..2^16.
 C_SECTION = 1.0
 C_SOLVE = 0.1
+# criterion 8: the engine's inspections over all m edges measured at most
+# 0.045 m log2(m)^4 (the regular 64-gon) and 0.0041 at 2^12
+C_ENGINE = 0.1
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -294,4 +299,45 @@ def test_criterion_7_invariance():
         worst_rho <= 1e-9 and worst_dir == 0.0 and worst_scale <= 1e-9 and mono_bad == 0,
         f"rigid rel {worst_rho:.2e}, dir mismatches {worst_dir:.2e}, "
         f"scale rel {worst_scale:.2e}, monotonicity violations {mono_bad}",
+    )
+
+
+def test_criterion_8_engine_end_to_end():
+    """The paper's algorithm on the hierarchy: root_lp on every edge.
+
+    rho is the least root over the qualifying edges and the winner the
+    lowest index tied with it; both must agree with `solve`, and the
+    inspections of all m queries together stay under C m log2(m)^4.
+    """
+    t0 = time.perf_counter()
+    cases = [(regular_polygon(2**e), 3) for e in (6, 8, 10, 12)]
+    for k, e in enumerate(range(6, 13)):
+        model = ("circle", "ellipse", "smoothed")[k % 3]
+        cases.append((random_polygon(2**e, seed=e, model=model), 2 + k % 4))
+    worst = 0.0
+    bad_winner = 0
+    most = 0.0  # the largest inspections / (m log2(m)^4)
+    for P, n in cases:
+        H = build_hierarchy(build_dome(P))
+        stats = QueryStats()
+        roots = np.full(P.m, np.inf)
+        for i in range(P.m):
+            try:
+                roots[i] = root_lp(H, P, i, n, stats)
+            except NotQualifiedError:
+                pass
+        rho = float(roots.min())
+        tie = 1e-13 * float(np.abs(P.b).max())
+        winner = int(np.nonzero(roots <= rho + tie)[0][0])
+        s = solve(P, n)
+        worst = max(worst, abs(rho - s.rho) / s.rho)
+        if winner != s.winner and not abs(roots[s.winner] - rho) <= tie:
+            bad_winner += 1
+        most = max(most, stats.vertex_inspections / (P.m * math.log2(P.m) ** 4))
+    dt = time.perf_counter() - t0
+    _report(
+        "criterion 8: the engine end to end (root_lp on every edge)",
+        worst <= 1e-8 and bad_winner == 0 and most <= C_ENGINE,
+        f"worst rel err {worst:.2e}, winner mismatches {bad_winner}, inspections up to "
+        f"{most:.4f} m log2(m)^4 (C={C_ENGINE}), {dt:.1f}s over {len(cases)} polygons",
     )

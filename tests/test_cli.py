@@ -220,4 +220,4 @@ def test_solution_document_schema():
         "piece_inradii",
         "max_piece_inradius",
     }
-    assert doc["stats"]["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "piece_hint": 0, "piece_every_row": 0}
+    assert doc["stats"]["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "piece_hint": 0, "piece_every_row": 0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import parcut.dome as dome_mod
+from hierarchy_checks import check_hierarchy
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
 from parcut.hierarchy import bounded_core, build_hierarchy, collapse_sweep, face_lattice, perturb
@@ -97,7 +98,7 @@ class TestBuildDome:
 
 def lattice_counts(D):
     """(V, E, F) of the dome's face lattice."""
-    _store, level = face_lattice(D)
+    _store, level = face_lattice(D, facet_lifetimes(D))
     return len(level.verts), len(level.edge_map()), len(level.cycles)
 
 
@@ -124,7 +125,7 @@ class TestFaceLattice:
         for trial in range(8):
             P = canonicalize(rng.normal(size=(rng.integers(4, 9), 2)))
             D = perturb(build_dome(P), seed=trial)
-            store, level = face_lattice(D)
+            store, level = face_lattice(D, facet_lifetimes(D))
             ref = brute_force_vertices(D)
             got = [store.pts[v] for v in level.verts]
             assert len(got) == len(ref)
@@ -139,14 +140,14 @@ class TestFaceLattice:
             assert V == 2 * (m + 1) - 4
             # every vertex on exactly 3 facets, genericity after perturb
             count = {}
-            for f, cyc in face_lattice(D)[1].cycles.items():
+            for f, cyc in face_lattice(D, facet_lifetimes(D))[1].cycles.items():
                 for v in cyc:
                     count[v] = count.get(v, 0) + 1
             assert set(count.values()) == {3}
 
     def test_vertices_on_their_planes(self):
         D = perturb(build_dome(regular_polygon(9)), seed=3)
-        store, level = face_lattice(D)
+        store, level = face_lattice(D, facet_lifetimes(D))
         for v in level.verts:
             p = store.pts[v]
             for lab in store.tris[v]:
@@ -155,7 +156,7 @@ class TestFaceLattice:
 
     def test_facet_cycles_are_edges_of_both(self):
         D = perturb(build_dome(regular_polygon(7)), seed=4)
-        for pair, facets in face_lattice(D)[1].edge_map().items():
+        for pair, facets in face_lattice(D, facet_lifetimes(D))[1].edge_map().items():
             assert len(facets) == 2
 
     def test_perturb_deterministic(self):
@@ -199,40 +200,43 @@ class TestFaceLattice:
         assert lattice_counts(D0) == lattice_counts(perturb(D0, seed=0))
 
 
+def _core(P):
+    """The bounded core of P's dome, checked: at most five labels with the
+    floor among them, and bounded by its rows alone."""
+    D = build_dome(P)
+    core = bounded_core(D, facet_lifetimes(D))
+    assert D.floor in core and len(core) <= 5, (P.m, sorted(core))
+    _assert_bounded(D, core)
+    return core
+
+
 class TestBoundedCore:
     def test_triangle_core_is_everything(self):
-        D = build_dome(equilateral())
-        assert bounded_core(D) == frozenset(range(4))
+        assert _core(equilateral()) == frozenset(range(4))
 
     def test_square_core(self):
-        D = perturb(build_dome(unit_square()), seed=0)
-        core = bounded_core(D)
-        assert D.floor in core
-        assert len(core) <= 6
-        _assert_bounded(D, core)
+        # four planes through the apex: no three rows bound, so all four stay
+        assert _core(unit_square()) == frozenset(range(5))
 
     def test_hexagon_core(self):
-        D = perturb(build_dome(regular_polygon(6)), seed=0)
-        core = bounded_core(D)
-        assert len(core) <= 6
-        _assert_bounded(D, core)
+        # every plane through the apex; the regular 64-gon is where rows
+        # picked by their turn alone come out nearly antiparallel
+        for m in (6, 64, 4096):
+            assert len(_core(regular_polygon(m))) == 4, m
 
     def test_rectangle_ridge_core(self):
-        # rectangle apex face is an edge: exercises the ridge branch
-        P = canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)])
-        D = build_dome(P)
-        core = bounded_core(D)
-        assert len(core) <= 6
-        _assert_bounded(D, core)
+        # the apex is a segment: the last three rows left alive do not bound
+        for w, h in ((2, 1), (10, 0.01), (1, 1e-9)):
+            assert _core(canonicalize([(0, 0), (w, 0), (w, h), (0, h)])) == frozenset(range(5))
 
     def test_random_cores_bounded(self):
-        rng = np.random.default_rng(6)
-        for trial in range(10):
-            P = canonicalize(rng.normal(size=(12, 2)))
-            D = perturb(build_dome(P), seed=trial)
-            core = bounded_core(D)
-            assert len(core) <= 6
-            _assert_bounded(D, core)
+        # criterion 2's 500 polygons, and arcs closed by a flat base
+        for k in range(500):
+            P = random_polygon([8, 16, 32, 64, 128, 256][k % 6], seed=k, model=["circle", "ellipse", "smoothed"][k % 3])
+            _core(P)
+        for k in (199, 200, 300):
+            th = np.linspace(0.0, math.pi, k + 1)
+            _core(canonicalize(np.stack([np.cos(th), np.sin(th)], axis=1)))
 
 
 def _check_against_event_sweep(D, ctol):
@@ -240,7 +244,7 @@ def _check_against_event_sweep(D, ctol):
     over the whole dome upward from its floor, bit for bit: tops, apex,
     event count, death order, and every new vertex with its planes."""
     bottom = (float(D.corners[0, 0]), float(D.corners[0, 1]), 0.0)
-    events = collapse_sweep(list(range(D.m)), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
+    events, readmits = collapse_sweep(list(range(D.m)), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
     M = np.empty(D.m)
     for pt, tri in events[:-1]:
         M[tri[1]] = pt[2]
@@ -251,7 +255,8 @@ def _check_against_event_sweep(D, ctol):
     assert life.apex == apex, D.m
     assert life.events == len(events), D.m
     assert life.order.tolist() == [tri[1] for _pt, tri in events[:-1]], D.m
-    store, _level = face_lattice(D)
+    assert life.readmits == readmits, D.m
+    store, _level = face_lattice(D, life)
     got = np.array(store.pts[D.m:])
     assert got.tobytes() == np.array([pt for pt, _tri in events]).tobytes(), D.m
     assert store.tris[D.m:] == [tuple(sorted(tri)) for _pt, tri in events], D.m
@@ -310,7 +315,7 @@ class TestFacetLifetimes:
         # degenerate apexes: four planes through one point, and a segment
         for P in (unit_square(), canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)]),
                   regular_polygon(6), random_polygon(1024, seed=1, model="ellipse")):
-            build_hierarchy(build_dome(P), debug=True)
+            check_hierarchy(build_hierarchy(build_dome(P)))
         # a negative coincidence tolerance drops every estimate: the heap
         # empties and both sweeps re-admit every edge once
         D = build_dome(canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import parcut.hierarchy as hierarchy_mod
-from parcut.dome import _coincidence_tol, build_dome
+from hierarchy_checks import check_hierarchy
+from parcut.dome import _coincidence_tol, build_dome, facet_lifetimes
 from parcut.errors import GeometryError, NonIndependentRemovalError
 from parcut.geometry import canonicalize, regular_polygon
 from parcut.hierarchy import (
@@ -19,8 +20,15 @@ from parcut.hierarchy import (
 from parcut.oracle import random_polygon
 
 
-def _hierarchy_for(P, debug=False):
-    return build_hierarchy(build_dome(P), debug=debug)
+def _hierarchy_for(P, check=False):
+    H = build_hierarchy(build_dome(P))
+    if check:
+        check_hierarchy(H)
+    return H
+
+
+def _lattice(D):
+    return face_lattice(D, facet_lifetimes(D))
 
 
 GENERIC_HEXAGON = canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)])
@@ -67,13 +75,14 @@ class TestPeel:
         # a generic hexagon: no four planes through one point, so every
         # new vertex lies strictly beyond the removed plane
         D = build_dome(GENERIC_HEXAGON)
-        store, level = face_lattice(D)
-        outside = sorted(level.index_set - bounded_core(D))
+        store, level = _lattice(D)
+        outside = sorted(level.index_set - bounded_core(D, facet_lifetimes(D)))
         assert outside, "hexagon dome should have at least one non-core facet"
         f = outside[0]
         rows = [D.row(i) for i in range(D.m + 1)]
         adj = level.adjacency(store.tris)
-        nxt = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
+        nxt, readmits = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
+        assert readmits == 0
         assert len(nxt.cycles) == len(level.cycles) - 1
         born = [v for v in nxt.verts if store.birth_level[v] == 1]
         assert born
@@ -86,7 +95,7 @@ class TestPeel:
 
     def test_non_independent_rejected(self):
         D = build_dome(regular_polygon(8))
-        store, level = face_lattice(D)
+        store, level = _lattice(D)
         adj = level.adjacency(store.tris)
         f = 0
         g = sorted(adj[f])[0]
@@ -98,7 +107,7 @@ class TestPeel:
         # swapping two vertices of a cycle makes one of its edges join
         # vertices that share no facet besides the deleted one
         D = build_dome(GENERIC_HEXAGON)
-        store, level = face_lattice(D)
+        store, level = _lattice(D)
         adj = level.adjacency(store.tris)
         cyc = level.cycles[5]
         cyc[0], cyc[1] = cyc[1], cyc[0]
@@ -109,20 +118,20 @@ class TestPeel:
 
 class TestBuildHierarchy:
     def test_triangle_trivial(self):
-        H = _hierarchy_for(canonicalize([(0, 0), (1, 0), (0.5, 0.8)]), debug=True)
+        H = _hierarchy_for(canonicalize([(0, 0), (1, 0), (0.5, 0.8)]), check=True)
         assert H.depth <= 1
         assert H.core == frozenset(range(4))
 
     def test_depth_bound_64(self):
-        H = _hierarchy_for(regular_polygon(64), debug=True)
+        H = _hierarchy_for(regular_polygon(64), check=True)
         assert H.depth <= math.log(65) / math.log(6 / 5) + 2
 
     def test_levels_nest_and_kills_unique(self):
-        # debug=True runs the exhaustive nesting + kill-uniqueness checks
+        # check=True runs the exhaustive nesting + kill-uniqueness checks
         rng = np.random.default_rng(5)
         for trial in range(5):
             P = canonicalize(rng.normal(size=(24, 2)))
-            _hierarchy_for(P, debug=True)
+            _hierarchy_for(P, check=True)
 
     def test_storage_linear(self):
         for m in (16, 64, 256):
@@ -134,7 +143,7 @@ class TestBuildHierarchy:
         assert H.levels[-1].index_set == H.core
 
     def test_every_level_valid_polytope(self):
-        H = _hierarchy_for(regular_polygon(20), debug=True)
+        H = _hierarchy_for(regular_polygon(20), check=True)
         for lv in H.levels:
             # each level is a simple polytope: Euler and degree-3 vertices
             V = len(lv.verts)
@@ -153,7 +162,7 @@ class TestBuildHierarchy:
             canonicalize([(0, 0), (1, 0), (1, 1e-9), (0, 1e-9)]),
         ]
         for P in shapes:
-            H = _hierarchy_for(P, debug=True)
+            H = _hierarchy_for(P, check=True)
             for lv in H.levels:
                 V = len(lv.verts)
                 E = len(lv.edge_map())
@@ -192,6 +201,21 @@ class TestBuildHierarchy:
             _hierarchy_for(P)
             assert lifetimes == [P.m]
             assert sweeps and max(sweeps) <= MAX_PEEL_VERTICES, (P.m, sorted(set(sweeps)))
+
+    def test_sweep_readmissions_are_counted(self, monkeypatch):
+        # a negative coincidence tolerance drops every estimate, so a sweep's
+        # heap empties and it re-admits every live edge: the dome's own sweep
+        # on this 4-gon, and the 4-edge cap over the regular hexagon's
+        # deleted facet 1
+        import parcut.dome as dome_mod
+
+        quad, hexagon = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]), regular_polygon(6)
+        assert _hierarchy_for(quad).readmits == _hierarchy_for(hexagon).readmits == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
+            assert _hierarchy_for(quad).readmits == 1
+        monkeypatch.setattr(hierarchy_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
+        assert _hierarchy_for(hexagon).readmits == 1
 
     def test_dump_deterministic(self):
         H1 = _hierarchy_for(regular_polygon(12))

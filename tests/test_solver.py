@@ -335,10 +335,10 @@ class TestLifetimePath:
 
         P = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)])
         ref = solve(P, 2)
-        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "piece_hint": 0, "piece_every_row": 0}
+        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "piece_hint": 0, "piece_every_row": 0}
         monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
         s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0, "piece_hint": 0, "piece_every_row": 0}
+        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0, "singular_gap": 0, "piece_hint": 0, "piece_every_row": 0}
         assert s.rho == ref.rho and s.winner == ref.winner
         assert s.verification.ok
 
@@ -350,7 +350,7 @@ class TestLifetimePath:
         assert ref.stats["fallbacks"]["inner_body"] == 0
         monkeypatch.setattr(solver_mod, "_inner_from_lifetimes", lambda *args: None)
         s = solve(P, 3)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1, "piece_hint": 0, "piece_every_row": 0}
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1, "singular_gap": 0, "piece_hint": 0, "piece_every_row": 0}
         assert s.rho == ref.rho and s.winner == ref.winner
         assert [c.offset for c in s.cuts] == pytest.approx([c.offset for c in ref.cuts], abs=1e-12)
         assert s.verification.ok
@@ -373,9 +373,33 @@ class TestLifetimePath:
 
         monkeypatch.setattr(geometry_mod, "small_lp", short_unbounded)
         s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "piece_hint": 2, "piece_every_row": 2}
+        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "piece_hint": 2, "piece_every_row": 2}
         assert s.verification.fallbacks == {"piece_hint": 2, "piece_every_row": 2}
         assert s.verification.piece_inradii == pytest.approx(ref.verification.piece_inradii, abs=1e-12 * s.rho)
+
+    def test_singular_gap_is_counted(self, monkeypatch):
+        # a stand-in _antipodes that hands the bracket's first row its own
+        # corner: at n = 1 the gap row (A_i, 1) then repeats one of the
+        # corner's two lifted rows, so that plane triple is singular
+        import parcut.solver as solver_mod
+
+        P = random_polygon(40, seed=1)
+        ref = solve(P, 1)
+        real = solver_mod._antipodes
+
+        def own_corner_first(ang):
+            k = real(ang)
+            k[0] = 0
+            return k
+
+        monkeypatch.setattr(solver_mod, "_antipodes", own_corner_first)
+        s = solve(P, 1)
+        assert ref.stats["fallbacks"]["singular_gap"] == 0
+        assert s.stats["fallbacks"]["singular_gap"] == 1
+        # that row's root goes unreported, and a tied apex row wins instead
+        assert np.isnan(s.diagnostics.root).sum() == np.isnan(ref.diagnostics.root).sum() + 1
+        assert s.rho == ref.rho and s.diagnostics.root[s.winner] == pytest.approx(ref.rho, rel=1e-12)
+        assert s.verification.ok
 
     def test_thin_rectangle(self):
         # 1 x 1e-9: rho = h / (2n) along (0, 1); verification's 1e-8 slack
