@@ -249,21 +249,20 @@ def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
     return HPolygon(A, b, verts)
 
 
-def canonicalize(obj, interior=None) -> HPolygon:
+def canonicalize(obj) -> HPolygon:
     """Convert vertices, an (A, b) pair, or an HPolygon to canonical form.
 
     Raises NonFiniteInputError when any number in it is NaN or infinite,
     before anything else, EmptyInteriorError when the region is empty or
     has no interior and UnboundedError when the half-planes fail to bound
-    it.  A known strictly interior point may be passed to skip the
-    feasibility LP.
+    it.  Rows are judged from their Chebyshev centre, which one LP finds.
     """
     if isinstance(obj, HPolygon):
         obj = (obj.A, obj.b)
     if isinstance(obj, tuple) and len(obj) == 2:
         A, b = np.asarray(obj[0], float), np.asarray(obj[1], float)
         _require_finite(A, b)
-        return _canonicalize_rows(A, b, interior)
+        return _canonicalize_rows(A, b)
     V = np.asarray(obj.vertices if isinstance(obj, VPolygon) else obj, float)
     _require_finite(V)
     return _canonicalize_vertices(V)
@@ -289,7 +288,7 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
-def _canonicalize_rows(A: np.ndarray, b: np.ndarray, interior=None) -> HPolygon:
+def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
     A = np.atleast_2d(np.asarray(A, float))
     b = np.asarray(b, float).ravel()
     if A.shape[0] != b.shape[0] or A.shape[1] != 2:
@@ -307,34 +306,28 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray, interior=None) -> HPolygon:
     A = np.where(rescale[:, None], A / norm[:, None], A)
     b = np.where(rescale, b / norm, b)
 
-    # Feasibility / interior first (a contradictory system is EmptyInterior
-    # even when it also fails to bound); the Chebyshev LP decides it unless
-    # the caller already knows a strictly interior point.
-    scale = float(np.abs(b).max())
-    c = None
-    if interior is not None:
-        cand = np.asarray(interior, float)
-        if (b - (A[:, 0] * cand[0] + A[:, 1] * cand[1])).min() > slack(scale):
-            c = cand
-    if c is None:
-        res = chebyshev_lp(A, b)
-        if res.status == OPTIMAL and res.value <= slack(scale):
-            raise EmptyInteriorError("region is empty or lower-dimensional")
+    # feasibility first: a contradictory system is empty even when unbounded
+    res = chebyshev_lp(A, b)
+    if res.status == OPTIMAL and res.value <= slack(float(np.abs(b).max())):
+        raise EmptyInteriorError("region is empty or lower-dimensional")
 
     ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    s = np.sort(ang)
+    order = np.argsort(ang, kind="stable")
+    s = ang[order]
     if max(np.diff(s).max(initial=0.0), 2 * math.pi - (s[-1] - s[0])) >= math.pi - 1e-12:
         raise UnboundedError("normals leave a half-plane uncovered")
-    if c is None:
-        if res.status != OPTIMAL:
-            raise UnboundedError("interior direction escapes to infinity")
-        c = np.array(res.point[:2])
+    if res.status != OPTIMAL:
+        raise UnboundedError("interior direction escapes to infinity")
+    A, b = A[order], b[order]
+    x, y = res.point[:2]
+    return _dual_hull(A, b, b - (A[:, 0] * x + A[:, 1] * y))
 
-    # Polar dual: row (a, b) -> point a / (b - a.c); irredundant rows are
-    # exactly the hull vertices of the dual cloud, in matching CCW order.
-    depth = b - (A[:, 0] * c[0] + A[:, 1] * c[1])
-    chosen = _convex_hull_ccw(A / depth[:, None])
-    chosen = chosen[np.argsort(ang[chosen], kind="stable")]
+
+def _dual_hull(A: np.ndarray, b: np.ndarray, depth: np.ndarray) -> HPolygon:
+    """The irredundant rows of {A x <= b}, rows in angle order, from each
+    row's `depth` b - A.c at a point c inside: the corners of the polar
+    dual a / depth, which keep their order."""
+    chosen = np.sort(_convex_hull_ccw(A / depth[:, None]))
     return _finish_hpolygon(A[chosen], b[chosen])
 
 
@@ -373,17 +366,29 @@ def min_width(P: HPolygon) -> WidthResult:
     return WidthResult(float(w[i]), (float(A[i, 0]), float(A[i, 1])), i, int(cand[i, low[i]]))
 
 
-def inner_body(P: HPolygon, t: float, interior=None) -> HPolygon | None:
-    """Inner parallel body {A x <= b - t}, recanonicalized; None when empty.
+def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
+    """Inner parallel body I_t = {A x <= b - t} of a canonical P, with
+    fewer rows when edges disappear; None when it is empty.
 
-    Edges of P may disappear, so the result can have fewer rows.  The
-    incenter of P is interior to every nonempty inner body, so callers
-    that know it can pass it to skip the feasibility LP.
+    P's `incenter` c centres the largest disk of every nonempty I_t, of
+    radius min(b - t - A.c); without it, I_t's one Chebyshev LP finds c
+    and that radius.  The rows are the polar dual's corners about c.
     """
     if t < 0:
         raise ValueError("offset must be nonnegative")
+    A, b = P.A, P.b - t
+    limit = slack(float(np.abs(b).max()))
+    c = incenter
+    if c is None:
+        res = chebyshev_lp(A, b)  # P bounds it, so it is OPTIMAL
+        if res.value <= limit:
+            return None
+        c = res.point[:2]
+    depth = b - (A[:, 0] * c[0] + A[:, 1] * c[1])
+    if incenter is not None and depth.min() <= limit:
+        return None
     try:
-        return _canonicalize_rows(P.A, P.b - t, interior)
+        return _dual_hull(A, b, depth)
     except EmptyInteriorError:
         return None
 

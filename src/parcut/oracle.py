@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInteriorError
-from .geometry import HPolygon, canonicalize, clip_halfplane, inradius_incenter
+from .geometry import HPolygon, canonicalize, clip_halfplane, inner_body, inradius_incenter
 from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import slack
 
@@ -100,16 +100,15 @@ def _fi_lp(P: HPolygon, i: int, t: float, n: int) -> float:
     return (P.b[i] - t) - res.value - 2.0 * (n - 1) * t
 
 
-def _edge_widths(P: HPolygon, t: float, interior) -> np.ndarray | None:
+def _edge_widths(P: HPolygon, t: float, center) -> np.ndarray | None:
     """Width of the inner body I_t along every edge normal of P.
 
-    I_t comes from the dual hull of the shifted rows, seeded with a point
-    known to be interior; the widths project its vertices directly.  None
-    when I_t is empty (or thinner than the hull's emptiness slack).
+    I_t is `inner_body` about P's incenter `center`; the widths project
+    its vertices directly.  None when I_t is empty (or thinner than its
+    emptiness slack).
     """
-    try:
-        Q = canonicalize((P.A, P.b - t), interior=interior)
-    except EmptyInteriorError:
+    Q = inner_body(P, t, center)
+    if Q is None:
         return None
     proj = Q.vertices @ P.A.T
     return proj.max(axis=0) - proj.min(axis=0)

@@ -27,15 +27,18 @@ inradius.  `solve` finds it without any hierarchy:
 The n-1 cuts are then equally spaced along that normal and checked by
 `verify_solution` on `solve`'s own I_rho and dome diameter, so a wrong
 lifetime could pass; called with P and the claim alone, as `parcut
-verify` calls it, it checks from scratch.  Per-edge diagnostics are read
-off the same bracket as float arrays indexed by edge: an edge's root is
-reported only when it lies there, and nan stands for a value not reported.
+verify` calls it, it checks from scratch.  At n = 1, I_rho is the apex:
+`solve` builds no inner body, and the verification's one LP finds it
+empty.  Per-edge diagnostics are read off the same bracket as float
+arrays indexed by edge: an edge's root is reported only when it lies
+there, and nan stands for a value not reported.
 `Solution.stats["fallbacks"]` counts the path's safety nets: the
 sweep's re-admissions after its heap ran empty early, the inner bodies
 at n >= 2 that the lifetimes could not assemble, so that `inner_body`
 built them, the bracket's gap roots whose plane triple was singular,
-and, from the verification, the piece LPs whose start at I_rho was
-unbounded and those that fell back to every row.
+and, from the verification, I_rho's Chebyshev LP when its start fell
+back to every row, the piece LPs whose start at I_rho was unbounded and
+those that fell back to every row.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ from .geometry import (
     _expand_ranges,
     canonicalize,
     chebyshev_lp,
-    clip_halfplane,
     diameter,
     inner_body,
-    inradius_incenter,
     min_width,
 )
+from .geometry import clip_halfplane  # noqa: F401 -- bench/spans.py wraps solver.X
 from .hierarchy import bounded_core, build_hierarchy, face_lattice, perturb  # noqa: F401 -- bench/spans.py wraps solver.X
 from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
 from .queries import eval_fi, facet_max_t, lp_max, lp_max_constrained, lp_max_section  # noqa: F401 -- bench/spans.py wraps solver.X
@@ -248,12 +250,11 @@ def solve(P, n: int) -> Solution:
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
     diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
 
-    inner = _inner_from_lifetimes(P, rho, life.M, tie)
-    # at n = 1, I_rho is the apex (a point or a segment), which no row's
-    # lifetime outlives: there inner_body is the way, not a fallback
+    # at n = 1 I_rho is the apex, which no row outlives: verify finds it empty
+    inner = _inner_from_lifetimes(P, rho, life.M, tie) if n > 1 else None
     inner_fallback = inner is None and n > 1
-    if inner is None:
-        inner = inner_body(P, rho, interior=life.apex[:2])
+    if inner_fallback:
+        inner = inner_body(P, rho, life.apex[:2])
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
     report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _diam=D0.scale)
     t_end = time.perf_counter()
@@ -352,9 +353,8 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     whose lower cut is <= hi_k: two binary searches on the offsets.  The
     test is widened by vtol, because an extra row of P is valid for a
     piece but a missing one is not.  A piece's inradius LP reads only its
-    own edges' rows and its one or two slab rows, and its vertex cycle is
-    its own edges' endpoints (a convex polygon inside P holding the piece)
-    clipped by its slab rows.
+    own edges' rows and its one or two slab rows.  A piece at most 1e-12
+    wide along v inside P is degenerate.
 
     Given I_rho, each end piece's LP starts at I_rho's face farthest
     along -v (piece 0) or +v (piece k): the ends of its edge there, or
@@ -370,7 +370,6 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     ("hint") and those whose angle-bin start was ("every_row").
     """
     A, b, V = P.A, P.b, P.vertices
-    m = P.m
     k = len(offsets)
     if np.any(np.diff(offsets) < 0):
         raise VerificationFailedError("pieces", "cuts are out of order along the direction")
@@ -398,21 +397,18 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     edge = edge[order]
     bounds = np.searchsorted(piece[order], np.arange(k + 2))
 
+    # each piece's extent along v inside P: flat at most 1e-12, clip_halfplane's eps
+    extent = (np.minimum(np.append(offsets, np.inf), proj.max())
+              - np.maximum(np.insert(offsets, 0, -np.inf), proj.min()))
     for j in np.nonzero(~settled)[0].tolist():
+        if extent[j] <= 1e-12:
+            raise VerificationFailedError("pieces", "degenerate piece produced")
         E = edge[bounds[j]:bounds[j + 1]]
-        # E ascends, so vertex e - 1 goes just before each edge e whose
-        # predecessor is not in E: the endpoints in order, with no sort
-        gap = np.flatnonzero(np.diff(E, prepend=E[-1:] - m) != 1)
-        verts = V[np.insert(E, gap, E[gap] - 1)]
         extras = [_FLOOR]
         if j > 0:
-            verts = clip_halfplane(verts, -v, -offsets[j - 1])
             extras.append(((-vx, -vy, 1.0), -float(offsets[j - 1])))
         if j < k:
-            verts = clip_halfplane(verts, v, offsets[j])
             extras.append(((vx, vy, 1.0), float(offsets[j])))
-        if len(verts) < 3:
-            raise VerificationFailedError("pieces", "degenerate piece produced")
         res = chebyshev_lp(A[E], b[E], extras, hints.get(j), fallbacks)
         if res.status != OPTIMAL:
             raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
@@ -439,33 +435,31 @@ def verify_solution(
     times P's diameter, whatever its size.
 
     Called with P and the claim alone, as `parcut verify` calls it, it
-    reads nothing of the solver's state and runs in O((m + n) log m): the
-    inner body I_rho comes from a Chebyshev LP by constraint generation
-    and a dual hull.  `solve` passes its own I_rho (`_inner`) and dome
-    diameter (`_diam`) instead, so its own check rests on its lifetimes.
-    Interior pieces are settled by the strip lemma against I_rho, each
-    reporting the half-width of its slab; the two end pieces and any
-    piece that fails the lemma's test (or every piece, when I_rho is
-    empty) get an inradius LP that reads only their own edges, found by
-    splitting P's boundary at the cuts in one sorted pass
-    (`_piece_inradii`).  Each end piece's LP
-    starts at I_rho's face farthest along the cut normal, where an honest
-    claim's end piece centres its largest disks; the I_rho it uses is the
-    one rebuilt here from P and the claim (or the solver's own, which
-    `solve` passes in).  The start changes the number of LP rounds, never
-    a value.  With no cuts and I_rho empty the one piece is P, whose
-    inradius the width check has just solved for.  The report's
-    `fallbacks` counts the piece LPs whose start at I_rho was unbounded
-    ("piece_hint") and those whose angle-bin start fell back to every row
-    ("piece_every_row").
+    reads nothing of the solver's state and runs in O((m + n) log m).  One
+    Chebyshev LP of I_rho gives its centre, P's incenter, and its inradius
+    r - rho, so P's inradius r, the one piece's when there are no cuts;
+    `inner_body` about that centre builds I_rho or finds it empty.
+    `solve` passes its own I_rho (`_inner`, none at n = 1) and dome
+    diameter (`_diam`), so its check rests on its lifetimes.  Interior
+    pieces are settled by the strip lemma against I_rho; the others get
+    an inradius LP over their own edges, an end piece's starting at
+    I_rho's face farthest along the cut normal (`_piece_inradii`).  The
+    start changes the number of LP rounds, never a value.  The report's
+    `fallbacks` counts I_rho's LP when its angle-bin start fell back to
+    every row ("inner_every_row"), the piece LPs whose start at I_rho was
+    unbounded ("piece_hint") and those whose angle-bin start fell back to
+    every row ("piece_every_row").
     """
     diam = _diam if _diam is not None else diameter(P)
     vtol = 1e-8 * diam
 
-    inner = _inner if _inner is not None else inner_body(P, rho)
-    r = None
+    inner, r = _inner, None
+    inner_fallbacks = Counter()
     if inner is None:
-        r, _ = inradius_incenter(P)
+        res = chebyshev_lp(P.A, P.b - rho, fallbacks=inner_fallbacks)  # OPTIMAL: P is bounded
+        r = rho + res.value  # P's inradius: I_rho's is r - rho
+        inner = inner_body(P, rho, res.point[:2])
+    if inner is None:
         if rho > r + vtol:
             raise VerificationFailedError("width", f"rho={rho} exceeds inradius {r}")
         width_inner = 0.0
@@ -485,7 +479,7 @@ def verify_solution(
         raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
     offsets = np.array([float(cut.offset) for cut in cuts])
     fallbacks = Counter()
-    if r is not None and not cuts:  # the one piece is P, whose LP gave r
+    if r is not None and not cuts:  # the one piece is P, whose inradius is r
         inradii = [r]
     else:
         inradii = _piece_inradii(P, v, offsets, vtol, inner, rho, fallbacks)
@@ -506,5 +500,6 @@ def verify_solution(
         max_piece_inradius=float(max_r),
         tolerance=vtol,
         ok=True,
-        fallbacks={"piece_hint": fallbacks["hint"], "piece_every_row": fallbacks["every_row"]},
+        fallbacks={"inner_every_row": inner_fallbacks["every_row"], "piece_hint": fallbacks["hint"],
+                   "piece_every_row": fallbacks["every_row"]},
     )

@@ -456,6 +456,22 @@ class TestInnerBody:
                 lhs = min(directional_width(Q, a) for a in P.A) + 2 * t
                 assert lhs == pytest.approx(min_width(Q).width + 2 * t, rel=1e-9)
 
+    def test_given_incenter_changes_nothing(self):
+        # P's incenter decides emptiness as I_t's own Chebyshev LP does, and
+        # the dual hull about it keeps the same rows
+        draws = [random_polygon(int(m), seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
+                 for k, m in enumerate(np.geomspace(3, 3000, 30).astype(int))]
+        for P in draws:
+            r, c = inradius_incenter(P)
+            for t in (0.1 * r, 0.5 * r, 0.9 * r):
+                got, ref = inner_body(P, t, c), inner_body(P, t)
+                for x, y in zip((got.A, got.b, got.vertices), (ref.A, ref.b, ref.vertices)):
+                    assert x.tobytes() == y.tobytes()
+        for P in draws + [canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)])]:
+            r, c = inradius_incenter(P)
+            for t in (r, 1.001 * r):
+                assert inner_body(P, t, c) is None and inner_body(P, t) is None
+
 
 class TestInradius:
     def test_square(self):

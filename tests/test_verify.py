@@ -2,9 +2,11 @@
 
 The reference clips P at every cut in turn, solves each piece's inradius
 LP over every row of P, and finds the inner body's interior point with one
-LP over every row.  The verification under test settles interior pieces
-by the strip lemma, splits P's boundary at the cuts and gives each
-remaining piece's LP only its own edges.  An end piece's LP starts from
+LP over every row.  The verification under test solves I_rho's Chebyshev
+LP once, which also gives P's inradius, settles interior pieces by the
+strip lemma, splits P's boundary at the cuts, judges a piece degenerate
+by its extent along the cut normal, and gives each remaining piece's LP
+only its own edges.  An end piece's LP starts from
 the rows of least depth at the ends of I_rho's edge farthest along the
 cut normal, I_rho being the inner body that verification rebuilt from P
 and the claim; the start may change the number of LP rounds, never a
@@ -69,7 +71,7 @@ def _verify_ref(P, n, rho, direction, cuts):
     inner = None
     if res.status == OPTIMAL and res.value > slack(max(1.0, float(np.abs(b).max()))):
         try:
-            inner = canonicalize((P.A, b), interior=res.point[:2])
+            inner = canonicalize((P.A, b))
         except EmptyInteriorError:
             pass
     if inner is None:
@@ -314,8 +316,8 @@ class TestStripLemma:
 
 
 def test_one_piece_reuses_the_inradius():
-    # at n = 1 I_rho is empty, so the width check solves P's inradius LP;
-    # the one piece is P, and its inradius is that value, not a third LP
+    # at n = 1 I_rho is empty; the one Chebyshev LP of I_rho that decides
+    # it also gives P's inradius, which the one piece, P, reports
     for P in (random_polygon(64, seed=1), random_polygon(1000, seed=2, model="ellipse")):
         s = solve(P, 1)
         lp = _CountingLp()
@@ -323,9 +325,46 @@ def test_one_piece_reuses_the_inradius():
             mp.setattr(geometry, "chebyshev_lp", lp)
             mp.setattr(solver, "chebyshev_lp", lp)
             rep = verify_solution(P, 1, s.rho, s.direction, s.cuts)
-        assert lp.calls == 2  # inner_body's feasibility LP and the inradius
+        assert lp.calls == 1
         r = _piece_inradii(P, np.asarray(s.direction), np.array([]), 1e-8 * _diameter_ref(P))
-        assert rep.piece_inradii == r == [inradius_incenter(P)[0]]
+        assert len(rep.piece_inradii) == len(r) == 1
+        assert abs(rep.piece_inradii[0] - inradius_incenter(P)[0]) <= 1e-15 * s.rho
+        assert abs(r[0] - inradius_incenter(P)[0]) <= 1e-15 * s.rho
+
+
+def test_solve_at_one_piece_solves_one_lp():
+    # at n = 1 I_rho is the apex, so solve builds no inner body and its
+    # verification's one Chebyshev LP decides that I_rho is empty
+    square = canonicalize([(0, 0), (1, 0), (1, 1), (0, 1)])
+    rectangle = canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)])  # its apex is a segment
+    for P in (random_polygon(64, seed=1), random_polygon(1000, seed=2, model="ellipse"), square, rectangle):
+        lp = _CountingLp()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "chebyshev_lp", lp)
+            mp.setattr(solver, "chebyshev_lp", lp)
+            s = solve(P, 1)
+        assert lp.calls == 1
+        assert s.verification.ok and s.cuts == []
+
+
+def test_verify_from_scratch_solves_one_inner_lp(monkeypatch):
+    # the piece LPs aside, a from-scratch verify solves I_rho's Chebyshev
+    # LP once, whatever n is and whether or not I_rho is empty
+    P = random_polygon(300, seed=7, model="smoothed")
+    calls = []
+
+    def counting_lp(A, b, *args, **kwargs):
+        calls.append(len(b))
+        return _CHEBYSHEV_LP(A, b, *args, **kwargs)
+
+    for n in (1, 2, 5, 40):
+        s = solve(P, n)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(geometry, "chebyshev_lp", counting_lp)
+            mp.setattr(solver, "chebyshev_lp", counting_lp)
+            assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
+        assert calls.count(P.m) == 1, (n, calls)  # a piece LP reads its own edges only
 
 
 class TestSmallPolygons:
