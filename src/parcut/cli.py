@@ -91,6 +91,7 @@ def solution_document(sol: Solution) -> dict:
             "lp_queries": sol.stats["lp_queries"],
             "vertex_inspections": sol.stats["vertex_inspections"],
             "fallbacks": sol.stats["fallbacks"],
+            "phases_ms": sol.stats["phases_ms"],
         },
     }
 

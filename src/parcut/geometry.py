@@ -19,8 +19,9 @@ from .errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import slack
 
-# angle bins of the start sample of `chebyshev_lp`, and rows it adds per round
-_LP_BATCH = 64
+# angle bins of pi/4 for the start sample of `chebyshev_lp` (16 rows), and
+# the most violated rows it adds per round
+_LP_BATCH = 8
 # the lifted row t >= 0
 _FLOOR = ((0.0, 0.0, -1.0), 0.0)
 
@@ -418,11 +419,12 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks
     x, inside {A x <= b}; `extras` are ((a_x, a_y, a_t), offset) rows such
     as the floor t >= 0.  Returns the LpResult of `small_lp`.
 
-    Solved by constraint generation: start from a subset of the rows plus
-    every extra row, then add the rows the optimum violates, most violated
-    first, until it violates none.  An optimum of a subset that is feasible
-    for every row is optimal for all of them, so the start changes the
-    number of rounds, never the optimal value beyond rounding.
+    Solved by constraint generation, as in Clarkson's algorithm: start
+    from a small subset of the rows plus every extra row, then add the at
+    most _LP_BATCH rows the optimum violates most, until it violates none.
+    An optimum of a subset that is feasible for every row is optimal for
+    all of them, so the start changes the number of rounds, never the
+    optimal value beyond rounding.
 
     Given `points`, one or more (x, y) near which largest disks are
     expected to be centred, the start is the 4 rows of least depth
@@ -430,14 +432,14 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks
     edge or the vertex of optimal centres, those include every row the
     largest disks touch, and the LP ends in one round.  Otherwise, and
     when that start is unbounded, the start is the first and the last
-    row, in angle order, of each of _LP_BATCH equal angle bins, or every
-    row up to 2 * _LP_BATCH rows.  Those bin rows bound the LP whenever
-    all rows do: consecutive start normals lie within one bin or are
-    consecutive normals of the rows, so no two are pi or more apart.  An
-    unbounded bin start (possible only by rounding) falls back to every
-    row.  A Counter `fallbacks`, when given, counts "hint" for each
-    unbounded start at `points` and "every_row" for each unbounded bin
-    start.
+    row, in angle order, of each of _LP_BATCH equal angle bins of pi/4,
+    16 rows, or every row up to 16.  Those bin rows bound the LP whenever
+    all rows do: consecutive start normals lie within one bin, less than
+    pi/4 apart, or are consecutive normals of the rows, so no two are pi
+    or more apart.  An unbounded bin start (possible only by rounding)
+    falls back to every row.  A Counter `fallbacks`, when given, counts
+    "hint" for each unbounded start at `points` and "every_row" for each
+    unbounded bin start.
     """
     m = len(b)
     hinted = points is not None and m > 4

@@ -1,11 +1,14 @@
 """Small-dimension linear programming.
 
-Randomized incremental (Seidel-style) LP in 1, 2 or 3 variables:
-expected linear time in the number of constraints, deterministic for a
-fixed shuffle seed.  Unboundedness is detected with a large bounding box,
-so coordinates of genuine optima must stay well below ``_BOX_FACTOR``
-times the data scale.  Equality constraints are eliminated up front by
-parametrizing the affine subspace they define.
+Seidel's randomized incremental LP in 1, 2 or 3 variables: expected
+linear time in the number of constraints, deterministic for a fixed
+shuffle seed.  The recursion is written out once per dimension (`_lp3`,
+`_lp2`, `_lp1`) over flat float rows (a_0, ..., a_{d-1}, b, rid), with
+its dot products, slacks, eliminations and back-substitutions inline.
+Unboundedness is detected with a large bounding box, so coordinates of
+genuine optima must stay well below ``_BOX_FACTOR`` times the data scale.
+Equality constraints are eliminated up front by parametrizing the affine
+subspace they define.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _BOX_FACTOR = 1e9
+# the two variables kept when variable piv is eliminated, in order
+_KEEP = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -36,140 +41,133 @@ class LpResult:
         return self.status == OPTIMAL
 
 
-def _dot(a, x) -> float:
-    s = 0.0
-    for i in range(len(a)):
-        s += a[i] * x[i]
-    return s
-
-
-def _lp1(rows, order, c, box):
-    """1-D base case: intersect half-lines, pick the end favored by c."""
+def _lp1(rows, c, box):
+    """1-D base case over rows (a, b, rid): intersect half-lines, pick the
+    end favored by c."""
     lo, hi = -box, box
     lo_id, hi_id = ("box", 0, -1), ("box", 0, 1)
-    for idx in order:
-        a, b, rid = rows[idx]
-        av = a[0]
-        if av > 1e-300:
-            cand = b / av
+    for a, b, rid in rows:
+        if a > 1e-300:
+            cand = b / a
             if cand < hi:
                 hi, hi_id = cand, rid
-        elif av < -1e-300:
-            cand = b / av
+        elif a < -1e-300:
+            cand = b / a
             if cand > lo:
                 lo, lo_id = cand, rid
         elif b < -slack(b):
             return INFEASIBLE, None, ()
-    scale = max(abs(lo), abs(hi), 1.0)
-    if lo > hi + slack(scale):
+    if lo > hi + slack(max(abs(lo), abs(hi), 1.0)):
         return INFEASIBLE, None, ()
     if c[0] >= 0.0:
         return OPTIMAL, (hi,), (hi_id,)
     return OPTIMAL, (lo,), (lo_id,)
 
 
-def _lp_rec(d, rows, order, c, box):
-    """Seidel recursion: maximize c over rows, each (a, b, rid)."""
-    if d == 1:
-        return _lp1(rows, order, c, box)
-
-    x = []
-    basis = []
-    for k in range(d):
-        if c[k] >= 0.0:
-            x.append(box)
-            basis.append(("box", k, 1))
-        else:
-            x.append(-box)
-            basis.append(("box", k, -1))
-    x = tuple(x)
-    basis = tuple(basis)
-
-    done: list[int] = []
-    for idx in order:
-        a, b, rid = rows[idx]
-        val = _dot(a, x)
-        scale = abs(b)
-        for k in range(d):
-            scale += abs(a[k] * x[k])
-        if val <= b + slack(scale):
-            done.append(idx)
+def _lp2(rows, c, box):
+    """Seidel's recursion in 2 variables over rows (a0, a1, b, rid), in
+    order: maximize c.x from the box corner c favors."""
+    c0, c1 = c
+    x0, x1 = (box if c0 >= 0.0 else -box), (box if c1 >= 0.0 else -box)
+    basis = (("box", 0, 1 if c0 >= 0.0 else -1), ("box", 1, 1 if c1 >= 0.0 else -1))
+    done = []
+    for row in rows:
+        a0, a1, b, rid = row
+        p0, p1 = a0 * x0, a1 * x1
+        # a.x <= b + slack(|b| + sum |a_k x_k|)
+        if p0 + p1 <= b + (1e-12 + 1e-9 * (abs(b) + abs(p0) + abs(p1))):
+            done.append(row)
             continue
-
-        # Optimum moves onto the hyperplane a.y = b; eliminate the variable
-        # with the largest coefficient and recurse in dimension d-1.
-        piv = 0
-        best = abs(a[0])
-        for k in range(1, d):
-            if abs(a[k]) > best:
-                best = abs(a[k])
-                piv = k
-        if best <= 1e-300:
+        # the optimum moves onto a.x = b: eliminate the variable with the
+        # larger coefficient, x_piv = q0 + s x_k, and solve in 1-D
+        piv = 1 if abs(a1) > abs(a0) else 0
+        k = 1 - piv
+        ap = row[piv]
+        if abs(ap) <= 1e-300:
             return INFEASIBLE, None, ()
-        q0 = b / a[piv]
-        keep = [k for k in range(d) if k != piv]
-        sub = [-a[k] / a[piv] for k in keep]  # x_piv = q0 + sub . x_keep
-
-        sub_rows = []
-        for j in done:
-            aj, bj, ridj = rows[j]
-            ak = aj[piv]
-            na = tuple(aj[k] + ak * sub[t] for t, k in enumerate(keep))
-            sub_rows.append((na, bj - ak * q0, ridj))
-        # Box planes of the eliminated variable become ordinary rows.
-        sub_rows.append((tuple(sub), box - q0, ("box", piv, 1)))
-        sub_rows.append((tuple(-s for s in sub), box + q0, ("box", piv, -1)))
-
-        sub_c = tuple(c[k] + c[piv] * sub[t] for t, k in enumerate(keep))
-        st, sx, sb = _lp_rec(
-            d - 1, sub_rows, range(len(sub_rows)), sub_c, box
-        )
+        q0 = b / ap
+        s = -row[k] / ap
+        sub = [(r[k] + r[piv] * s, r[2] - r[piv] * q0, r[3]) for r in done]
+        # box planes of the eliminated variable become ordinary rows
+        sub.append((s, box - q0, ("box", piv, 1)))
+        sub.append((-s, box + q0, ("box", piv, -1)))
+        st, y, sb = _lp1(sub, (c[k] + c[piv] * s,), box)
         if st != OPTIMAL:
             return INFEASIBLE, None, ()
-        xp = q0
-        for t in range(d - 1):
-            xp += sub[t] * sx[t]
-        full = [0.0] * d
-        for t, k in enumerate(keep):
-            full[k] = sx[t]
-        full[piv] = xp
-        x = tuple(full)
+        xp = q0 + s * y[0]
+        x0, x1 = (xp, y[0]) if piv == 0 else (y[0], xp)
         basis = (rid,) + sb
-        done.append(idx)
-    return OPTIMAL, x, basis
+        done.append(row)
+    return OPTIMAL, (x0, x1), basis
+
+
+def _lp3(rows, c, box):
+    """Seidel's recursion in 3 variables over rows (a0, a1, a2, b, rid), in
+    order: maximize c.x from the box corner c favors."""
+    c0, c1, c2 = c
+    x0, x1, x2 = (box if c0 >= 0.0 else -box), (box if c1 >= 0.0 else -box), (box if c2 >= 0.0 else -box)
+    basis = (("box", 0, 1 if c0 >= 0.0 else -1), ("box", 1, 1 if c1 >= 0.0 else -1),
+             ("box", 2, 1 if c2 >= 0.0 else -1))
+    done = []
+    for row in rows:
+        a0, a1, a2, b, rid = row
+        p0, p1, p2 = a0 * x0, a1 * x1, a2 * x2
+        if p0 + p1 + p2 <= b + (1e-12 + 1e-9 * (abs(b) + abs(p0) + abs(p1) + abs(p2))):
+            done.append(row)
+            continue
+        # eliminate the variable with the largest coefficient (the first of
+        # equals), x_piv = q0 + s0 x_k + s1 x_l, and solve in 2-D
+        piv, best = 0, abs(a0)
+        if abs(a1) > best:
+            piv, best = 1, abs(a1)
+        if abs(a2) > best:
+            piv, best = 2, abs(a2)
+        if best <= 1e-300:
+            return INFEASIBLE, None, ()
+        k, l = _KEEP[piv]
+        ap = row[piv]
+        q0 = b / ap
+        s0, s1 = -row[k] / ap, -row[l] / ap
+        sub = [(r[k] + r[piv] * s0, r[l] + r[piv] * s1, r[3] - r[piv] * q0, r[4]) for r in done]
+        sub.append((s0, s1, box - q0, ("box", piv, 1)))
+        sub.append((-s0, -s1, box + q0, ("box", piv, -1)))
+        st, y, sb = _lp2(sub, (c[k] + c[piv] * s0, c[l] + c[piv] * s1), box)
+        if st != OPTIMAL:
+            return INFEASIBLE, None, ()
+        x = [q0 + s0 * y[0] + s1 * y[1]] * 3
+        x[k], x[l] = y
+        x0, x1, x2 = x
+        basis = (rid,) + sb
+        done.append(row)
+    return OPTIMAL, (x0, x1, x2), basis
 
 
 def _reduce_equality(rows, eqs, c, eq):
-    """Eliminate one variable using equality eq = (a, b); returns the
+    """Eliminate one variable using the flat equality row eq; returns the
     reduced (rows, eqs, c) plus lift info (piv, keep, q0, sub)."""
-    a, b = eq
-    d = len(a)
+    d = len(c)
+    if d == 0:  # every variable is fixed: the equality reads 0 = b
+        return (rows, eqs, c, None) if abs(eq[0]) <= slack(eq[0]) else None
     piv = 0
-    best = abs(a[0])
+    best = abs(eq[0])
     for k in range(1, d):
-        if abs(a[k]) > best:
-            best = abs(a[k])
+        if abs(eq[k]) > best:
+            best = abs(eq[k])
             piv = k
     if best <= 1e-300:
-        if abs(b) > slack(b):
+        if abs(eq[d]) > slack(eq[d]):
             return None
         return rows, eqs, c, None  # trivial equality, drop
-    q0 = b / a[piv]
+    q0 = eq[d] / eq[piv]
     keep = [k for k in range(d) if k != piv]
-    sub = [-a[k] / a[piv] for k in keep]
+    sub = [-eq[k] / eq[piv] for k in keep]
 
-    def red_row(ar, br):
-        ak = ar[piv]
-        na = tuple(ar[k] + ak * sub[t] for t, k in enumerate(keep))
-        return na, br - ak * q0
+    def red_row(r):
+        ak = r[piv]
+        return tuple(r[k] + ak * sub[t] for t, k in enumerate(keep)) + (r[d] - ak * q0, r[d + 1])
 
-    nrows = []
-    for ar, br, rid in rows:
-        na, nb = red_row(ar, br)
-        nrows.append((na, nb, rid))
-    neqs = [red_row(ar, br) for ar, br in eqs]
     nc = tuple(c[k] + c[piv] * sub[t] for t, k in enumerate(keep))
-    return nrows, neqs, nc, (piv, keep, q0, sub)
+    return [red_row(r) for r in rows], [red_row(r) for r in eqs], nc, (piv, keep, q0, sub)
 
 
 def small_lp(
@@ -192,22 +190,15 @@ def small_lp(
     c_orig = tuple(float(v) for v in objective)
     c = c_orig if maximize else tuple(-v for v in c_orig)
 
-    rows = [
-        (tuple(float(v) for v in a), float(b), i)
-        for i, (a, b) in enumerate(constraints)
-    ]
-
-    scale = 1.0
-    for a, b, _ in rows:
-        scale = max(scale, abs(b))
-    box = _BOX_FACTOR * scale
+    given = [(*map(float, a), float(b), i) for i, (a, b) in enumerate(constraints)]
+    box = _BOX_FACTOR * max([1.0] + [abs(r[d]) for r in given])
 
     # Substitute away equality constraints (each one reduces the rest too).
+    rows = given
     lifts = []
-    eqs = [(tuple(float(v) for v in a), float(b)) for a, b in equalities]
+    eqs = [(*map(float, a), float(b), None) for a, b in equalities]
     while eqs:
-        eq = eqs.pop(0)
-        red = _reduce_equality(rows, eqs, c, eq)
+        red = _reduce_equality(rows, eqs[1:], c, eqs[0])
         if red is None:
             return LpResult(INFEASIBLE)
         rows, eqs, c, lift = red
@@ -220,18 +211,22 @@ def small_lp(
     else:
         order = list(range(len(rows)))
         random.Random(seed).shuffle(order)
-        st, x, basis_raw = _lp_rec(dim, rows, order, c, box)
+        rows = [rows[i] for i in order]
+        kernel = (_lp1, _lp2, _lp3)[dim - 1]
+        st, x, basis_raw = kernel(rows, c, box)
         if st != OPTIMAL:
             return LpResult(INFEASIBLE)
         if any(abs(v) >= 0.99 * box for v in x):
             # The optimum touches the artificial box.  That is only a real
             # unboundedness when enlarging the box improves the objective;
             # a slack direction the objective ignores is harmless.
-            st2, x2, _ = _lp_rec(dim, rows, order, c, box * 101.0)
+            st2, x2, _ = kernel(rows, c, box * 101.0)
             if st2 != OPTIMAL:
                 return LpResult(INFEASIBLE)
-            v1 = _dot(c, x)
-            v2 = _dot(c, x2)
+            v1 = v2 = 0.0
+            for ck, xk, xk2 in zip(c, x, x2):
+                v1 += ck * xk
+                v2 += ck * xk2
             if abs(v2 - v1) > slack(max(abs(v1), abs(v2), 1.0)) * 10.0:
                 return LpResult(UNBOUNDED)
 
@@ -248,17 +243,18 @@ def small_lp(
 
     if dim == 0:
         # Point fully determined; check feasibility of every row.
-        for a, b, _rid in [
-            (tuple(float(v) for v in a), float(b), i)
-            for i, (a, b) in enumerate(constraints)
-        ]:
-            val = _dot(a, x)
-            sc = abs(b) + sum(abs(a[k] * x[k]) for k in range(d))
-            if val > b + slack(sc):
+        for r in given:
+            val = 0.0
+            for k in range(d):
+                val += r[k] * x[k]
+            sc = abs(r[d]) + sum(abs(r[k] * x[k]) for k in range(d))
+            if val > r[d] + slack(sc):
                 return LpResult(INFEASIBLE)
         basis: tuple[int, ...] = ()
     else:
         basis = tuple(sorted(r for r in basis_raw if isinstance(r, int)))
 
-    value = _dot(c_orig, x)
+    value = 0.0
+    for ck, xk in zip(c_orig, x):
+        value += ck * xk
     return LpResult(OPTIMAL, tuple(x), value, basis)

@@ -76,6 +76,8 @@ _TIE_REL = 1e-13
 # cut offset or rho, and still be settled by the strip lemma: the rounding
 # of an honest claim's offsets
 _LEMMA_REL = 4 * np.finfo(float).eps
+# the phases of `solve`, in order, timed in `stats["phases_ms"]`
+_PHASES = ("canonicalize", "lifetimes", "bracket", "diagnostics", "inner_body", "cuts", "verify")
 
 
 @dataclass(frozen=True)
@@ -229,18 +231,20 @@ def solve(P, n: int) -> Solution:
 
     Canonicalize, lift to the dome, sweep it once for the lifetimes, find
     rho's bracket and its closed-form root, place the cuts and verify;
-    `Solution.diagnostics` holds the per-edge `Diagnostics` arrays.
+    `Solution.diagnostics` holds the per-edge `Diagnostics` arrays and
+    `stats["phases_ms"]` the wall time of each of those steps (`_PHASES`).
     """
-    t_start = time.perf_counter()
+    marks = [time.perf_counter()]
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidPieceCountError(f"piece count must be a positive integer, got {n!r}")
     n = int(n)
     if not isinstance(P, HPolygon):
         P = canonicalize(P)  # HPolygon input is canonical by contract
+    marks.append(time.perf_counter())
 
     D0 = build_dome(P)
     life = facet_lifetimes(D0)
-    t_built = time.perf_counter()
+    marks.append(time.perf_counter())
 
     work = {"probes": 0, "rows": 0, "steps": 0}
     ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
@@ -248,16 +252,20 @@ def solve(P, n: int) -> Solution:
     r = life.apex[2]
     rho, winner, S, tau, t_hi = _critical_radius(P, n, life.M, r, ang, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
+    marks.append(time.perf_counter())
     diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
+    marks.append(time.perf_counter())
 
     # at n = 1 I_rho is the apex, which no row outlives: verify finds it empty
     inner = _inner_from_lifetimes(P, rho, life.M, tie) if n > 1 else None
     inner_fallback = inner is None and n > 1
     if inner_fallback:
         inner = inner_body(P, rho, life.apex[:2])
+    marks.append(time.perf_counter())
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
+    marks.append(time.perf_counter())
     report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _diam=D0.scale)
-    t_end = time.perf_counter()
+    marks.append(time.perf_counter())
 
     return Solution(
         rho=rho,
@@ -269,8 +277,9 @@ def solve(P, n: int) -> Solution:
         verification=report,
         stats={
             "m": P.m,
-            "build_ms": (t_built - t_start) * 1e3,
-            "solve_ms": (t_end - t_start) * 1e3,
+            "build_ms": (marks[2] - marks[0]) * 1e3,
+            "solve_ms": (marks[-1] - marks[0]) * 1e3,
+            "phases_ms": {k: (t1 - t0) * 1e3 for k, t0, t1 in zip(_PHASES, marks, marks[1:])},
             "lp_queries": work["probes"],
             "vertex_inspections": life.events + work["rows"],
             "binary_search_steps": work["steps"],

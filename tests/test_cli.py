@@ -221,3 +221,5 @@ def test_solution_document_schema():
         "max_piece_inradius",
     }
     assert doc["stats"]["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
+    assert set(doc["stats"]["phases_ms"]) == {"canonicalize", "lifetimes", "bracket", "diagnostics",
+                                              "inner_body", "cuts", "verify"}

@@ -368,8 +368,8 @@ class TestAgainstLoops:
     def test_chebyshev_lp_hint_falls_back(self):
         # near the middle of a finely sampled arc the 4 rows of least depth
         # have nearly equal normals, so the hinted start is unbounded; the
-        # LP starts again from every row (m <= 128) or from the angle bins
-        # (m > 128) and reaches the optimum it reaches without the hint
+        # LP starts again from every row (m <= 16) or from the angle bins
+        # (m > 16) and reaches the optimum it reaches without the hint
         floor = ((0.0, 0.0, -1.0), 0.0)
         for P in (regular_polygon(100), random_polygon(120, seed=3, model="ellipse"),
                   regular_polygon(1000), random_polygon(700, seed=4, model="smoothed")):

@@ -1,9 +1,17 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lp_reference import reference_lp
 
+import parcut
+import parcut.geometry as geometry
 from parcut.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, small_lp
 
 SQUARE = [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)]
@@ -48,6 +56,16 @@ def test_equality_reduction():
     res = small_lp(SQUARE, (1.0, 1.0), equalities=[((1.0, 0.0), 0.25)])
     assert res.status == OPTIMAL
     assert res.point == pytest.approx((0.25, 1.0), abs=1e-9)
+
+
+def test_more_equalities_than_variables():
+    # once the equalities fix every variable, each further one must hold
+    # at that point (the generic recursion raised here)
+    eqs = [((1.0, 0.0), 0.25), ((0.0, 1.0), 0.5)]
+    res = small_lp(SQUARE, (1.0, 1.0), equalities=eqs + [((1.0, 1.0), 0.75)])
+    assert res.status == OPTIMAL
+    assert res.point == pytest.approx((0.25, 0.5), abs=1e-12)
+    assert small_lp(SQUARE, (1.0, 1.0), equalities=eqs + [((1.0, 1.0), 0.8)]).status == INFEASIBLE
 
 
 def test_determinism():
@@ -111,26 +129,30 @@ def test_against_vertex_enumeration_2d():
         assert res.value == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
-def test_against_vertex_enumeration_3d():
-    rng = np.random.default_rng(7)
-    for trial in range(250):
-        m = int(rng.integers(4, 12))
-        rows = []
-        for _ in range(m):
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            rows.append((tuple(v), float(rng.uniform(0.5, 2.0))))
-        # cube walls guarantee boundedness
-        for k in range(3):
-            for s in (1.0, -1.0):
-                n = [0.0, 0.0, 0.0]
-                n[k] = s
-                rows.append((tuple(n), 3.0))
-        c = tuple(rng.normal(size=3))
-        res = small_lp(rows, c, seed=trial)
-        ref = _brute_force_max_3d(rows, c)
-        assert res.status == OPTIMAL
-        assert res.value == pytest.approx(ref, rel=1e-9, abs=1e-9)
+# six decimals: no subnormal or tiny coordinate trips the oracle's determinants
+_UNIT = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    normals=st.lists(st.tuples(_UNIT, _UNIT, _UNIT).filter(lambda v: np.linalg.norm(v) > 1e-3),
+                     min_size=4, max_size=11),
+    offsets=st.lists(st.floats(0.5, 2.0), min_size=11, max_size=11),
+    c=st.tuples(_UNIT, _UNIT, _UNIT),
+    seed=st.integers(0, 2**16),
+)
+def test_against_vertex_enumeration_3d(normals, offsets, c, seed):
+    rows = [(tuple(np.divide(v, np.linalg.norm(v))), off) for v, off in zip(normals, offsets)]
+    # cube walls guarantee boundedness
+    for k in range(3):
+        for s in (1.0, -1.0):
+            n = [0.0, 0.0, 0.0]
+            n[k] = s
+            rows.append((tuple(n), 3.0))
+    res = small_lp(rows, c, seed=seed)
+    ref = _brute_force_max_3d(rows, c)
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 def test_basis_is_active():
@@ -144,3 +166,108 @@ def test_basis_is_active():
         for idx in res.basis:
             a, b = rows[idx]
             assert a[0] * res.point[0] + a[1] * res.point[1] == pytest.approx(b, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the per-dimension kernels against the generic recursion (tests/lp_reference.py)
+
+
+def _same(rows, c, **kwargs):
+    got, ref = small_lp(rows, c, **kwargs), reference_lp(rows, c, **kwargs)
+    assert repr(got) == repr(ref), (rows, c, kwargs)  # repr: -0.0 and nan too
+    return got
+
+
+def _random_rows(rng, d, m):
+    """m random rows in d variables: unit-ish normals, some all-zero rows
+    and near-parallel copies, offsets of mixed sign."""
+    rows = []
+    for _ in range(m):
+        kind = rng.integers(10)
+        if kind == 0:
+            a = np.zeros(d)
+        elif kind == 1 and rows:
+            a = np.asarray(rows[rng.integers(len(rows))][0]) * (1 + 1e-12 * rng.normal(size=d))
+        else:
+            a = rng.normal(size=d)
+        rows.append((tuple(a.tolist()), float(rng.uniform(-0.5, 2.0))))
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_matches_reference(d):
+    rng = np.random.default_rng(100 + d)
+    statuses = set()
+    for trial in range(300):
+        rows = _random_rows(rng, d, int(rng.integers(0, 30)))
+        c = tuple(rng.normal(size=d).tolist())
+        res = _same(rows, c, seed=trial, maximize=bool(trial % 2))
+        statuses.add(res.status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_matches_reference_with_equalities(d):
+    rng = np.random.default_rng(200 + d)
+    statuses = set()
+    for trial in range(200):
+        rows = _random_rows(rng, d, int(rng.integers(3, 25)))
+        eqs = [(tuple(rng.normal(size=d).tolist()), float(rng.uniform(-1.0, 1.0)))
+               for _ in range(int(rng.integers(1, d + 1)))]
+        if trial % 10 == 0:
+            eqs[-1] = ((0.0,) * d, 0.0)  # trivial, dropped
+        if trial % 10 == 1:
+            eqs[-1] = ((0.0,) * d, 1.0)  # contradictory
+        c = tuple(rng.normal(size=d).tolist())
+        statuses.add(_same(rows, c, seed=trial, equalities=eqs).status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_kernel_matches_reference_on_box_resolves():
+    # optima on the artificial box: the box * 101 re-solve tells a direction
+    # the objective ignores (optimal) from a real escape (unbounded)
+    half_planes = [((1.0, 0.0, 0.0), 1.0), ((-1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0)]
+    for c, status in (((0.0, 0.0, 1.0), UNBOUNDED), ((1.0, 0.0, 0.0), OPTIMAL),
+                      ((0.0, -1.0, 0.0), UNBOUNDED), ((1.0, 1.0, 0.0), OPTIMAL)):
+        assert _same(half_planes, c).status == status
+    for d in (1, 2, 3):
+        rows = [(tuple(-1.0 * (k == j) for k in range(d)), 0.0) for j in range(d)]
+        assert _same(rows, (1.0,) * d).status == UNBOUNDED
+        assert _same(rows, (1.0,) * d, maximize=False).status == OPTIMAL
+
+
+def test_kernel_matches_reference_on_degenerate_rows():
+    zero = ((0.0, 0.0, 0.0), 0.0)
+    cube = [(tuple(s * (k == j) for k in range(3)), 1.0) for j in range(3) for s in (1.0, -1.0)]
+    assert _same(cube + [zero], (1.0, 2.0, 3.0)).status == OPTIMAL
+    assert _same(cube + [((0.0, 0.0, 0.0), -1.0)], (1.0, 2.0, 3.0)).status == INFEASIBLE
+    # near-parallel and exactly parallel planes through one edge of the cube
+    tilted = [((1.0, 1e-13 * k, 0.0), 1.0 + 1e-15 * k) for k in range(8)]
+    for seed in range(20):
+        assert _same(cube + tilted, (1.0, 0.5, -0.25), seed=seed).status == OPTIMAL
+    assert _same([((0.0,), -1.0)], (1.0,)).status == INFEASIBLE
+    assert _same([((1e-301, 0.0), 1.0), ((0.0, 1e-301), 1.0)], (1.0, 1.0)).status == UNBOUNDED
+
+
+def test_kernel_matches_reference_on_the_solver_lps(monkeypatch):
+    # every LP that solve and a from-scratch verify make on the
+    # many_pieces inputs of seed 1 (bench/workloads.py, loaded by path)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return small_lp(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "small_lp", capture)
+    for case in workloads.build("many_pieces", 1):
+        s = parcut.solve(case.vertices, case.n)
+        P = parcut.canonicalize(case.vertices)
+        assert parcut.verify_solution(P, case.n, s.rho, s.direction, s.cuts).ok
+    assert len(calls) > 9 * 4
+    for args, kwargs in calls:
+        assert repr(small_lp(*args, **kwargs)) == repr(reference_lp(*args, **kwargs))

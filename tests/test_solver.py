@@ -201,6 +201,21 @@ class TestSolve:
             assert s2.rho == pytest.approx(lam * base.rho, rel=1e-9)
             assert np.allclose(s2.direction, base.direction, atol=1e-9)
 
+    def test_phases_are_timed(self):
+        # vertex input (canonicalized inside solve) and canonical input, at
+        # n = 1 (no inner body) and n >= 2: every phase is timed, in order,
+        # and together they take solve_ms, up to the rounding of the sum
+        V = random_polygon(200, seed=3).vertices
+        for P in (V, canonicalize(V)):
+            for n in (1, 2, 7):
+                stats = solve(P, n).stats
+                phases = stats["phases_ms"]
+                assert list(phases) == ["canonicalize", "lifetimes", "bracket", "diagnostics",
+                                        "inner_body", "cuts", "verify"]
+                assert all(t >= 0.0 for t in phases.values())
+                assert sum(phases.values()) <= stats["solve_ms"] * (1 + 1e-12)
+                assert stats["build_ms"] == pytest.approx(phases["canonicalize"] + phases["lifetimes"])
+
 
 class TestPlaceCuts:
     def test_square_n4(self):
@@ -379,7 +394,7 @@ class TestLifetimePath:
 
     def test_inner_lp_fallback_is_counted(self, monkeypatch):
         # the same stand-in under a from-scratch verify: I_rho's Chebyshev
-        # LP over the 1000 rows starts from at most 128 angle-bin rows, so
+        # LP over the 1000 rows starts from 16 angle-bin rows, so
         # it falls back to every row once, besides the two end pieces
         import parcut.geometry as geometry_mod
         from parcut.lp import UNBOUNDED, LpResult, small_lp

@@ -367,6 +367,33 @@ def test_verify_from_scratch_solves_one_inner_lp(monkeypatch):
         assert calls.count(P.m) == 1, (n, calls)  # a piece LP reads its own edges only
 
 
+
+def test_verify_from_scratch_inner_lp_reads_few_rows(monkeypatch):
+    # I_rho's Chebyshev LP on a 1000-gon starts from 16 angle-bin rows and
+    # adds at most 8 per round: 40 rows in two rounds of 16 and 24 (257
+    # in rounds of 128 and 129 from 64 bins); the bound has headroom, so a
+    # start that grows back fails
+    P = random_polygon(1000, seed=5)
+    s = solve(P, 2)
+    rows, counting = [], [False]
+
+    def inner_lp(A, b, *args, **kwargs):
+        counting[0] = len(b) == P.m  # a piece LP reads its own edges only
+        try:
+            return _CHEBYSHEV_LP(A, b, *args, **kwargs)
+        finally:
+            counting[0] = False
+
+    def counting_lp(constraints, *args, **kwargs):
+        if counting[0]:
+            rows.append(len(constraints))
+        return small_lp(constraints, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "chebyshev_lp", inner_lp)
+    monkeypatch.setattr(geometry, "small_lp", counting_lp)
+    assert verify_solution(P, 2, s.rho, s.direction, s.cuts).ok
+    assert rows and sum(rows) <= 64, rows
+
 class TestSmallPolygons:
     """Verification's slack is relative to P's diameter at every size."""
 
