@@ -3,15 +3,15 @@
 Given a convex m-gon P and a piece count n, finds the critical radius
 rho with width(P^rho) = 2 n rho, the cut direction (always an edge
 normal), and the n-1 equally spaced cuts that minimize the largest piece
-inradius.  `solve` reads every edge lifetime off one collapse sweep of
-the 3-D dome of P and solves for rho in closed form inside the bracket
-of lifetimes where it lies; the per-edge diagnostics, three float
-arrays indexed by edge, come from the same bracket.  The paper's
-Dobkin-Kirkpatrick style facet-peeling hierarchy, which deletes only
-facets of at most 11 vertices, is exported for direct use with its
-polylogarithmic LP queries, each step of which scans one such facet; a
-brute-force oracle cross-checks both.  Every predicate compares with
-one fixed slack, `tolerance.slack`.
+inradius.  `solve` finds P's incenter with one LP, then descends from
+every row to the rows alive at rho, each step a closed-form root per
+edge and one convex hull, and reads rho off the last step; the per-edge
+diagnostics, two float arrays indexed by edge, come from the same rows.
+The paper's Dobkin-Kirkpatrick style facet-peeling hierarchy, which
+deletes only facets of at most 11 vertices, is exported for direct use
+with its polylogarithmic LP queries, each step of which scans one such
+facet; a brute-force oracle cross-checks both.  Every predicate compares
+with one fixed slack, `tolerance.slack`.
 """
 
 from .errors import (

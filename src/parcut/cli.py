@@ -90,6 +90,7 @@ def solution_document(sol: Solution) -> dict:
             "m": sol.stats["m"],
             "lp_queries": sol.stats["lp_queries"],
             "vertex_inspections": sol.stats["vertex_inspections"],
+            "descent_steps": sol.stats["descent_steps"],
             "fallbacks": sol.stats["fallbacks"],
             "phases_ms": sol.stats["phases_ms"],
         },

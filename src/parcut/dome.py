@@ -1,4 +1,4 @@
-"""The dome of a convex polygon and the facet tops `solve` reads off it.
+"""The dome of a convex polygon and the facet tops the hierarchy reads off it.
 
 The dome of P = {x : Ax <= b} (unit outward normals) is the bounded
 3-polytope {(x, t) : Ax <= b - t, t >= 0}.  Slicing it at height t gives
@@ -195,8 +195,8 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     estimates come from one numpy pass, the two re-estimates per death
     inline the same arithmetic (`_heights`), and only the apex is solved
     as a point.  Each popped edge goes into `order`, C ints allocated
-    once (a list or a growing array raises `solve`'s peak memory at
-    2^16); the hierarchy's `face_lattice` replays it into every vertex.
+    once (a list or a growing array raises peak memory at 2^16); the
+    hierarchy's `face_lattice` replays it into every vertex.
     """
     m = D.m
     axa, aya, ba = D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m]

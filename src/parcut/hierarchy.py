@@ -11,10 +11,9 @@ Simplicity, and the lattice stays simple.  `solve` never builds it.
 
 Level 0 is the dome's face lattice (`face_lattice`, which returns the
 vertex store and level 0).  It is read off the one sweep of the whole
-dome, `parcut.dome.facet_lifetimes`, which `solve` runs too: replaying
-its death order gives every vertex with its three planes, and each
-facet's vertex cycle is the path of deaths across its face
-(`_sweep_paths`).  The event sweep `collapse_sweep`, which keeps every
+dome, `parcut.dome.facet_lifetimes`: replaying its death order gives
+every vertex with its three planes, and each facet's vertex cycle is the
+path of deaths across its face (`_sweep_paths`).  The event sweep `collapse_sweep`, which keeps every
 event as a point, only caps the holes that deleting a facet leaves.
 
 `build_hierarchy(D)` reads both level 0 and the bounded core off that

@@ -23,7 +23,8 @@ Results carry the facet labels that pin the optimum.  The hierarchy is
 built on the dome as it is, so every answer is the LP's own value.
 
 On these sit the paper's per-edge root step, which `solve` does not use
-(it reads the same quantities off one sweep of the dome):
+(it descends to the rows alive at rho and solves their gaps in closed
+form):
 
 * `eval_fi`: the width gap f_i(t) = b_i - min_{I_t} A_i.x - (2n-1) t,
   from one section LP at height t, up to and including t = M_i.

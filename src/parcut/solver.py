@@ -6,39 +6,44 @@ The critical radius rho is the unique root of
 
 where I_t = {x : Ax <= b - t} is the inner parallel body (the union of
 the radius-t disks inside P is I_t thickened by t); for n = 1 rho is the
-inradius.  `solve` finds it without any hierarchy:
+inradius.  `solve` finds it from the rows alive at rho, with no dome and
+no hierarchy:
 
-* lifetimes -- one heights-only collapse sweep over the unperturbed
-  dome (`facet_lifetimes`) gives every M_i, the offset at which edge i
-  leaves the inner body, and the apex, i.e. the incenter at the height
-  of the inradius; it keeps no other dome vertex.  Four planes through
-  one point do not move these heights, so `solve` never perturbs.
-* bracket -- the rows of I_t are exactly those with M_i > t, so between
-  consecutive sorted lifetimes the alive set, and with it every corner
-  of I_t and every edge's antipodal corner, stays fixed.  A binary
-  search over the sorted lifetimes finds the bracket where g changes
-  sign, reading g in O(m) per probe.
-* root -- inside the bracket each width is linear in t, so each edge's
-  gap f_i(t) = b_i - min_{I_t} A_i.x - (2n-1) t has its root in closed
-  form (the concurrence of the antipodal corner's two lifted rows with
-  the gap row).  The smallest root is rho, and its edge normal is the
-  cut direction; ties within rounding break by lowest index.
+* incenter -- one Chebyshev LP of P with the floor row gives P's
+  incenter c and inradius r.  c centres the largest disk of every
+  nonempty I_t, so the rows of I_t are the corners of their polar dual
+  A_i / (b_i - t - A_i.c) about c, which one convex hull finds.
+* descent -- while a set S of rows stays the rows of I_t, every edge's
+  antipodal corner moves along the line where its two lifted rows meet,
+  so each gap f_i(t) = b_i - min_{I_t} A_i.x - (2n-1) t is linear and
+  its root has a closed form (`_gap_roots`).  Widths of I_t along a
+  fixed direction are concave in t, so these linear pieces bound g from
+  above and every root for S lies at or above rho.  From S = every row,
+  the descent takes t, the least root for S, and the rows of I_t, until
+  they are S again: then t = rho and S are I_rho's rows.  Each step
+  starts where the bound is tight and g <= 0, so t never increases and
+  no S repeats.  At n >= 2 the first t is at most minwidth(P)/(2n) <=
+  3r/4, since each linear width falls at rate 2 or more and minwidth(P)
+  <= 3r, so c lies at depth r/4 or more in every I_t the descent reads.
+  No bound on the number of steps is proved; past `_MAX_STEPS` `solve`
+  raises.  At n = 1, rho = r, and S are the rows of I_t just below the
+  apex, at t = r - tie, which keeps every row through a segment-shaped
+  apex.  The smallest root of S is rho, and its edge normal is the cut
+  direction; ties within rounding break by lowest index.
 
-The n-1 cuts are then equally spaced along that normal and checked by
-`verify_solution` on `solve`'s own I_rho and dome diameter, so a wrong
-lifetime could pass; called with P and the claim alone, as `parcut
-verify` calls it, it checks from scratch.  At n = 1, I_rho is the apex:
-`solve` builds no inner body, and the verification's one LP finds it
-empty.  Per-edge diagnostics are read off the same bracket as float
-arrays indexed by edge: an edge's root is reported only when it lies
-there, and nan stands for a value not reported.
-`Solution.stats["fallbacks"]` counts the path's safety nets: the
-sweep's re-admissions after its heap ran empty early, the inner bodies
-at n >= 2 that the lifetimes could not assemble, so that `inner_body`
-built them, the bracket's gap roots whose plane triple was singular,
-and, from the verification, I_rho's Chebyshev LP when its start fell
-back to every row, the piece LPs whose start at I_rho was unbounded and
-those that fell back to every row.
+The n-1 cuts are then equally spaced along that normal across I_rho, the
+polygon of S's rows, and checked by `verify_solution` on that I_rho and
+on r, so a wrong descent could pass; called with P and the claim alone,
+as `parcut verify` calls it, it checks from scratch.  At n = 1, I_rho is
+the apex: `solve` builds no inner body, and the verification solves no
+LP.  Per-edge diagnostics are read off S's bracket as float arrays
+indexed by edge: an edge's root is reported only when it lies there, and
+nan stands for a value not reported.  `Solution.stats["fallbacks"]`
+counts the path's safety nets: the incenter LP when its start fell back
+to every row, S's gap roots whose plane triple was singular, and, from
+the verification, I_rho's Chebyshev LP when its start fell back to every
+row, the piece LPs whose start at I_rho was unbounded and those that
+fell back to every row.
 """
 
 from __future__ import annotations
@@ -50,12 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import build_dome, facet_lifetimes
-from .errors import InvalidPieceCountError, VerificationFailedError
+from .dome import _heights
+from .dome import build_dome, facet_lifetimes  # noqa: F401 -- bench/spans.py wraps solver.X
+from .errors import GeometryError, InvalidPieceCountError, VerificationFailedError
 from .geometry import (
     _FLOOR,
     HPolygon,
     _antipodes,
+    _convex_hull_ccw,
     _corners,
     _expand_ranges,
     canonicalize,
@@ -69,30 +76,34 @@ from .hierarchy import bounded_core, build_hierarchy, face_lattice, perturb  # n
 from .lp import OPTIMAL, small_lp  # noqa: F401 -- bench/spans.py wraps solver.small_lp
 from .queries import eval_fi, facet_max_t, lp_max, lp_max_constrained, lp_max_section  # noqa: F401 -- bench/spans.py wraps solver.X
 
-# lifetimes or roots closer than this, relative to the largest offset, are
+# roots or heights closer than this, relative to the largest offset, are
 # equal up to rounding; tied roots break by lowest index
 _TIE_REL = 1e-13
 # a slab's half-width may exceed rho by this much, relative to the largest
 # cut offset or rho, and still be settled by the strip lemma: the rounding
 # of an honest claim's offsets
 _LEMMA_REL = 4 * np.finfo(float).eps
+# the most steps the descent takes before `solve` raises; no input seen
+# has taken more than 3
+_MAX_STEPS = 64
 # the phases of `solve`, in order, timed in `stats["phases_ms"]`
-_PHASES = ("canonicalize", "lifetimes", "bracket", "diagnostics", "inner_body", "cuts", "verify")
+_PHASES = ("canonicalize", "incenter", "descent", "diagnostics", "cuts", "verify")
 
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-edge byproducts of the solve, read off rho's bracket: three
-    float arrays indexed by edge, nan wherever a value is not reported.
+    """Per-edge byproducts of the solve, read off rho's bracket: two float
+    arrays indexed by edge, nan wherever a value is not reported.
 
-    `M` is the swept lifetime M_i.  `root` is the root of the gap f_i when
-    it lies in the bracket of lifetimes that holds rho (where f_i is
-    linear, so the closed form is exact); an edge qualifies exactly where
-    its root is reported.  `f_at_M` is f_i(M_i) for the edges that die at
-    the bracket's top, read there.
+    The bracket is the range of offsets up to t_hi over which I_rho's rows
+    S stay the rows of I_t; its top t_hi is the least height above rho at
+    which an edge of S meets its two neighbours in S.  `root` is the root
+    of the gap f_i when it lies in the bracket (where f_i is linear, so the
+    closed form is exact); an edge qualifies exactly where its root is
+    reported.  `f_at_M` is f_i(M_i) for the edges that die at the
+    bracket's top, M_i = t_hi being where edge i leaves I_t, read there.
     """
 
-    M: np.ndarray
     root: np.ndarray
     f_at_M: np.ndarray
 
@@ -128,7 +139,7 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# rho from the lifetimes
+# rho from the rows alive at rho
 
 
 def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray) -> np.ndarray:
@@ -170,67 +181,70 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     return np.where(singular, np.inf, b[lo] - A[lo, 0] * x - A[lo, 1] * y)
 
 
-def _critical_radius(P: HPolygon, n: int, M: np.ndarray, r: float, ang: np.ndarray,
-                     tie: float, work: dict):
-    """rho and the winning edge from the lifetimes M and the inradius r,
-    with rho's bracket: its alive rows S, their gap roots tau and its top.
+def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work: dict):
+    """rho and the winning edge from P's incenter c and inradius r, with
+    I_rho's rows S, their gap roots tau and the number of steps taken.
 
-    Lifetimes that agree to rounding are one event: a row whose swept
-    M_i falls a hair short of its peers must stay alive until they die, or
-    a segment-shaped apex would lose one of its four rows.
+    Each step reads S's gap roots, and at n >= 2 the rows of I_t at their
+    least root t: the polar dual's corners about c, in angle order.  A
+    step whose t is the offset S were read at ends the descent with no
+    hull, since I_t's rows are then S.
     """
-    M = np.minimum(M, r)
-    u = np.unique(M)
-    first = np.concatenate([[0], np.nonzero(np.diff(u) > tie)[0] + 1])
-    low = u[first]  # event k: lifetimes in [low[k], top[k]]
-    top = np.append(u[first[1:] - 1], u[-1])
-    c = 2.0 * (n - 1)
+    A = P.A
+    Ac = A[:, 0] * c[0] + A[:, 1] * c[1]
 
-    def alive(k):  # rows of I_t for t in (top[k-1], top[k])
-        S = np.nonzero(M >= low[k])[0]
+    def alive(t):  # the rows of I_t
+        depth = (P.b - t) - Ac
+        if not depth.min() > 0:
+            raise GeometryError(f"the incenter left the inner body at offset {t!r}")
+        work["rows"] += len(depth)
+        return np.sort(_convex_hull_ccw(A / depth[:, None]))
+
+    S = alive(r - tie) if n == 1 else np.arange(P.m)
+    at = None  # the offset whose rows S are
+    for steps in range(1, _MAX_STEPS + 1):
         work["rows"] += len(S)
-        work["probes"] += 1
-        return S
-
-    lo, hi = 0, len(top) - 1
-    if n > 1:  # first event k with g(top[k]) <= 0; g(r) < 0 for n >= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            work["steps"] += 1
-            t = float(top[mid])
-            if _widths(P, alive(mid), t, ang).min() - c * t <= 0.0:
-                hi = mid
-            else:
-                lo = mid + 1
-    S = alive(hi)
-    tau = _gap_roots(P, S, n, ang)
-    best = float(tau.min())
-    if not math.isfinite(best):
-        raise VerificationFailedError("no-root", "no edge gap has a root; invalid input?")
-    winner = int(S[np.nonzero(tau <= best + tie)[0][0]])
-    return (best if n > 1 else r), winner, S, tau, float(top[hi])
+        tau = _gap_roots(P, S, n, ang)
+        t = float(tau.min())
+        if not math.isfinite(t):
+            raise VerificationFailedError("no-root", "no edge gap has a root; invalid input?")
+        if n == 1 or t == at:
+            break
+        S2 = alive(t)
+        if np.array_equal(S2, S):
+            break
+        S, at = S2, t
+    else:
+        raise GeometryError(f"the descent to rho did not settle in {_MAX_STEPS} steps")
+    winner = int(S[np.nonzero(tau <= t + tie)[0][0]])
+    return (t if n > 1 else r), winner, S, tau, steps
 
 
-def _diagnostics(P: HPolygon, n: int, M: np.ndarray, S: np.ndarray, tau: np.ndarray,
-                 t_hi: float, ang: np.ndarray, tie: float) -> Diagnostics:
-    """Per-edge diagnostics read off rho's bracket (alive rows S, roots tau,
-    top t_hi): a root counts only inside the bracket, and f_i(M_i) is read
-    at t_hi for the rows that die there, from one width evaluation."""
-    root = np.full(len(M), np.nan)
-    f_at_M = np.full(len(M), np.nan)
+def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray,
+                 ang: np.ndarray, tie: float) -> Diagnostics:
+    """Per-edge diagnostics read off rho's bracket (I_rho's rows S and
+    their roots tau): a root counts only inside the bracket, and f_i(M_i)
+    is read at its top t_hi for the rows that die there, from one width
+    evaluation.  An edge of S meets its neighbours below rho, or not at
+    all, while it grows, so t_hi is the least of the other heights."""
+    h, ok = _heights(P.A[:, 0], P.A[:, 1], P.b, np.roll(S, 1), S, np.roll(S, -1))[2:]
+    ends = ok & (h >= rho - tie)
+    t_hi = float(h[ends].min()) if ends.any() else rho
+    root = np.full(P.m, np.nan)
+    f_at_M = np.full(P.m, np.nan)
     inside = tau <= t_hi + tie
     root[S[inside]] = tau[inside]
-    dying = M[S] <= t_hi + tie
+    dying = ends & (h <= t_hi + tie)
     f = _widths(P, S, t_hi, ang) - 2.0 * (n - 1) * t_hi
     f_at_M[S[dying]] = f[dying]
-    return Diagnostics(M, root, f_at_M)
+    return Diagnostics(root, f_at_M)
 
 
 def solve(P, n: int) -> Solution:
     """Compute rho with width(P^rho) = 2 n rho, the direction, and the cuts.
 
-    Canonicalize, lift to the dome, sweep it once for the lifetimes, find
-    rho's bracket and its closed-form root, place the cuts and verify;
+    Canonicalize, find P's incenter, descend to the rows alive at rho and
+    its closed-form root, place the cuts and verify;
     `Solution.diagnostics` holds the per-edge `Diagnostics` arrays and
     `stats["phases_ms"]` the wall time of each of those steps (`_PHASES`).
     """
@@ -242,29 +256,26 @@ def solve(P, n: int) -> Solution:
         P = canonicalize(P)  # HPolygon input is canonical by contract
     marks.append(time.perf_counter())
 
-    D0 = build_dome(P)
-    life = facet_lifetimes(D0)
+    lp_fallbacks = Counter()
+    res = chebyshev_lp(P.A, P.b, [_FLOOR], fallbacks=lp_fallbacks)  # OPTIMAL: P is bounded
+    r = float(res.value)
     marks.append(time.perf_counter())
 
-    work = {"probes": 0, "rows": 0, "steps": 0}
+    work = {"rows": 0}
     ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
     tie = _TIE_REL * float(np.abs(P.b).max())
-    r = life.apex[2]
-    rho, winner, S, tau, t_hi = _critical_radius(P, n, life.M, r, ang, tie, work)
+    rho, winner, S, tau, steps = _descend(P, n, res.point[:2], r, ang, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
+    inner = None  # at n = 1 I_rho is the apex, which no row outlives
+    if n > 1:
+        A, b = P.A[S], P.b[S] - rho
+        inner = HPolygon(A, b, _corners(A, b)[0])
     marks.append(time.perf_counter())
-    diag = _diagnostics(P, n, life.M, S, tau, t_hi, ang, tie)
-    marks.append(time.perf_counter())
-
-    # at n = 1 I_rho is the apex, which no row outlives: verify finds it empty
-    inner = _inner_from_lifetimes(P, rho, life.M, tie) if n > 1 else None
-    inner_fallback = inner is None and n > 1
-    if inner_fallback:
-        inner = inner_body(P, rho, life.apex[:2])
+    diag = _diagnostics(P, n, rho, S, tau, ang, tie)
     marks.append(time.perf_counter())
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
     marks.append(time.perf_counter())
-    report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _diam=D0.scale)
+    report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _r=r)
     marks.append(time.perf_counter())
 
     return Solution(
@@ -277,36 +288,17 @@ def solve(P, n: int) -> Solution:
         verification=report,
         stats={
             "m": P.m,
-            "build_ms": (marks[2] - marks[0]) * 1e3,
+            "build_ms": (marks[1] - marks[0]) * 1e3,
             "solve_ms": (marks[-1] - marks[0]) * 1e3,
             "phases_ms": {k: (t1 - t0) * 1e3 for k, t0, t1 in zip(_PHASES, marks, marks[1:])},
-            "lp_queries": work["probes"],
-            "vertex_inspections": life.events + work["rows"],
-            "binary_search_steps": work["steps"],
-            "fallbacks": {"sweep_readmits": life.readmits, "inner_body": int(inner_fallback),
+            "lp_queries": 1,
+            "vertex_inspections": work["rows"],
+            "binary_search_steps": 0,
+            "descent_steps": steps,
+            "fallbacks": {"incenter_every_row": lp_fallbacks["every_row"],
                           "singular_gap": int(np.count_nonzero(tau == np.inf)), **report.fallbacks},
         },
     )
-
-
-def _inner_from_lifetimes(P: HPolygon, rho: float, Ms, tie: float) -> HPolygon | None:
-    """Inner body at rho assembled from the facet lifetimes.
-
-    The rows supporting the inner body are exactly those with M_i > rho,
-    in unchanged cyclic order, so their consecutive intersections are its
-    vertices; no redundancy pass is needed.  A lifetime within `tie` of
-    rho equals it up to rounding, so its row counts as dead there.
-    """
-    alive = np.nonzero(Ms > rho + tie)[0]
-    k = len(alive)
-    if k < 3:
-        return None
-    A = P.A[alive]
-    b = P.b[alive] - rho
-    verts, det = _corners(A, b)
-    if np.any(np.abs(det) < 1e-13):
-        return None  # adjacent near-parallel rows: fall back to the hull path
-    return HPolygon(A, b, verts)
 
 
 def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = None) -> list[Cut]:
@@ -432,7 +424,7 @@ def verify_solution(
     direction,
     cuts: list[Cut],
     _inner: HPolygon | None = None,
-    _diam: float | None = None,
+    _r: float | None = None,
 ) -> VerificationReport:
     """Check the two defining identities of a solution.
 
@@ -448,8 +440,9 @@ def verify_solution(
     Chebyshev LP of I_rho gives its centre, P's incenter, and its inradius
     r - rho, so P's inradius r, the one piece's when there are no cuts;
     `inner_body` about that centre builds I_rho or finds it empty.
-    `solve` passes its own I_rho (`_inner`, none at n = 1) and dome
-    diameter (`_diam`), so its check rests on its lifetimes.  Interior
+    `solve` passes its own I_rho (`_inner`, none at n = 1) and P's
+    inradius (`_r`) from its own LP, so its check rests on its descent
+    and solves no LP at n = 1.  Interior
     pieces are settled by the strip lemma against I_rho; the others get
     an inradius LP over their own edges, an end piece's starting at
     I_rho's face farthest along the cut normal (`_piece_inradii`).  The
@@ -459,12 +452,11 @@ def verify_solution(
     unbounded ("piece_hint") and those whose angle-bin start fell back to
     every row ("piece_every_row").
     """
-    diam = _diam if _diam is not None else diameter(P)
-    vtol = 1e-8 * diam
+    vtol = 1e-8 * diameter(P)
 
-    inner, r = _inner, None
+    inner, r = _inner, _r
     inner_fallbacks = Counter()
-    if inner is None:
+    if r is None:
         res = chebyshev_lp(P.A, P.b - rho, fallbacks=inner_fallbacks)  # OPTIMAL: P is bounded
         r = rho + res.value  # P's inradius: I_rho's is r - rho
         inner = inner_body(P, rho, res.point[:2])
@@ -488,7 +480,7 @@ def verify_solution(
         raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
     offsets = np.array([float(cut.offset) for cut in cuts])
     fallbacks = Counter()
-    if r is not None and not cuts:  # the one piece is P, whose inradius is r
+    if not cuts:  # the one piece is P, whose inradius is r
         inradii = [r]
     else:
         inradii = _piece_inradii(P, v, offsets, vtol, inner, rho, fallbacks)

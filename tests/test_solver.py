@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from parcut.dome import build_dome
-from parcut.errors import InvalidPieceCountError, NotQualifiedError, OutOfRangeError, VerificationFailedError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lifetime_reference import critical_radius
+from parcut.dome import build_dome, facet_lifetimes
+from parcut.errors import (
+    GeometryError,
+    InvalidPieceCountError,
+    NotQualifiedError,
+    OutOfRangeError,
+    VerificationFailedError,
+)
 from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
 from parcut.hierarchy import build_hierarchy
 from parcut.oracle import oracle_fi, random_polygon
@@ -29,6 +39,11 @@ def equilateral():
 
 def hier_for(P):
     return build_hierarchy(build_dome(P))
+
+
+def lifetimes(P):
+    """Every edge's lifetime M_i, from the dome's collapse sweep."""
+    return facet_lifetimes(build_dome(P)).M
 
 
 class TestEvalFi:
@@ -151,9 +166,10 @@ class TestSolve:
         s = solve(unit_square(), 2)
         d = s.diagnostics
         assert d is not None
-        assert np.allclose(d.M, 0.5, rtol=0, atol=1e-9)
+        M = lifetimes(unit_square())
+        assert np.allclose(M, 0.5, rtol=0, atol=1e-9)
         q = ~np.isnan(d.root)
-        assert np.all(0 < d.root[q]) and np.all(d.root[q] <= d.M[q] + 1e-9)
+        assert np.all(0 < d.root[q]) and np.all(d.root[q] <= M[q] + 1e-9)
         assert not np.any(np.isnan(d.f_at_M[q])) and np.all(d.f_at_M[q] <= 1e-9)
 
     def test_gap_strictly_decreasing(self):
@@ -175,8 +191,9 @@ class TestSolve:
             H = hier_for(P)
             s = solve(P, n)
             d = s.diagnostics
+            M = lifetimes(P)
             for i in np.nonzero(~np.isnan(d.root))[0]:
-                val = eval_fi(H, P, int(i), min(d.root[i], d.M[i]), n)
+                val = eval_fi(H, P, int(i), min(d.root[i], M[i]), n)
                 assert abs(val) < 1e-8
 
     def test_rigid_motion_equivariance(self):
@@ -210,11 +227,11 @@ class TestSolve:
             for n in (1, 2, 7):
                 stats = solve(P, n).stats
                 phases = stats["phases_ms"]
-                assert list(phases) == ["canonicalize", "lifetimes", "bracket", "diagnostics",
-                                        "inner_body", "cuts", "verify"]
+                assert list(phases) == ["canonicalize", "incenter", "descent", "diagnostics",
+                                        "cuts", "verify"]
                 assert all(t >= 0.0 for t in phases.values())
                 assert sum(phases.values()) <= stats["solve_ms"] * (1 + 1e-12)
-                assert stats["build_ms"] == pytest.approx(phases["canonicalize"] + phases["lifetimes"])
+                assert stats["build_ms"] == pytest.approx(phases["canonicalize"])
 
 
 class TestPlaceCuts:
@@ -343,32 +360,34 @@ class TestLifetimePath:
             s = solve(P, 3)
             assert s.verification.ok
 
-    def test_sweep_readmission_is_counted(self, monkeypatch):
-        # a negative coincidence tolerance makes the skip margin drop every
-        # estimate, so the heap empties and the sweep re-admits once
-        import parcut.dome as dome_mod
-
-        P = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)])
-        ref = solve(P, 2)
-        assert ref.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
-        monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
-        s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 1, "inner_body": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
-        assert s.rho == ref.rho and s.winner == ref.winner
-        assert s.verification.ok
-
-    def test_inner_body_fallback_is_counted(self, monkeypatch):
+    def test_descent_step_cap_raises(self, monkeypatch):
+        # stand-ins under which the rows of I_t never settle: gap roots
+        # that fall a little on every call, so no step repeats its offset,
+        # and a hull that drops the first row on every other step
         import parcut.solver as solver_mod
 
-        P = random_polygon(40, seed=3)
-        ref = solve(P, 3)
-        assert ref.stats["fallbacks"]["inner_body"] == 0
-        monkeypatch.setattr(solver_mod, "_inner_from_lifetimes", lambda *args: None)
-        s = solve(P, 3)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 1, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
-        assert s.rho == ref.rho and s.winner == ref.winner
-        assert [c.offset for c in s.cuts] == pytest.approx([c.offset for c in ref.cuts], abs=1e-12)
-        assert s.verification.ok
+        real = solver_mod._gap_roots
+        calls = []
+
+        def falling(*args):
+            calls.append(1)
+            return real(*args) - 1e-9 * len(calls)
+
+        monkeypatch.setattr(solver_mod, "_gap_roots", falling)
+        monkeypatch.setattr(solver_mod, "_convex_hull_ccw", lambda points: np.arange(len(calls) % 2, len(points)))
+        with pytest.raises(GeometryError, match="did not settle"):
+            solve(random_polygon(40, seed=3), 3)
+        assert len(calls) == solver_mod._MAX_STEPS
+
+    def test_descent_keeps_the_incenter_inside(self, monkeypatch):
+        # stand-in gap roots above the inradius: I_t no longer holds the
+        # incenter, so its rows cannot be read off the polar dual
+        import parcut.solver as solver_mod
+
+        real = solver_mod._gap_roots
+        monkeypatch.setattr(solver_mod, "_gap_roots", lambda *args: real(*args) + 10.0)
+        with pytest.raises(GeometryError, match="incenter"):
+            solve(random_polygon(40, seed=3), 3)
 
     def test_piece_lp_fallbacks_are_counted(self, monkeypatch):
         # a stand-in small_lp that calls every LP of fewer than 200 rows
@@ -388,7 +407,7 @@ class TestLifetimePath:
 
         monkeypatch.setattr(geometry_mod, "small_lp", short_unbounded)
         s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"sweep_readmits": 0, "inner_body": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 2, "piece_every_row": 2}
+        assert s.stats["fallbacks"] == {"incenter_every_row": 1, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 2, "piece_every_row": 2}
         assert s.verification.fallbacks == {"inner_every_row": 0, "piece_hint": 2, "piece_every_row": 2}
         assert s.verification.piece_inradii == pytest.approx(ref.verification.piece_inradii, abs=1e-12 * s.rho)
 
@@ -452,10 +471,12 @@ class TestLifetimePath:
         import parcut.solver as solver_mod
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solve built or queried a face lattice, bounded core or hierarchy")
+            raise AssertionError("solve built or swept a dome, or built or queried a hierarchy")
 
         for name in ("build_hierarchy", "face_lattice", "bounded_core"):
             monkeypatch.setattr(hierarchy_mod, name, refuse)
+            monkeypatch.setattr(solver_mod, name, refuse)
+        for name in ("build_dome", "facet_lifetimes"):
             monkeypatch.setattr(solver_mod, name, refuse)
         for name in ("eval_fi", "root_lp", "facet_max_t", "lp_max", "lp_max_section",
                      "lp_max_constrained"):
@@ -464,7 +485,7 @@ class TestLifetimePath:
             monkeypatch.setattr(solver_mod, name, refuse)
         P = random_polygon(40, seed=1)
         s = solve(P, 3)
-        assert len(s.diagnostics.M) == len(s.diagnostics.root) == len(s.diagnostics.f_at_M) == P.m
+        assert len(s.diagnostics.root) == len(s.diagnostics.f_at_M) == P.m
         assert s.verification.ok
 
     @pytest.mark.parametrize("k", [64, 340, 0, 9, 101, 226, 455])
@@ -476,12 +497,13 @@ class TestLifetimePath:
         s = solve(P, n)
         scale = max(1.0, float(np.abs(P.b).max()))
         d = s.diagnostics
+        M = lifetimes(P)
         roots = np.nonzero(~np.isnan(d.root))[0]
         assert s.winner in roots
         for i in roots.tolist():
             assert abs(oracle_fi(P, i, d.root[i], n)) <= 1e-12 * scale
         for i in np.nonzero(~np.isnan(d.f_at_M))[0].tolist():
-            assert abs(d.f_at_M[i] - oracle_fi(P, i, d.M[i], n)) <= 1e-12 * scale
+            assert abs(d.f_at_M[i] - oracle_fi(P, i, M[i], n)) <= 1e-12 * scale
 
     def test_ties_break_by_lowest_index(self):
         # every edge of the square and the regular hexagon ties
@@ -535,7 +557,7 @@ class TestLifetimePath:
         monkeypatch.setattr(solver_mod, "build_dome", recording(solver_mod.build_dome))
         P = random_polygon(30, seed=5)
         solve(P, 3)
-        assert len(domes) == 1
+        assert not domes  # solve builds none
         H = hier_for(P)
         domes.append((H.dome, snapshot(H.dome)))
         before = snapshot(H)
@@ -546,3 +568,25 @@ class TestLifetimePath:
         assert snapshot(H) == before
         for D, seen in domes:
             assert snapshot(D) == seen
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    m=st.integers(8, 512),
+    seed=st.integers(0, 2**16),
+    model=st.sampled_from(["circle", "ellipse", "smoothed"]),
+    n=st.integers(1, 64),
+)
+def test_descent_matches_lifetime_bracket(m, seed, model, n):
+    # the descent against the bracket search over the swept lifetimes
+    # (tests/lifetime_reference.py): the same rho bit for bit and the same
+    # winner at n >= 2; at n = 1 rho is the incenter LP's inradius, not
+    # the sweep's apex height, so the two agree to a few ulp
+    P = random_polygon(m, seed=seed, model=model)
+    s = solve(P, n)
+    rho, winner = critical_radius(P, n)
+    if n > 1:
+        assert s.rho == rho and s.winner == winner
+    else:
+        assert abs(s.rho - rho) <= 4 * np.spacing(rho)
+        assert abs(s.diagnostics.root[s.winner] - rho) <= 1e-12 * rho

@@ -55,8 +55,8 @@ def test_tracer_installs_records_and_restores():
     assert _wrapped(spans) == before
     assert solution.verification.ok and report.ok
     names = {span[0] for span in tracer.spans}
-    assert {"solve", "verify", "dome.build_dome", "dome.facet_lifetimes",
-            "solver.place_cuts", "solver.verify_solution"} <= names
-    assert metrics["dome.sweep_events"] > 0
+    assert {"solve", "verify", "geometry.diameter", "solver.place_cuts",
+            "solver.verify_solution"} <= names
+    assert metrics["solver.vertex_inspections"] > 0
     assert metrics["solver.verify_solution_ms"] > 0
     assert metrics["lp.small_lp_calls"] > 0
