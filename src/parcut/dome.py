@@ -6,19 +6,20 @@ the inner parallel body of P at offset t, and its upper boundary is the
 graph of the distance-to-boundary function.  Lifted facet rows keep the
 un-normalized normal (A_i, 1) so that slice algebra stays exact.
 
-Sweeping upward from the floor, the slice is a convex polygon whose
-edges die one by one, and each death is a vertex of the dome.
-`facet_lifetimes` is the one sweep of the whole dome.  It reads every
-facet's top, the height at which its polygon edge leaves the inner body,
-off the dome as it is, and keeps no dome vertex but the apex: only the
-order of the deaths, from which the hierarchy's level 0 replays every
-vertex (`parcut.hierarchy.face_lattice`).
+Sweeping upward from a bottom cycle, a shrinking convex slice loses its
+edges one by one, and each death is a vertex.  `collapse_sweep` is the
+one implementation of that sweep.  Run over the whole dome from its
+floor (`facet_lifetimes`), it gives every facet's top, the height at
+which its polygon edge leaves the inner body, and every dome vertex with
+its three planes, which the hierarchy's level 0 stores as they come
+(`parcut.hierarchy.face_lattice`); run in a deleted facet's plane, it
+caps the hole that facet leaves (`parcut.hierarchy.peel_level`).
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def _coincidence_tol(scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plane triples and the heights-only sweep
+# plane triples and the collapse sweep
 
 
 def _solve3(n1, o1, n2, o2, n3, o3):
@@ -138,155 +139,145 @@ def _solve3(n1, o1, n2, o2, n3, o3):
     return (x, y, (qa - pa[0] * x - pa[1] * y) / ta)
 
 
-@dataclass(frozen=True)
-class Lifetimes:
-    """Facet tops of a dome, read off one collapse sweep.
+def collapse_sweep(labels, bottom, rows, lam, ctol):
+    """Run the edge-collapse sweep over a bounded shrinking convex slice:
+    the whole dome from its floor (`facet_lifetimes`), or the cap over
+    the hole a deleted facet leaves (`parcut.hierarchy.peel_level`).
 
-    `M[i]` is the offset at which polygon edge i leaves the inner parallel
-    body (the top of lifted facet i); `apex` is (x, y, t) of the dome's
-    highest point, i.e. the incenter and the inradius.  `events` counts
-    the sweep's vertex events, and `readmits` the times its heap ran
-    empty early and every live edge was estimated again (a safety net).
-    `order` holds the m - 3 edges that die before the last three, in order.
+    labels[j] is the plane carrying edge j of the bottom cycle, and bottom
+    is a 3-D point on that cycle.  rows maps a label to its half-space
+    (n, off) with n . p <= off; lam is the sweep functional (height
+    h = lam . p, bottom cycle at the minimum h).  Returns the death
+    events [(point, (la, lb, lc))], final last, and the number of times
+    the heap ran empty early and every live edge was re-admitted.
+
+    Each live edge's death is estimated where its plane meets those of
+    its two live neighbours, by one `estimate`: at the start, for both
+    neighbours after each death, and when a stalled sweep re-admits every
+    edge.  An estimate more than 100 ctol below the current height is an
+    edge that is growing, not dying, and is not queued.  Four or more
+    planes through one point need no special case: their edges die one
+    after another at the same height, in the order the heap pops them.
+    The relinking is purely combinatorial, and each event lands at the
+    height where its edge dies.
     """
+    k = len(labels)
+    if k < 3:
+        raise GeometryError("slice needs at least 3 edges")
+    nxt = [(j + 1) % k for j in range(k)]
+    prv = [(j - 1) % k for j in range(k)]
+    gen = [0] * k  # generation of each edge's estimate; -1 once it died
+    lrows = [rows[lab] for lab in labels]
+    lam0, lam1, lam2 = lam
+    skip_margin = 100.0 * ctol
+    events = []
+    heap: list[tuple[float, int, int]] = []
+    pending_pt: dict[int, tuple] = {}
 
-    M: np.ndarray
-    apex: tuple[float, float, float]
-    events: int
-    readmits: int
-    order: np.ndarray
+    def estimate(j, lim):
+        """Queue edge j's death under its current neighbours unless it
+        lies below height lim."""
+        na, oa = lrows[prv[j]]
+        nb, ob = lrows[j]
+        nc, oc = lrows[nxt[j]]
+        pt = _solve3(na, oa, nb, ob, nc, oc)
+        if pt is None:
+            return
+        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
+        if h < lim:
+            return
+        pending_pt[j] = pt
+        heapq.heappush(heap, (h, j, gen[j]))
 
+    h0 = lam0 * bottom[0] + lam1 * bottom[1] + lam2 * bottom[2]
+    for j in range(k):
+        estimate(j, h0 - skip_margin)
 
-def _heights(ax, ay, b, p, e, q):
-    """Point (x, y, t) where lifted row e meets rows p and q, for index
-    arrays, and where that triple is not near-singular.
-
-    `_solve3`'s branch for three rows of t-coefficient 1, in its operation
-    order, so each point is bit for bit the one it returns.
-    """
-    dx1 = ax[e] - ax[p]
-    dy1 = ay[e] - ay[p]
-    do1 = b[e] - b[p]
-    dx2 = ax[q] - ax[e]
-    dy2 = ay[q] - ay[e]
-    do2 = b[q] - b[e]
-    det = dx1 * dy2 - dx2 * dy1
-    ok = ~(np.abs(det) <= 1e-14 * ((np.abs(dx1) + np.abs(dy1)) * (np.abs(dx2) + np.abs(dy2))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (do1 * dy2 - do2 * dy1) / det
-        y = (dx1 * do2 - dx2 * do1) / det
-    return x, y, b[p] - ax[p] * x - ay[p] * y, ok
-
-
-def facet_lifetimes(D: Dome) -> Lifetimes:
-    """Every facet top of a dome in O(m log m), from one heights-only sweep.
-
-    The slice at height h is the inner body I_h, whose edges die one by
-    one as h grows.  Edge j dies where its lifted row meets those of its
-    two current neighbours; a heap keyed (height, edge, generation) pops
-    the deaths in order, each death re-estimates the two edges it joins,
-    and estimates more than a skip margin below the current height are
-    dropped (the edge is growing).  A popped height is its edge's top;
-    the three edges alive at the end share the apex.  The dome need not
-    be generic: four planes through one point leave every death height,
-    and so every top, unchanged, whichever of them the sweep kills first.
-
-    Only heights are kept, on flat lists of the lifted rows: the m first
-    estimates come from one numpy pass, the two re-estimates per death
-    inline the same arithmetic (`_heights`), and only the apex is solved
-    as a point.  Each popped edge goes into `order`, C ints allocated
-    once (a list or a growing array raises peak memory at 2^16); the
-    hierarchy's `face_lattice` replays it into every vertex.
-    """
-    m = D.m
-    axa, aya, ba = D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m]
-    skip = 100.0 * _coincidence_tol(D.scale)
-    idx = np.arange(m)
-    h, ok = _heights(axa, aya, ba, np.roll(idx, 1), idx, np.roll(idx, -1))[2:]
-    live = np.nonzero(ok & ~(h < -skip))[0]  # the floor is at height 0
-    heap = list(zip(h[live].tolist(), live.tolist(), [0] * len(live)))
-    heapq.heapify(heap)  # pops as if pushed one by one: the tuples are distinct
-
-    ax, ay, b = axa.tolist(), aya.tolist(), ba.tolist()
-    nxt = list(range(1, m)) + [0]
-    prv = [m - 1] + list(range(m - 1))
-    gen = [0] * m  # generation of each edge's estimate; -1 once it died
-    M = [0.0] * m
-    order = array("i", [0]) * (m - 3)
-    n_alive = m
-    readmits = 0
-    pop = heapq.heappop
-    push = heapq.heappush
+    n_alive = k
+    retries = 0
     while n_alive > 3:
         if not heap:
-            # Every estimate was dropped below the current height; rounding
-            # near the resolution floor can do that.  Re-admit every live edge.
-            readmits += 1
-            if readmits > 2:
+            # All candidates were filtered as past events; numerical noise
+            # can do that near the resolution floor.  Re-admit everything.
+            retries += 1
+            if retries > 2:
                 raise GeometryError("collapse sweep stalled; inconsistent input")
-            e = np.array([j for j in range(m) if gen[j] >= 0])
-            for j in e.tolist():
-                gen[j] += 1
-            h, ok = _heights(axa, aya, ba, np.array(prv)[e], e, np.array(nxt)[e])[2:]
-            for hj, j in zip(h[ok].tolist(), e[ok].tolist()):
-                push(heap, (hj, j, gen[j]))
+            for j in range(k):
+                if gen[j] >= 0:
+                    gen[j] += 1
+                    estimate(j, -math.inf)
             continue
-        h, j, g = pop(heap)
+        h, j, g = heapq.heappop(heap)
         if g != gen[j]:
             continue
-        p = prv[j]
-        q = nxt[j]
-        M[j] = h
-        order[m - n_alive] = j
+        p, q = prv[j], nxt[j]
+        events.append((pending_pt[j], (labels[p], labels[j], labels[q])))
         gen[j] = -1
         nxt[p] = q
         prv[q] = p
         gen[p] += 1
         gen[q] += 1
         n_alive -= 1
-        lim = h - skip
-        # re-estimate p against (prv[p], q) and q against (p, nxt[q]): `_heights`
-        # inlined, sharing the differences of rows p and q; the tests read
-        # `not <=` and `not <` so that a nan compares as it does there
-        xp = ax[p]
-        yp = ay[p]
-        bp = b[p]
-        xq = ax[q]
-        yq = ay[q]
-        bq = b[q]
-        dx = xq - xp
-        dy = yq - yp
-        do = bq - bp
-        s = abs(dx) + abs(dy)
-        a = prv[p]
-        xa = ax[a]
-        ya = ay[a]
-        dx1 = xp - xa
-        dy1 = yp - ya
-        do1 = bp - b[a]
-        det = dx1 * dy - dx * dy1
-        if not abs(det) <= 1e-14 * ((abs(dx1) + abs(dy1)) * s):
-            x = (do1 * dy - do * dy1) / det
-            y = (dx1 * do - dx * do1) / det
-            eh = b[a] - xa * x - ya * y
-            if not eh < lim:
-                push(heap, (eh, p, gen[p]))
-        c = nxt[q]
-        dx2 = ax[c] - xq
-        dy2 = ay[c] - yq
-        do2 = b[c] - bq
-        det = dx * dy2 - dx2 * dy
-        if not abs(det) <= 1e-14 * (s * (abs(dx2) + abs(dy2))):
-            x = (do * dy2 - do2 * dy) / det
-            y = (dx * do2 - dx2 * do) / det
-            eh = bp - xp * x - yp * y
-            if not eh < lim:
-                push(heap, (eh, q, gen[q]))
+        estimate(p, h - skip_margin)
+        estimate(q, h - skip_margin)
 
-    a = next(j for j in range(m) if gen[j] >= 0)
-    c = nxt[nxt[a]]
-    apex = _solve3(*D.row(a), *D.row(nxt[a]), *D.row(c))
-    if apex is None:
+    a = next(j for j in range(k) if gen[j] >= 0)
+    b = nxt[a]
+    c = nxt[b]
+    na, oa = lrows[a]
+    nb, ob = lrows[b]
+    nc, oc = lrows[c]
+    pt = _solve3(na, oa, nb, ob, nc, oc)
+    if pt is None:
         raise GeometryError("final plane triple is singular")
-    M[a] = M[nxt[a]] = M[c] = apex[2]
-    return Lifetimes(np.array(M), apex, m - 2, readmits, np.frombuffer(order, np.intc))
+    events.append((pt, (labels[a], labels[b], labels[c])))
+    return events, retries
+
+
+@dataclass(frozen=True)
+class Lifetimes:
+    """Facet tops of a dome, read off its collapse sweep.
+
+    `sweep` is the sweep's events, [(point, (p, j, q))]: edge j died at
+    point between its neighbours p and q then, in order of death, and
+    the last event is the apex, where the three edges left meet.  `M[i]`
+    is the offset at which polygon edge i leaves the inner parallel body
+    (the top of lifted facet i).  `readmits` counts the times the heap ran
+    empty early and every live edge was estimated again (a safety net).
+    """
+
+    M: np.ndarray
+    sweep: list
+    readmits: int
+
+    @property
+    def apex(self) -> tuple[float, float, float]:
+        """(x, y, t) of the dome's highest point: the incenter and the inradius."""
+        return self.sweep[-1][0]
+
+    @property
+    def events(self) -> int:
+        """The number of the sweep's vertex events, m - 2."""
+        return len(self.sweep)
+
+
+def facet_lifetimes(D: Dome) -> Lifetimes:
+    """Every facet top of a dome in O(m log m), from one `collapse_sweep`
+    of the whole dome upward from its floor.
+
+    The slice at height h is the inner body I_h, whose edges die one by
+    one as h grows.  A death's height is its edge's top; the three edges
+    alive at the end share the apex.  The dome need not be generic: four
+    planes through one point leave every death height, and so every top,
+    unchanged, whichever of them the sweep kills first.
+    """
+    m = D.m
+    bottom = (float(D.corners[0, 0]), float(D.corners[0, 1]), 0.0)
+    ctol = _coincidence_tol(D.scale)
+    sweep, readmits = collapse_sweep(range(m), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
+    M = np.empty(m)
+    for pt, tri in sweep[:-1]:
+        M[tri[1]] = pt[2]
+    apex, tri = sweep[-1]
+    M[list(tri)] = apex[2]
+    return Lifetimes(M, sweep, readmits)

@@ -10,11 +10,12 @@ the events, in the spirit of Edelsbrunner and Muecke's Simulation of
 Simplicity, and the lattice stays simple.  `solve` never builds it.
 
 Level 0 is the dome's face lattice (`face_lattice`, which returns the
-vertex store and level 0).  It is read off the one sweep of the whole
-dome, `parcut.dome.facet_lifetimes`: replaying its death order gives
-every vertex with its three planes, and each facet's vertex cycle is the
-path of deaths across its face (`_sweep_paths`).  The event sweep `collapse_sweep`, which keeps every
-event as a point, only caps the holes that deleting a facet leaves.
+vertex store and level 0).  Every sweep of the build is one
+`parcut.dome.collapse_sweep`.  Run once over the whole dome, as
+`parcut.dome.facet_lifetimes`, its events are level 0's vertices with
+their three planes, stored as they come, and each facet's vertex cycle
+is the path of deaths across its face (`_sweep_paths`).  Run in a
+deleted facet's plane, the same sweep caps the hole that facet leaves.
 
 `build_hierarchy(D)` reads both level 0 and the bounded core off that
 one sweep (`bounded_core`: the floor and 3 or 4 lifted facets that bound
@@ -41,13 +42,12 @@ cycles and the vertices on them; its facet set is read off the cycles.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import Dome, Lifetimes, _coincidence_tol, _heights, _solve3, facet_lifetimes
+from .dome import Dome, Lifetimes, _coincidence_tol, collapse_sweep, facet_lifetimes
 from .errors import (
     DegenerateVertexError,
     GeometryError,
@@ -98,104 +98,6 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
             f"perturbation collapsed floor edge {int(short[0])}; input nearly redundant"
         )
     return Dome(D.polygon, D.normals, offsets, corners, D.scale)
-
-
-# ---------------------------------------------------------------------------
-# the collapse sweep
-
-
-def collapse_sweep(labels, bottom, rows, lam, ctol):
-    """Run the edge-collapse sweep over a bounded shrinking convex slice:
-    the cap over the hole a deleted facet leaves (`peel_level`).
-
-    labels[j] is the plane carrying edge j of the bottom cycle, and bottom
-    is a 3-D point on that cycle.  rows maps a label to its half-space
-    (n, off) with n . p <= off; lam is the sweep functional (height
-    h = lam . p, bottom cycle at the minimum h).  Returns the death
-    events [(point, (la, lb, lc))], final last, and the number of times
-    the heap ran empty early and every live edge was re-admitted.
-
-    Each live edge's death is estimated where its plane meets those of
-    its two live neighbours, by one `estimate`: at the start, for both
-    neighbours after each death, and when a stalled sweep re-admits every
-    edge.  An estimate more than 100 ctol below the current height is an
-    edge that is growing, not dying, and is not queued.  Four or more
-    planes through one point need no special case: their edges die one
-    after another at the same height, in the order the heap pops them.
-    The relinking is purely combinatorial, and each event lands at the
-    height where its edge dies.
-    """
-    k = len(labels)
-    if k < 3:
-        raise GeometryError("slice needs at least 3 edges")
-    nxt = [(j + 1) % k for j in range(k)]
-    prv = [(j - 1) % k for j in range(k)]
-    gen = [0] * k  # generation of each edge's estimate; -1 once it died
-    lrows = [rows[lab] for lab in labels]
-    lam0, lam1, lam2 = lam
-    skip_margin = 100.0 * ctol
-    events = []
-    heap: list[tuple[float, int, int]] = []
-    pending_pt: dict[int, tuple] = {}
-
-    def estimate(j, lim):
-        """Queue edge j's death under its current neighbours unless it
-        lies below height lim."""
-        na, oa = lrows[prv[j]]
-        nb, ob = lrows[j]
-        nc, oc = lrows[nxt[j]]
-        pt = _solve3(na, oa, nb, ob, nc, oc)
-        if pt is None:
-            return
-        h = lam0 * pt[0] + lam1 * pt[1] + lam2 * pt[2]
-        if h < lim:
-            return
-        pending_pt[j] = pt
-        heapq.heappush(heap, (h, j, gen[j]))
-
-    h0 = lam0 * bottom[0] + lam1 * bottom[1] + lam2 * bottom[2]
-    for j in range(k):
-        estimate(j, h0 - skip_margin)
-
-    n_alive = k
-    retries = 0
-    while n_alive > 3:
-        if not heap:
-            # All candidates were filtered as past events; numerical noise
-            # can do that near the resolution floor.  Re-admit everything.
-            retries += 1
-            if retries > 2:
-                raise GeometryError("collapse sweep stalled; inconsistent input")
-            for j in range(k):
-                if gen[j] >= 0:
-                    gen[j] += 1
-                    estimate(j, -math.inf)
-            continue
-        h, j, g = heapq.heappop(heap)
-        if g != gen[j]:
-            continue
-        p, q = prv[j], nxt[j]
-        events.append((pending_pt[j], (labels[p], labels[j], labels[q])))
-        gen[j] = -1
-        nxt[p] = q
-        prv[q] = p
-        gen[p] += 1
-        gen[q] += 1
-        n_alive -= 1
-        estimate(p, h - skip_margin)
-        estimate(q, h - skip_margin)
-
-    a = next(j for j in range(k) if gen[j] >= 0)
-    b = nxt[a]
-    c = nxt[b]
-    na, oa = lrows[a]
-    nb, ob = lrows[b]
-    nc, oc = lrows[c]
-    pt = _solve3(na, oa, nb, ob, nc, oc)
-    if pt is None:
-        raise GeometryError("final plane triple is singular")
-    events.append((pt, (labels[a], labels[b], labels[c])))
-    return events, retries
 
 
 # ---------------------------------------------------------------------------
@@ -306,36 +208,19 @@ def _sweep_paths(events, store: VertexStore, level: int, killer: int) -> dict[in
 
 def face_lattice(D: Dome, life: Lifetimes) -> tuple[VertexStore, Level]:
     """Full face lattice of the dome in O(m log m): the vertex store and
-    level 0, from the death order of its sweep `life = facet_lifetimes(D)`.
+    level 0, from the events of its sweep `life = facet_lifetimes(D)`.
 
-    Replaying the order over fresh links gives each death's edge j and
-    its neighbours p and q then; one `_heights` pass solves every
-    (p, j, q), bit for bit the point the sweep popped, and the three
-    edges left share the apex.  Four facet planes through one point come
-    out as vertices joined by zero-length edges, so every vertex lies on
-    exactly three facets.
+    Each event is a vertex with its three planes.  Four facet planes
+    through one point come out as vertices joined by zero-length edges,
+    so every vertex lies on exactly three facets.
     """
     m = D.m
-    nxt = list(range(1, m)) + [0]
-    prv = [m - 1] + list(range(m - 1))
-    tris = []
-    for j in life.order.tolist():
-        p, q = prv[j], nxt[j]
-        tris.append((p, j, q))
-        nxt[p] = q
-        prv[q] = p
-    p, e, q = np.array(tris, np.int64).reshape(-1, 3).T
-    xs, ys, ts = _heights(D.normals[:m, 0], D.normals[:m, 1], D.offsets[:m], p, e, q)[:3]
-    events = list(zip(zip(xs.tolist(), ys.tolist(), ts.tolist()), tris))
-    a = min(set(range(m)).difference(e.tolist()))  # the first edge left, as the sweep takes it
-    events.append((life.apex, (a, nxt[a], nxt[nxt[a]])))
-
     store = VertexStore()
     corner_vid = [
         store.alloc((x, y, 0.0), ((j - 1) % m, j, D.floor), 0, -1)
         for j, (x, y) in enumerate(D.corners.tolist())
     ]
-    paths = _sweep_paths(events, store, 0, -1)
+    paths = _sweep_paths(life.sweep, store, 0, -1)
     # going CCW, a lifted facet runs along its floor edge and returns over
     # its path of deaths
     cycles: dict[int, list[int]] = {D.floor: corner_vid}
@@ -382,7 +267,7 @@ def bounded_core(D: Dome, life: Lifetimes) -> frozenset[int]:
     """The floor and 3 lifted facets, or 4 where no 3 do, that bound a
     polytope on their own, read off the sweep: at most five facets.
 
-    S holds the rows alive at the latest point of `life.order` where they
+    S holds the rows alive at the latest point of the death order where they
     bound (`_bounds`): the last three, and the latest deaths before them
     as far back as it takes; adding rows only narrows the widest gap
     between normals, so a binary search finds S.  Of S the core keeps the
@@ -393,7 +278,7 @@ def bounded_core(D: Dome, life: Lifetimes) -> frozenset[int]:
     m = D.m
     N = D.normals[:m, :2]
     rank = np.full(m, m)  # when each row dies; the three at the apex never do
-    rank[life.order] = np.arange(m - 3)
+    rank[[tri[1] for _pt, tri in life.sweep[:-1]]] = np.arange(m - 3)
     back = bisect.bisect_left(range(m - 2), True, key=lambda j: _bounds(N[rank >= m - 3 - j]))
     S = np.nonzero(rank >= m - 3 - back)[0]
     th = (np.arctan2(N[S, 1], N[S, 0]) - math.atan2(N[S[0], 1], N[S[0], 0])) % (2 * math.pi)
@@ -553,8 +438,9 @@ def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: i
 @dataclass
 class Hierarchy:
     """Nested facet-deletion levels over a dome; queries run on its rows.
-    `readmits` counts the times a sweep of the build, the dome's or a
-    cap's, re-admitted every live edge after its heap ran empty early."""
+    `readmits` counts the times a `collapse_sweep` of the build, the
+    dome's or a cap's, re-admitted every live edge after its heap ran
+    empty early."""
 
     dome: Dome
     store: VertexStore
@@ -600,8 +486,9 @@ class Hierarchy:
 
 def build_hierarchy(D: Dome) -> Hierarchy:
     """Stratify the dome down to its `bounded_core`, one `removal_set` per
-    round, each deleted by `peel_level`.  The dome is swept once: its
-    `facet_lifetimes` give both level 0 and the core.
+    round, each deleted by `peel_level`.  The dome is swept once: the
+    events of its `facet_lifetimes` are level 0's vertices, and their
+    death order gives the core.
 
     The proven rate, (F/2 - 6)/12 of a level's F facets per round, bounds
     the depth by about log(m)/log(24/23).  The build checks the depth

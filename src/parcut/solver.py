@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dome import _heights
 from .dome import build_dome, facet_lifetimes  # noqa: F401 -- bench/spans.py wraps solver.X
 from .errors import GeometryError, InvalidPieceCountError, VerificationFailedError
 from .geometry import (
@@ -220,6 +219,24 @@ def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work
     return (t if n > 1 else r), winner, S, tau, steps
 
 
+def _heights(ax, ay, b, p, e, q):
+    """Height t where lifted row e meets rows p and q, for index arrays,
+    and where that triple is not near-singular: `dome._solve3`'s branch
+    for three rows of t-coefficient 1, on arrays."""
+    dx1 = ax[e] - ax[p]
+    dy1 = ay[e] - ay[p]
+    do1 = b[e] - b[p]
+    dx2 = ax[q] - ax[e]
+    dy2 = ay[q] - ay[e]
+    do2 = b[q] - b[e]
+    det = dx1 * dy2 - dx2 * dy1
+    ok = ~(np.abs(det) <= 1e-14 * ((np.abs(dx1) + np.abs(dy1)) * (np.abs(dx2) + np.abs(dy2))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (do1 * dy2 - do2 * dy1) / det
+        y = (dx1 * do2 - dx2 * do1) / det
+    return b[p] - ax[p] * x - ay[p] * y, ok
+
+
 def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray,
                  ang: np.ndarray, tie: float) -> Diagnostics:
     """Per-edge diagnostics read off rho's bracket (I_rho's rows S and
@@ -227,7 +244,7 @@ def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray
     is read at its top t_hi for the rows that die there, from one width
     evaluation.  An edge of S meets its neighbours below rho, or not at
     all, while it grows, so t_hi is the least of the other heights."""
-    h, ok = _heights(P.A[:, 0], P.A[:, 1], P.b, np.roll(S, 1), S, np.roll(S, -1))[2:]
+    h, ok = _heights(P.A[:, 0], P.A[:, 1], P.b, np.roll(S, 1), S, np.roll(S, -1))
     ends = ok & (h >= rho - tie)
     t_hi = float(h[ends].min()) if ends.any() else rho
     root = np.full(P.m, np.nan)

@@ -8,7 +8,7 @@ import parcut.dome as dome_mod
 from hierarchy_checks import check_hierarchy
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
-from parcut.hierarchy import bounded_core, build_hierarchy, collapse_sweep, face_lattice, perturb
+from parcut.hierarchy import bounded_core, build_hierarchy, face_lattice, perturb
 from parcut.oracle import random_polygon
 from parcut.lp import OPTIMAL, small_lp
 
@@ -239,30 +239,6 @@ class TestBoundedCore:
             _core(canonicalize(np.stack([np.cos(th), np.sin(th)], axis=1)))
 
 
-def _check_against_event_sweep(D, ctol):
-    """`facet_lifetimes` and level 0 against the generic event sweep run
-    over the whole dome upward from its floor, bit for bit: tops, apex,
-    event count, death order, and every new vertex with its planes."""
-    bottom = (float(D.corners[0, 0]), float(D.corners[0, 1]), 0.0)
-    events, readmits = collapse_sweep(list(range(D.m)), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
-    M = np.empty(D.m)
-    for pt, tri in events[:-1]:
-        M[tri[1]] = pt[2]
-    apex, tri = events[-1]
-    M[list(tri)] = apex[2]
-    life = facet_lifetimes(D)
-    assert life.M.tobytes() == M.tobytes(), D.m
-    assert life.apex == apex, D.m
-    assert life.events == len(events), D.m
-    assert life.order.tolist() == [tri[1] for _pt, tri in events[:-1]], D.m
-    assert life.readmits == readmits, D.m
-    store, _level = face_lattice(D, life)
-    got = np.array(store.pts[D.m:])
-    assert got.tobytes() == np.array([pt for pt, _tri in events]).tobytes(), D.m
-    assert store.tris[D.m:] == [tuple(sorted(tri)) for _pt, tri in events], D.m
-    return life
-
-
 def _reference_polygons():
     models = ["circle", "ellipse", "smoothed"]
     for k in range(500):  # criterion 2's cases
@@ -305,22 +281,31 @@ class TestFacetLifetimes:
             assert life.apex == pytest.approx((c[0], c[1], r), abs=1e-9)
             assert life.events == P.m - 2
 
-    def test_matches_event_sweep(self, monkeypatch):
-        # the one dome sweep, and the level 0 replayed from its death
-        # order, against the generic event sweep that caps the hierarchy's
-        # holes: bit for bit, not to a tolerance
+    def test_readmission_and_degenerate_apexes(self, monkeypatch):
+        # the dome's sweep never re-admits on the reference polygons, and
+        # its events are level 0's vertices, stored as they come
         for P in _reference_polygons():
             D = build_dome(P)
-            assert _check_against_event_sweep(D, dome_mod._coincidence_tol(D.scale)).readmits == 0
+            life = facet_lifetimes(D)
+            assert life.readmits == 0, D.m
+            assert life.events == D.m - 2, D.m
+            store, _level = face_lattice(D, life)
+            assert store.pts[D.m:] == [pt for pt, _tri in life.sweep], D.m
+            assert store.tris[D.m:] == [tuple(sorted(tri)) for _pt, tri in life.sweep], D.m
         # degenerate apexes: four planes through one point, and a segment
         for P in (unit_square(), canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)]),
                   regular_polygon(6), random_polygon(1024, seed=1, model="ellipse")):
             check_hierarchy(build_hierarchy(build_dome(P)))
         # a negative coincidence tolerance drops every estimate: the heap
-        # empties and both sweeps re-admit every edge once
+        # empties, the sweep re-admits every edge once, and its first pop
+        # is then the same death as without the net
         D = build_dome(canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]))
+        life = facet_lifetimes(D)
         monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
-        assert _check_against_event_sweep(D, -1e3 * D.scale).readmits == 1
+        forced = facet_lifetimes(D)
+        assert forced.readmits == 1
+        assert forced.M.tobytes() == life.M.tobytes()
+        assert forced.sweep == life.sweep
 
 
 def _assert_bounded(D, core: frozenset[int]):

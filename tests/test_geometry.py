@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parcut.errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
 from parcut.lp import OPTIMAL, small_lp
@@ -93,6 +95,36 @@ class TestCanonicalize:
             assert P1.A.tobytes() == P2.A.tobytes()
             assert P1.b.tobytes() == P2.b.tobytes()
             assert P1.vertices.tobytes() == P2.vertices.tobytes()
+
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        pts=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                     min_size=3, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shuffle_duplicates_and_edge_points(self, pts, seed):
+        # quarter points and midpoints of integer hull edges are exact in
+        # floats, so they lie exactly on their edges; float-interpolated
+        # points can round outside an edge and rightly become corners
+        try:
+            hull = [pts[i] for i in _convex_hull_ccw(np.array(pts, float))]
+        except EmptyInteriorError:  # collinear
+            assume(False)
+        rng = np.random.default_rng(seed)
+        edge_points = [
+            ((1 - w) * a[0] + w * b[0], (1 - w) * a[1] + w * b[1])
+            for a, b in zip(hull, hull[1:] + hull[:1])
+            for w in (0.25, 0.5, 0.75)
+        ]
+        dups = [pts[i] for i in rng.integers(0, len(pts), size=len(pts))]
+        more = np.array(pts + dups + edge_points, float)
+        more = more[rng.permutation(len(more))]
+        ref = canonicalize(np.array(pts, float))
+        got = canonicalize(more)
+        assert got.A.tobytes() == ref.A.tobytes()
+        assert got.b.tobytes() == ref.b.tobytes()
+        assert got.vertices.tobytes() == ref.vertices.tobytes()
 
 
 class TestWidths:

@@ -13,14 +13,25 @@ and the claim; the start may change the number of LP rounds, never a
 value, so the reference has no such start.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcut.errors import EmptyInteriorError, VerificationFailedError
 from parcut import geometry, solver
-from parcut.geometry import canonicalize, clip_halfplane, inner_body, inradius_incenter, min_width, regular_polygon
+from parcut.geometry import (
+    canonicalize,
+    clip_halfplane,
+    diameter,
+    inner_body,
+    inradius_incenter,
+    min_width,
+    regular_polygon,
+)
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.solver import Cut, _piece_inradii, solve, verify_solution
@@ -427,3 +438,38 @@ class TestSmallPolygons:
         for claim in ((s.rho * (1 + 1e-6), s.cuts), (s.rho * 2, s.cuts), (s.rho, moved)):
             with pytest.raises(VerificationFailedError):
                 verify_solution(P, n, claim[0], s.direction, claim[1])
+
+
+def _turn(u, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return (c * u[0] - s * u[1], s * u[0] + c * u[1])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    m=st.integers(3, 64),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    model=st.sampled_from(["circle", "ellipse", "smoothed"]),
+)
+def test_verify_rejects_tampered_claims(m, n, seed, model):
+    # tampered by 1e-6 of the diameter, not of rho: verify's tolerance is
+    # 1e-8 of the diameter, so on a sliver rho * (1 +- 1e-6) is rightly
+    # accepted.  The cut normals are turned and the direction is not:
+    # turned together they can still cut pieces within that tolerance
+    P = random_polygon(m, seed=seed, model=model)
+    s = solve(P, n)
+    assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
+    d = 1e-6 * diameter(P)
+    claims = [(s.rho + d, s.cuts), (s.rho - d, s.cuts)]
+    if s.cuts:
+        first = s.cuts[0]
+        turned = [Cut(_turn(cut.normal, 1e-6), cut.offset) for cut in s.cuts]
+        claims += [
+            (s.rho, [Cut(first.normal, first.offset + d)] + s.cuts[1:]),
+            (s.rho, s.cuts[1:]),
+            (s.rho, turned),
+        ]
+    for rho, cuts in claims:
+        with pytest.raises(VerificationFailedError):
+            verify_solution(P, n, rho, s.direction, cuts)
