@@ -33,7 +33,6 @@ from .geometry import (
     WidthResult,
     canonicalize,
     diameter,
-    directional_width,
     inner_body,
     inradius_incenter,
     min_width,

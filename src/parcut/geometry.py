@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
+from .errors import EmptyInteriorError, GeometryError, NonFiniteInputError, UnboundedError
 from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import slack
 
@@ -24,6 +24,12 @@ from .tolerance import slack
 _LP_BATCH = 8
 # the lifted row t >= 0
 _FLOOR = ((0.0, 0.0, -1.0), 0.0)
+# the least and the greatest normal float: squares outside have lost bits
+# to underflow or overflowed
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+# edges whose six candidate pairs `diameter` holds at once
+_PAIR_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -227,8 +233,12 @@ def _corners(A: np.ndarray, b: np.ndarray):
     """Crossing of each row with the next one (cyclically): corner k of
     the polygon {A x <= b} when every row supports an edge.  Returns the
     corners and the 2x2 determinants they were solved with."""
-    A2 = np.roll(A, -1, axis=0)
-    b2 = np.roll(b, -1)
+    return _meet(A, b, np.roll(A, -1, axis=0), np.roll(b, -1))
+
+
+def _meet(A: np.ndarray, b: np.ndarray, A2: np.ndarray, b2: np.ndarray):
+    """Crossing of row i of {A x <= b} with row i of {A2 x <= b2}, for
+    every i, and the 2x2 determinants it was solved with."""
     det = A[:, 0] * A2[:, 1] - A[:, 1] * A2[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         X = np.stack(
@@ -240,8 +250,7 @@ def _corners(A: np.ndarray, b: np.ndarray):
 
 def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
     """Rotate rows to the canonical start and recompute corner vertices."""
-    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    start = int(np.argmin(ang))
+    start = int(np.argmin(_angles(A)))
     A = np.roll(A, -start, axis=0)
     b = np.roll(b, -start)
     verts, det = _corners(A, b)
@@ -275,13 +284,31 @@ def _require_finite(*arrays: np.ndarray) -> None:
 
 
 def _canonicalize_vertices(vertices: np.ndarray) -> HPolygon:
+    """The rows of the hull's edges, each edge's normal scaled to unit length.
+
+    An edge whose squared length is not a normal float, having lost bits
+    to underflow or overflowed, is first scaled by a power of two to a
+    largest coordinate in [0.5, 1).  That is exact, bar a coordinate it
+    takes below 2^-1022, which lies far below the other's ulp, so the
+    unit row is as it would be in exact range.  Edges whose squares are
+    normal are not touched.  Raises GeometryError when an edge's
+    coordinates overflow.
+    """
     hull = vertices[_convex_hull_ccw(vertices)]
     d = np.roll(hull, -1, axis=0) - hull
     A = np.stack([d[:, 1], -d[:, 0]], axis=1)
     # row-wise dot products as stacked 1x2 @ 2x1 products: matmul runs the
     # vector dot of `a @ p` on each pair, so every row rounds as it would
     # one at a time, where elementwise products and sums round differently
-    A /= np.sqrt(_rowdot(A, A))[:, None]
+    with np.errstate(over="ignore"):
+        sq = _rowdot(A, A)
+    off = ~((sq >= _TINY) & (sq <= _HUGE))
+    if np.count_nonzero(off):
+        if not np.isfinite(A[off]).all():
+            raise GeometryError("an edge of the hull is longer than a float can hold")
+        A[off] = np.ldexp(A[off], -np.frexp(np.abs(A[off]).max(axis=1))[1][:, None])
+        sq[off] = _rowdot(A[off], A[off])
+    A /= np.sqrt(sq)[:, None]
     return _finish_hpolygon(A, _rowdot(A, hull))
 
 
@@ -312,7 +339,7 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
     if res.status == OPTIMAL and res.value <= slack(float(np.abs(b).max())):
         raise EmptyInteriorError("region is empty or lower-dimensional")
 
-    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+    ang = _angles(A)
     order = np.argsort(ang, kind="stable")
     s = ang[order]
     if max(np.diff(s).max(initial=0.0), 2 * math.pi - (s[-1] - s[0])) >= math.pi - 1e-12:
@@ -332,18 +359,42 @@ def _dual_hull(A: np.ndarray, b: np.ndarray, depth: np.ndarray) -> HPolygon:
     return _finish_hpolygon(A[chosen], b[chosen])
 
 
-def directional_width(P: VPolygon | HPolygon, v) -> float:
-    """Extent of the polygon between supporting lines normal to v."""
-    verts = P.vertices if isinstance(P, (VPolygon, HPolygon)) else np.asarray(P)
-    proj = verts @ np.asarray(v, float)
-    return float(proj.max() - proj.min())
+def _angles(A: np.ndarray) -> np.ndarray:
+    """Each row's normal angle in [0, 2pi): `arctan2`, plus 2pi where that
+    is negative and plus 0.0 elsewhere, which turns -0.0 into 0.0.  On
+    arctan2's range that equals `% (2 * pi)` bit for bit, at a fraction of
+    its cost."""
+    ang = np.arctan2(A[:, 1], A[:, 0])
+    ang += (ang < 0) * (2 * math.pi)
+    return ang
 
 
 def _antipodes(ang: np.ndarray) -> np.ndarray:
     """For each of the ascending normal angles `ang` of a convex polygon's
     rows, the corner k, where rows k and k+1 meet, whose normal cone holds
     the opposite normal: where that row's A_i.x is smallest."""
-    return (np.searchsorted(ang, (ang + math.pi) % (2 * math.pi), side="right") - 1) % len(ang)
+    return _antipodes_of(ang, ang)
+
+
+def _antipodes_of(ang: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """`_antipodes` of rows with normal angles `th` in [0, 2pi), among the
+    corners of the polygon whose ascending normal angles are `ang`.
+
+    The opposite angle th + pi wraps by one subtraction of 2pi, which is
+    exact there (Sterbenz), so it equals (th + pi) % (2pi) bit for bit;
+    the corner before the first is the last one."""
+    opp = th + math.pi
+    opp -= (opp >= 2 * math.pi) * (2 * math.pi)
+    k = np.searchsorted(ang, opp, side="right") - 1
+    k[k < 0] = len(ang) - 1
+    return k
+
+
+def _padded(X: np.ndarray) -> np.ndarray:
+    """The cyclic column X with its last entry put before it and its first
+    after it, so that entries k - 1 and k + 1 of the cycle sit at k and
+    k + 2, with no wrap."""
+    return np.concatenate((X[-1:], X, X[:1]))
 
 
 def min_width(P: HPolygon) -> WidthResult:
@@ -354,17 +405,23 @@ def min_width(P: HPolygon) -> WidthResult:
     lies between those two normals, so each edge's antipodal vertex is a
     binary search on the rows' sorted normal angles (canonical order); its
     two neighbours are checked too, which absorbs rounding in the angles.
+    The three candidates are three 1-D passes over the cyclically padded
+    vertex columns; of equal projections the first counts, as in argmin.
     """
     A, b, verts = P.A, P.b, P.vertices
-    m = P.m
-    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    cand = (_antipodes(ang)[:, None] + np.array([-1, 0, 1])) % m
-    V = verts[cand]
-    proj = A[:, None, 0] * V[:, :, 0] + A[:, None, 1] * V[:, :, 1]
-    low = proj.argmin(axis=1)
-    w = b - proj[np.arange(m), low]
+    ax, ay = A[:, 0], A[:, 1]
+    x, y = _padded(verts[:, 0]), _padded(verts[:, 1])
+    k = _antipodes(_angles(A))
+    low = None
+    for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
+        proj = ax * x[j] + ay * y[j]
+        low = proj if low is None else np.where(proj < low, proj, low)
+    w = b - low
     i = int(np.argmin(w))
-    return WidthResult(float(w[i]), (float(A[i, 0]), float(A[i, 1])), i, int(cand[i, low[i]]))
+    ki = int(k[i])
+    proj = [ax[i] * x[j] + ay[i] * y[j] for j in (ki, ki + 1, ki + 2)]
+    near = proj.index(min(proj))
+    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (ki - 1 + near) % P.m)
 
 
 def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
@@ -401,7 +458,7 @@ def _spread_rows(A: np.ndarray) -> np.ndarray:
     m = len(A)
     if m <= 2 * _LP_BATCH:
         return np.ones(m, dtype=bool)
-    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
+    ang = _angles(A)
     order = np.argsort(ang, kind="stable")
     bins = np.minimum((ang[order] * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
     change = np.nonzero(np.diff(bins))[0]
@@ -486,17 +543,45 @@ def diameter(P: HPolygon) -> float:
 
     Every antipodal pair has a vertex on an edge whose antipodal vertex
     (found as in `min_width`) is the other one, so each edge's two ends are
-    measured to that vertex and its two neighbours.
+    measured to that vertex and its two neighbours: six pairs an edge,
+    streamed _PAIR_CHUNK edges at a time.
+
+    The pairs' squared distances dx^2 + dy^2 are cheap, and `np.hypot` runs
+    only on the pairs whose square lies within 1e-12 relative of the
+    largest.  That returns the float hypot over every pair would: rounding
+    moves a square by at most about 10 ulp from the square of the distance
+    hypot rounds, far inside 1e-12, so the pair whose hypot is largest
+    passes.  That holds while the largest square is a finite normal float;
+    otherwise, with squares that overflowed or lost bits to underflow,
+    hypot runs over every pair.
     """
-    A, V = P.A, P.vertices
-    m = P.m
-    ang = np.arctan2(A[:, 1], A[:, 0]) % (2 * math.pi)
-    far = (_antipodes(ang)[:, None] + np.array([-1, 0, 1])) % m
-    x, y = V[:, 0], V[:, 1]
-    fx, fy = x[far], y[far]
+    V = P.vertices
+    x, y = _padded(V[:, 0]), _padded(V[:, 1])
+    far = np.arange(3)[:, None] + _antipodes(_angles(P.A))  # vertices a - 1, a, a + 1
+
+    def pairs():
+        for lo in range(0, P.m, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, P.m)
+            j = far[:, None, lo:hi]
+            # edge k runs from vertex k - 1 to vertex k, at k and k + 1 in x
+            yield x[j] - np.stack((x[lo:hi], x[lo + 1:hi + 1])), y[j] - np.stack((y[lo:hi], y[lo + 1:hi + 1]))
+
+    top, near = 0.0, []
+    with np.errstate(over="ignore"):
+        for dx, dy in pairs():
+            sq = dx * dx + dy * dy
+            top = max(top, float(sq.max()))
+            keep = sq >= top * (1 - 1e-12)
+            near.append((dx[keep], dy[keep], sq[keep]))
+    if _TINY <= top <= _HUGE:
+        cut = top * (1 - 1e-12)
+        near = ((dx[sq >= cut], dy[sq >= cut]) for dx, dy, sq in near)
+    else:  # squares overflowed or lost bits to underflow
+        near = pairs()
     best = 0.0
-    for ex, ey in ((np.roll(x, 1), np.roll(y, 1)), (x, y)):  # edge k: vertices k-1, k
-        best = max(best, float(np.hypot(fx - ex[:, None], fy - ey[:, None]).max()))
+    for dx, dy in near:
+        if dx.size:
+            best = max(best, float(np.hypot(dx, dy).max()))
     return best
 
 

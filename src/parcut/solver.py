@@ -60,10 +60,13 @@ from .errors import GeometryError, InvalidPieceCountError, VerificationFailedErr
 from .geometry import (
     _FLOOR,
     HPolygon,
+    _angles,
     _antipodes,
+    _antipodes_of,
     _convex_hull_ccw,
     _corners,
     _expand_ranges,
+    _meet,
     canonicalize,
     chebyshev_lp,
     diameter,
@@ -141,12 +144,17 @@ class Solution:
 # rho from the rows alive at rho
 
 
-def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray) -> np.ndarray:
-    """Width of I_t along each normal of S, given that S are its rows."""
-    A = P.A[S]
-    b = P.b[S] - t
-    X = _corners(A, b)[0][_antipodes(ang[S])]
-    return b - (A[:, 0] * X[:, 0] + A[:, 1] * X[:, 1])
+def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Width of I_t along the normals of S at positions `rows`, every one
+    by default, given that S are its rows: from each normal's antipodal
+    corner of I_t, where two rows of S meet."""
+    angS = ang[S]
+    k = _antipodes_of(angS, angS[rows])
+    p, q = S[k], S[k - (len(S) - 1)]  # rows k and k + 1 of S, cyclically
+    X = _meet(P.A[p], P.b[p] - t, P.A[q], P.b[q] - t)[0]
+    i = S[rows]
+    b = P.b[i] - t
+    return b - (P.A[i, 0] * X[:, 0] + P.A[i, 1] * X[:, 1])
 
 
 def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarray:
@@ -161,7 +169,7 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     """
     k = _antipodes(ang[S])
     p = S[k]
-    q = S[(k + 1) % len(S)]
+    q = S[k - (len(S) - 1)]  # row k + 1 of S, cyclically
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
     A, b = P.A, P.b
@@ -241,9 +249,10 @@ def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray
                  ang: np.ndarray, tie: float) -> Diagnostics:
     """Per-edge diagnostics read off rho's bracket (I_rho's rows S and
     their roots tau): a root counts only inside the bracket, and f_i(M_i)
-    is read at its top t_hi for the rows that die there, from one width
-    evaluation.  An edge of S meets its neighbours below rho, or not at
-    all, while it grows, so t_hi is the least of the other heights."""
+    is read at its top t_hi for the rows that die there, from the widths
+    along those rows alone.  An edge of S meets its neighbours below rho,
+    or not at all, while it grows, so t_hi is the least of the other
+    heights."""
     h, ok = _heights(P.A[:, 0], P.A[:, 1], P.b, np.roll(S, 1), S, np.roll(S, -1))
     ends = ok & (h >= rho - tie)
     t_hi = float(h[ends].min()) if ends.any() else rho
@@ -251,9 +260,8 @@ def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray
     f_at_M = np.full(P.m, np.nan)
     inside = tau <= t_hi + tie
     root[S[inside]] = tau[inside]
-    dying = ends & (h <= t_hi + tie)
-    f = _widths(P, S, t_hi, ang) - 2.0 * (n - 1) * t_hi
-    f_at_M[S[dying]] = f[dying]
+    dying = np.flatnonzero(ends & (h <= t_hi + tie))
+    f_at_M[S[dying]] = _widths(P, S, t_hi, ang, dying) - 2.0 * (n - 1) * t_hi
     return Diagnostics(root, f_at_M)
 
 
@@ -279,7 +287,7 @@ def solve(P, n: int) -> Solution:
     marks.append(time.perf_counter())
 
     work = {"rows": 0}
-    ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)  # ascending: P is canonical
+    ang = _angles(P.A)  # ascending: P is canonical
     tie = _TIE_REL * float(np.abs(P.b).max())
     rho, winner, S, tau, steps = _descend(P, n, res.point[:2], r, ang, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parcut.errors import EmptyInteriorError, NonFiniteInputError, UnboundedError
+from geometry_reference import reference_angles, reference_antipodes, reference_diameter, reference_min_width
+from parcut.errors import EmptyInteriorError, GeometryError, NonFiniteInputError, UnboundedError
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.solver import solve
 from parcut.geometry import (
     HPolygon,
     VPolygon,
+    _angles,
+    _antipodes,
     _convex_hull_ccw,
+    _corners,
     canonicalize,
     chebyshev_lp,
     clip_halfplane,
     diameter,
-    directional_width,
     inner_body,
     inradius_incenter,
     min_width,
@@ -39,6 +42,12 @@ def equilateral() -> HPolygon:
 
 def hexagon() -> HPolygon:
     return regular_polygon(6)
+
+
+def _width_along(P, v) -> float:
+    """Brute force: the extent of P's vertices along v."""
+    proj = P.vertices @ np.asarray(v, float)
+    return float(proj.max() - proj.min())
 
 
 class TestCanonicalize:
@@ -97,6 +106,18 @@ class TestCanonicalize:
             assert P1.vertices.tobytes() == P2.vertices.tobytes()
 
 
+    def test_unit_rows_at_extreme_scales(self):
+        # edges whose squared lengths underflow or overflow: every row is
+        # a unit normal to within a few ulp, or canonicalize raises
+        triangle = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
+        for V in (triangle, random_polygon(40, seed=3).vertices):
+            for s in (1e-160, 1e-155, 2.0**-530):
+                try:
+                    P = canonicalize(V * s)
+                except GeometryError:
+                    continue
+                assert np.abs(np.hypot(P.A[:, 0], P.A[:, 1]) - 1.0).max() <= 4 * np.finfo(float).eps
+
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(
         pts=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
@@ -129,16 +150,16 @@ class TestCanonicalize:
 
 class TestWidths:
     def test_square_axis(self):
-        assert directional_width(unit_square(), (1.0, 0.0)) == pytest.approx(1.0)
+        assert _width_along(unit_square(), (1.0, 0.0)) == pytest.approx(1.0)
 
     def test_square_diagonal(self):
         d = math.sqrt(0.5)
-        assert directional_width(unit_square(), (d, d)) == pytest.approx(math.sqrt(2))
+        assert _width_along(unit_square(), (d, d)) == pytest.approx(math.sqrt(2))
 
     def test_triangle_height(self):
         P = equilateral()
         # outward normal of the base edge y = 0 is (0, -1)
-        assert directional_width(P, (0.0, -1.0)) == pytest.approx(SQ3 / 2)
+        assert _width_along(P, (0.0, -1.0)) == pytest.approx(SQ3 / 2)
 
     def test_min_width_square(self):
         w = min_width(unit_square())
@@ -148,14 +169,14 @@ class TestWidths:
     def test_min_width_triangle_brute(self):
         P = equilateral()
         w = min_width(P)
-        brute = min(directional_width(P, a) for a in P.A)
+        brute = min(_width_along(P, a) for a in P.A)
         assert w.width == pytest.approx(SQ3 / 2)
         assert w.width == pytest.approx(brute)
 
     def test_min_width_hexagon(self):
         P = hexagon()
         w = min_width(P)
-        brute = min(directional_width(P, a) for a in P.A)
+        brute = min(_width_along(P, a) for a in P.A)
         assert w.width == pytest.approx(SQ3)
         assert w.width == pytest.approx(brute)
 
@@ -166,7 +187,7 @@ class TestWidths:
             w = min_width(P).width
             for _ in range(100):
                 th = rng.uniform(0, 2 * math.pi)
-                assert w <= directional_width(P, (math.cos(th), math.sin(th))) + 1e-9
+                assert w <= _width_along(P, (math.cos(th), math.sin(th))) + 1e-9
 
 
 def _min_width_loop(P):
@@ -444,6 +465,49 @@ class TestAgainstLoops:
             assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
 
+class TestAgainstReference:
+    """The cheap 1-D passes against their m x 3 forms before the rewrite
+    (tests/geometry_reference.py): equal bit for bit."""
+
+    @staticmethod
+    def _polygons():
+        rng = np.random.default_rng(27)
+        base = [regular_polygon(m) for m in range(3, 601)] + _test_polygons(rng)
+        inner = []
+        for P in base:
+            r, c = inradius_incenter(P)
+            inner += [inner_body(P, f * r, c) for f in (0.5, 0.9)]
+        polys = base + [Q for Q in inner if Q is not None]
+        scaled = [canonicalize(P.vertices * s) for P in polys if P.m <= 4096
+                  for s in (2.0**30, 2.0**-30, 1e9, 1e-9)]
+        return polys + scaled
+
+    @staticmethod
+    def _from_rows(P, s):
+        """P's rows with offsets scaled by s, and their corners."""
+        A, b = P.A, P.b * s
+        return HPolygon(A, b, _corners(A, b)[0])
+
+    def test_min_width_and_diameter(self):
+        for P in self._polygons():
+            assert _angles(P.A).tobytes() == reference_angles(P.A).tobytes()
+            assert np.array_equal(_antipodes(_angles(P.A)), reference_antipodes(reference_angles(P.A)))
+            assert min_width(P) == reference_min_width(P)
+            assert diameter(P) == reference_diameter(P)
+
+    def test_diameter_where_squares_overflow_or_underflow(self):
+        # the squared vertex distances are not normal floats, so diameter
+        # falls back to hypot over every pair
+        for P in (regular_polygon(7), random_polygon(50, seed=2, model="ellipse")):
+            big, small = self._from_rows(P, 1e200), self._from_rows(P, 1e-170)
+            # both contain the origin, so their diameters are about their
+            # largest coordinates, whose squares overflow or underflow
+            assert np.abs(big.vertices).max() > 1e160 and np.abs(small.vertices).max() < 1e-160
+            for Q in (big, small):
+                assert diameter(Q) == reference_diameter(Q)
+                assert min_width(Q) == reference_min_width(Q)
+
+
 class TestInnerBody:
     def test_square_quarter(self):
         Q = inner_body(unit_square(), 0.25)
@@ -485,7 +549,7 @@ class TestInnerBody:
             r, _ = inradius_incenter(P)
             for t in rng.uniform(0, r * 0.9, size=4):
                 Q = inner_body(P, t)
-                lhs = min(directional_width(Q, a) for a in P.A) + 2 * t
+                lhs = min(_width_along(Q, a) for a in P.A) + 2 * t
                 assert lhs == pytest.approx(min_width(Q).width + 2 * t, rel=1e-9)
 
     def test_given_incenter_changes_nothing(self):
