@@ -30,6 +30,8 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 # edges whose six candidate pairs `diameter` holds at once
 _PAIR_CHUNK = 8192
+# a corner and its two neighbours, one a row, as offsets into `_padded`
+_AROUND = np.arange(3)[:, None]
 
 
 @dataclass(frozen=True)
@@ -391,9 +393,9 @@ def _antipodes_of(ang: np.ndarray, th: np.ndarray) -> np.ndarray:
 
 
 def _padded(X: np.ndarray) -> np.ndarray:
-    """The cyclic column X with its last entry put before it and its first
-    after it, so that entries k - 1 and k + 1 of the cycle sit at k and
-    k + 2, with no wrap."""
+    """The cyclic sequence X with its last entry put before it and its
+    first after it, so that entries k - 1, k and k + 1 of the cycle sit at
+    k, k + 1 and k + 2, with no wrap."""
     return np.concatenate((X[-1:], X, X[:1]))
 
 
@@ -405,23 +407,21 @@ def min_width(P: HPolygon) -> WidthResult:
     lies between those two normals, so each edge's antipodal vertex is a
     binary search on the rows' sorted normal angles (canonical order); its
     two neighbours are checked too, which absorbs rounding in the angles.
-    The three candidates are three 1-D passes over the cyclically padded
-    vertex columns; of equal projections the first counts, as in argmin.
+    The three candidates are three rows of one gather from the cyclically
+    padded vertex columns.  Of equal projections the first is reported,
+    as argmin does; a tie of 0.0 and -0.0 could change the sign of a zero
+    width only, which a polygon with interior does not have.
     """
-    A, b, verts = P.A, P.b, P.vertices
+    A, b = P.A, P.b
     ax, ay = A[:, 0], A[:, 1]
-    x, y = _padded(verts[:, 0]), _padded(verts[:, 1])
+    V = _padded(P.vertices)
     k = _antipodes(_angles(A))
-    low = None
-    for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
-        proj = ax * x[j] + ay * y[j]
-        low = proj if low is None else np.where(proj < low, proj, low)
-    w = b - low
+    j = _AROUND + k
+    proj = ax * V[:, 0][j] + ay * V[:, 1][j]  # rows: vertices k - 1, k, k + 1
+    w = b - proj.min(axis=0)
     i = int(np.argmin(w))
-    ki = int(k[i])
-    proj = [ax[i] * x[j] + ay[i] * y[j] for j in (ki, ki + 1, ki + 2)]
-    near = proj.index(min(proj))
-    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (ki - 1 + near) % P.m)
+    near = int(np.argmin(proj[:, i]))
+    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (int(k[i]) - 1 + near) % P.m)
 
 
 def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
@@ -548,16 +548,16 @@ def diameter(P: HPolygon) -> float:
 
     The pairs' squared distances dx^2 + dy^2 are cheap, and `np.hypot` runs
     only on the pairs whose square lies within 1e-12 relative of the
-    largest.  That returns the float hypot over every pair would: rounding
-    moves a square by at most about 10 ulp from the square of the distance
-    hypot rounds, far inside 1e-12, so the pair whose hypot is largest
-    passes.  That holds while the largest square is a finite normal float;
-    otherwise, with squares that overflowed or lost bits to underflow,
-    hypot runs over every pair.
+    largest square so far.  That returns the float hypot over every pair
+    would: rounding moves a square by at most about 10 ulp from the square
+    of the distance hypot rounds, far inside 1e-12, so the pair whose hypot
+    is largest passes.  That holds while the largest square is a finite
+    normal float; otherwise, with squares that overflowed or lost bits to
+    underflow, hypot runs over every pair.
     """
-    V = P.vertices
-    x, y = _padded(V[:, 0]), _padded(V[:, 1])
-    far = np.arange(3)[:, None] + _antipodes(_angles(P.A))  # vertices a - 1, a, a + 1
+    V = _padded(P.vertices)
+    x, y = V[:, 0], V[:, 1]
+    far = _AROUND + _antipodes(_angles(P.A))  # rows: vertices a - 1, a, a + 1
 
     def pairs():
         for lo in range(0, P.m, _PAIR_CHUNK):
@@ -572,17 +572,10 @@ def diameter(P: HPolygon) -> float:
             sq = dx * dx + dy * dy
             top = max(top, float(sq.max()))
             keep = sq >= top * (1 - 1e-12)
-            near.append((dx[keep], dy[keep], sq[keep]))
-    if _TINY <= top <= _HUGE:
-        cut = top * (1 - 1e-12)
-        near = ((dx[sq >= cut], dy[sq >= cut]) for dx, dy, sq in near)
-    else:  # squares overflowed or lost bits to underflow
+            near.append((dx[keep], dy[keep]))
+    if not _TINY <= top <= _HUGE:  # squares overflowed or lost bits to underflow
         near = pairs()
-    best = 0.0
-    for dx, dy in near:
-        if dx.size:
-            best = max(best, float(np.hypot(dx, dy).max()))
-    return best
+    return max(float(np.hypot(dx, dy).max(initial=0.0)) for dx, dy in near)
 
 
 def _expand_ranges(first: np.ndarray, stop: np.ndarray):
