@@ -30,8 +30,6 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 # edges whose six candidate pairs `diameter` holds at once
 _PAIR_CHUNK = 8192
-# a corner and its two neighbours, one a row, as offsets into `_padded`
-_AROUND = np.arange(3)[:, None]
 
 
 @dataclass(frozen=True)
@@ -407,21 +405,25 @@ def min_width(P: HPolygon) -> WidthResult:
     lies between those two normals, so each edge's antipodal vertex is a
     binary search on the rows' sorted normal angles (canonical order); its
     two neighbours are checked too, which absorbs rounding in the angles.
-    The three candidates are three rows of one gather from the cyclically
-    padded vertex columns.  Of equal projections the first is reported,
-    as argmin does; a tie of 0.0 and -0.0 could change the sign of a zero
-    width only, which a polygon with interior does not have.
+    The three candidates are three 1-D passes over the cyclically padded
+    vertex columns, with no m x 3 array.  Of equal projections the first
+    is reported, as argmin does; a tie of 0.0 and -0.0 could change the
+    sign of a zero width only, which a polygon with interior does not have.
     """
     A, b = P.A, P.b
     ax, ay = A[:, 0], A[:, 1]
     V = _padded(P.vertices)
+    x, y = V[:, 0], V[:, 1]
     k = _antipodes(_angles(A))
-    j = _AROUND + k
-    proj = ax * V[:, 0][j] + ay * V[:, 1][j]  # rows: vertices k - 1, k, k + 1
-    w = b - proj.min(axis=0)
+    low = None
+    for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
+        proj = ax * x[j] + ay * y[j]
+        low = proj if low is None else np.minimum(low, proj)
+    w = b - low
     i = int(np.argmin(w))
-    near = int(np.argmin(proj[:, i]))
-    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (int(k[i]) - 1 + near) % P.m)
+    ki = int(k[i])
+    near = [ax[i] * x[j] + ay[i] * y[j] for j in (ki, ki + 1, ki + 2)]
+    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (ki - 1 + near.index(min(near))) % P.m)
 
 
 def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
@@ -557,7 +559,7 @@ def diameter(P: HPolygon) -> float:
     """
     V = _padded(P.vertices)
     x, y = V[:, 0], V[:, 1]
-    far = _AROUND + _antipodes(_angles(P.A))  # rows: vertices a - 1, a, a + 1
+    far = np.arange(3)[:, None] + _antipodes(_angles(P.A))  # rows: vertices a - 1, a, a + 1
 
     def pairs():
         for lo in range(0, P.m, _PAIR_CHUNK):

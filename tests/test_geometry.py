@@ -105,15 +105,16 @@ class TestCanonicalize:
             assert P1.b.tobytes() == P2.b.tobytes()
             assert P1.vertices.tobytes() == P2.vertices.tobytes()
 
-
     def test_unit_rows_at_extreme_scales(self):
         # edges whose squared lengths underflow or overflow: every row is
-        # a unit normal to within a few ulp, or canonicalize raises
+        # a unit normal to within a few ulp, or canonicalize raises.  The
+        # hull's turn products overflow at 1e160, which numpy would warn of
         triangle = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
         for V in (triangle, random_polygon(40, seed=3).vertices):
-            for s in (1e-160, 1e-155, 2.0**-530):
+            for s in (1e-160, 1e-155, 2.0**-530, 1e160):
                 try:
-                    P = canonicalize(V * s)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        P = canonicalize(V * s)
                 except GeometryError:
                     continue
                 assert np.abs(np.hypot(P.A[:, 0], P.A[:, 1]) - 1.0).max() <= 4 * np.finfo(float).eps
