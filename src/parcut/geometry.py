@@ -390,11 +390,11 @@ def _antipodes_of(ang: np.ndarray, th: np.ndarray) -> np.ndarray:
     return k
 
 
-def _padded(X: np.ndarray) -> np.ndarray:
-    """The cyclic sequence X with its last entry put before it and its
-    first after it, so that entries k - 1, k and k + 1 of the cycle sit at
-    k, k + 1 and k + 2, with no wrap."""
-    return np.concatenate((X[-1:], X, X[:1]))
+def _padded(x: np.ndarray) -> np.ndarray:
+    """The cyclic column x with its last entry put before it and its first
+    after it, so that entries k - 1, k and k + 1 of the cycle sit at k,
+    k + 1 and k + 2, with no wrap."""
+    return np.concatenate((x[-1:], x, x[:1]))
 
 
 def min_width(P: HPolygon) -> WidthResult:
@@ -412,8 +412,7 @@ def min_width(P: HPolygon) -> WidthResult:
     """
     A, b = P.A, P.b
     ax, ay = A[:, 0], A[:, 1]
-    V = _padded(P.vertices)
-    x, y = V[:, 0], V[:, 1]
+    x, y = _padded(P.vertices[:, 0]), _padded(P.vertices[:, 1])
     k = _antipodes(_angles(A))
     low = None
     for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
@@ -557,16 +556,19 @@ def diameter(P: HPolygon) -> float:
     normal float; otherwise, with squares that overflowed or lost bits to
     underflow, hypot runs over every pair.
     """
-    V = _padded(P.vertices)
-    x, y = V[:, 0], V[:, 1]
-    far = np.arange(3)[:, None] + _antipodes(_angles(P.A))  # rows: vertices a - 1, a, a + 1
+    x, y = _padded(P.vertices[:, 0]), _padded(P.vertices[:, 1])
+    a = _antipodes(_angles(P.A))
 
     def pairs():
         for lo in range(0, P.m, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, P.m)
-            j = far[:, None, lo:hi]
-            # edge k runs from vertex k - 1 to vertex k, at k and k + 1 in x
-            yield x[j] - np.stack((x[lo:hi], x[lo + 1:hi + 1])), y[j] - np.stack((y[lo:hi], y[lo + 1:hi + 1]))
+            j = np.arange(3)[:, None] + a[lo:hi]  # rows: vertices a - 1, a, a + 1
+            fx, fy = x[j], y[j]
+            dx, dy = np.empty((2, 3, 2, hi - lo))
+            for e in (0, 1):  # edge k runs from vertex k - 1 to vertex k, at k and k + 1 in x
+                np.subtract(fx, x[lo + e:hi + e], out=dx[:, e])
+                np.subtract(fy, y[lo + e:hi + e], out=dy[:, e])
+            yield dx, dy
 
     top, near = 0.0, []
     with np.errstate(over="ignore"):
