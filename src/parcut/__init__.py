@@ -29,7 +29,6 @@ from .errors import (
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, small_lp
 from .geometry import (
     HPolygon,
-    VPolygon,
     WidthResult,
     canonicalize,
     diameter,

@@ -1,11 +1,11 @@
 """Planar convex-polygon primitives.
 
-Polygons live in two interchangeable forms: a counterclockwise vertex
-list (`VPolygon`) and an irredundant half-plane description with unit
-outward normals (`HPolygon`).  `canonicalize` converts either form (or a
-raw half-plane system) into the canonical HPolygon: unit rows, sorted
+A polygon is an irredundant half-plane description with unit outward
+normals (`HPolygon`).  `canonicalize` turns a vertex array, or a raw
+half-plane system, into the canonical HPolygon: unit rows, sorted
 counterclockwise by normal angle starting from the smallest angle in
-[0, 2pi), every row supporting an edge.
+[0, 2pi), every row supporting an edge, with the rows' normal angles and
+antipodal corners read once and stored beside them.
 """
 
 from __future__ import annotations
@@ -33,27 +33,23 @@ _PAIR_CHUNK = 8192
 
 
 @dataclass(frozen=True)
-class VPolygon:
-    """Convex polygon as a counterclockwise vertex array (k x 2)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-
-
-@dataclass(frozen=True)
 class HPolygon:
     """Irredundant half-plane form {x : A x <= b}, unit outward normals.
 
     Rows are sorted counterclockwise by normal angle; `vertices[j]` is the
     corner where rows j and j+1 (cyclically) meet, so edge j runs from
-    vertices[j-1] to vertices[j].
+    vertices[j-1] to vertices[j].  `angles` are the rows' normal angles in
+    [0, 2pi), ascending (`_angles`), and `antipodes[i]`, an int32, is the
+    corner where row i's A_i.x is smallest (`_antipodes`): both are read
+    once, when the polygon is built, and `solve`, `min_width` and
+    `diameter` take them from here.
     """
 
     A: np.ndarray
     b: np.ndarray
     vertices: np.ndarray
+    angles: np.ndarray
+    antipodes: np.ndarray
 
     @property
     def m(self) -> int:
@@ -121,6 +117,24 @@ def _spare(fail: np.ndarray, right: np.ndarray) -> np.ndarray:
     return go | right
 
 
+def _winds_convex(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the points run once counterclockwise round a strictly
+    convex polygon: every turn left by `_turns`, with the edges'
+    directions winding round once."""
+    if len(x) < 3:
+        return False
+    xc = np.concatenate((x[-1:], x, x[:1]))
+    yc = np.concatenate((y[-1:], y, y[:1]))
+    cross, cut = _turns(xc[:-2], yc[:-2], x, y, xc[2:], yc[2:])
+    if np.count_nonzero(cross <= cut):
+        return False
+    # with every turn left, the edges' directions wind round as often as
+    # they pass from the lower half-plane to the upper one
+    dy = y - yc[:-2]
+    down = (dy < 0) | ((dy == 0) & (x < xc[:-2]))
+    return np.count_nonzero(down[:-1] > down[1:]) + int(down[-1] > down[0]) == 1
+
+
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Indices of the hull corners of `points`, counterclockwise.
 
@@ -133,31 +147,12 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     polygon come back whole, in order.  Others are sorted by (x, y) and
     split by the line through the first and the last point into a lower
     and an upper chain.  With those two points the chains form one cycle,
-    on which quickhull works in vectorized rounds.  Known corners cut the
-    cycle into ranges.  Each round tests every point of an open range
-    against the range's end corners (the chord) and against its two
-    neighbours, and `_spare` says which of those that fail may go.  A
-    range whose points all pass both tests is a convex chain, so they are
-    all corners.  In any other range the failures go, and the point
-    farthest beyond the chord becomes a corner, which splits the range.
-    Farthest points are corners in exact arithmetic.  A last pass drops
-    any that rounding left without a left turn between its final
-    neighbours.
+    which `_hull_rounds` reduces to its corners.
     """
-    n = len(points)
     x, y = points[:, 0], points[:, 1]
-    if n >= 3:
-        xc = np.concatenate((x[-1:], x, x[:1]))
-        yc = np.concatenate((y[-1:], y, y[:1]))
-        cross, cut = _turns(xc[:-2], yc[:-2], x, y, xc[2:], yc[2:])
-        if not np.count_nonzero(cross <= cut):
-            # with every turn left, the edges' directions wind round as
-            # often as they pass from the lower half-plane to the upper one
-            dy = y - yc[:-2]
-            down = (dy < 0) | ((dy == 0) & (x < xc[:-2]))
-            if np.count_nonzero(down[:-1] > down[1:]) + (down[-1] > down[0]) == 1:
-                return np.arange(n)
-
+    n = len(points)
+    if _winds_convex(x, y):
+        return np.arange(n)
     order = np.lexsort((y, x))  # stable: equal points keep index order
     sx, sy = x[order], y[order]
     first = np.empty(n, dtype=bool)
@@ -168,19 +163,75 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     k = len(order)
     if k < 3:
         raise EmptyInteriorError("fewer than 3 distinct points")
-    # the cycle: left end, lower chain, right end, upper chain, left end
-    # again; positions in it are the output's order
+    # the cycle: left end, lower chain, right end, upper chain, left end again
     cross, cut = _turns(sx[0], sy[0], sx[1:-1], sy[1:-1], sx[-1], sy[-1])
     below = cross > cut
     mid = np.arange(1, k - 1)
     cyc = np.concatenate(([0], mid[below], [k - 1], mid[~below][::-1], [0]))
+    return order[_hull_rounds(sx, sy, cyc, np.count_nonzero(below) + 1)]
+
+
+def _angle_order_hull(points: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the hull corners of points that run once
+    counterclockwise round the origin in index order, the origin inside
+    their hull: the polar dual a_i / depth_i of rows a_i in angle order,
+    about a point at depth_i > 0 from every row.
+
+    The same corners as `_convex_hull_ccw`, with no sort.  Points that run
+    round a strictly convex polygon come back whole.  Otherwise the index
+    order, rotated to start at the least point in (x, y) order, is already
+    a cycle of the kind `_hull_rounds` takes, with the greatest point as
+    its second known corner: the hull's corners come in it
+    counterclockwise, and a point that turns right between two neighbours
+    less than pi apart round the origin lies in their triangle with the
+    origin.  Of the points on one ray only the farthest can be a corner.
+    Exact duplicates share a normal angle, so they are neighbours in index
+    order, and the first, the lowest index, stays.
+    """
+    x, y = points[:, 0], points[:, 1]
+    if _winds_convex(x, y):
+        return np.arange(len(points))
+    idx = None
+    same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+    if np.count_nonzero(same):
+        idx = np.flatnonzero(np.concatenate(([True], ~same)))
+        x, y = x[idx], y[idx]
+    k = len(x)
+    if k < 3:
+        raise EmptyInteriorError("fewer than 3 distinct points")
+    on = np.flatnonzero(x == x.min())
+    lo = int(on[np.argmin(y[on])])
+    on = np.flatnonzero(x == x.max())
+    hi = int(on[np.argmax(y[on])])
+    cyc = np.concatenate((np.arange(lo, k), np.arange(lo + 1)))
+    hull = np.sort(_hull_rounds(x, y, cyc, (hi - lo) % k))
+    return hull if idx is None else idx[hull]
+
+
+def _hull_rounds(x: np.ndarray, y: np.ndarray, cyc: np.ndarray, mid: int) -> np.ndarray:
+    """The hull corners of the points (x, y) on the closed cycle `cyc`,
+    in its order: indices that run counterclockwise from the least point
+    in (x, y) order, at both ends of `cyc`, through the greatest, at
+    position `mid`, and back, with every hull corner among them in order.
+
+    Quickhull works on the cycle in vectorized rounds.  Known corners cut
+    the cycle into ranges.  Each round tests every point of an open range
+    against the range's end corners (the chord) and against its two
+    neighbours, and `_spare` says which of those that fail may go.  A
+    range whose points all pass both tests is a convex chain, so they are
+    all corners.  In any other range the failures go, and the point
+    farthest beyond the chord becomes a corner, which splits the range.
+    Farthest points are corners in exact arithmetic.  A last pass drops
+    any that rounding left without a left turn between its final
+    neighbours, bar the least and the greatest point.
+    """
     corner = np.zeros(len(cyc), dtype=bool)
-    corner[[0, np.count_nonzero(below) + 1]] = True
+    corner[[0, mid]] = True
 
     # the working cycle: its positions in `cyc`, coordinates, known corners
     fixed = corner.copy()
     fixed[-1] = True
-    wx, wy = sx[cyc], sy[cyc]
+    wx, wy = x[cyc], y[cyc]
     fail = np.zeros(len(cyc), dtype=bool)
     right = fail.copy()
     fail[1:-1], right[1:-1] = _bends(wx, wy)
@@ -219,14 +270,14 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
 
     hull = cyc[np.flatnonzero(corner)]
     while split:
-        hx, hy = sx[hull], sy[hull]
+        hx, hy = x[hull], y[hull]
         fail, right = _bends(np.concatenate((hx[-1:], hx, hx[:1])), np.concatenate((hy[-1:], hy, hy[:1])))
-        fail[0] = fail[hull == k - 1] = right[0] = right[hull == k - 1] = False
+        fail[0] = fail[hull == cyc[mid]] = right[0] = right[hull == cyc[mid]] = False
         split = bool(np.count_nonzero(fail))
         hull = hull[~_spare(fail, right)]
     if len(hull) < 3:
         raise EmptyInteriorError("points are collinear")
-    return order[hull]
+    return hull
 
 
 def _corners(A: np.ndarray, b: np.ndarray):
@@ -248,15 +299,16 @@ def _meet(A: np.ndarray, b: np.ndarray, A2: np.ndarray, b2: np.ndarray):
     return X, det
 
 
-def _finish_hpolygon(A: np.ndarray, b: np.ndarray) -> HPolygon:
-    """Rotate rows to the canonical start and recompute corner vertices."""
-    start = int(np.argmin(_angles(A)))
-    A = np.roll(A, -start, axis=0)
-    b = np.roll(b, -start)
+def _finish_hpolygon(A: np.ndarray, b: np.ndarray, ang: np.ndarray) -> HPolygon:
+    """Rotate rows, with their normal angles `ang`, to the canonical start,
+    and compute the corner vertices and the antipodes."""
+    start = int(np.argmin(ang))
+    if start:
+        A, b, ang = np.roll(A, -start, axis=0), np.roll(b, -start), np.roll(ang, -start)
     verts, det = _corners(A, b)
     if np.any(np.abs(det) < 1e-300):
         raise EmptyInteriorError("adjacent rows are parallel")
-    return HPolygon(A, b, verts)
+    return HPolygon(A, b, verts, ang, _antipodes(ang))
 
 
 def canonicalize(obj) -> HPolygon:
@@ -273,7 +325,7 @@ def canonicalize(obj) -> HPolygon:
         A, b = np.asarray(obj[0], float), np.asarray(obj[1], float)
         _require_finite(A, b)
         return _canonicalize_rows(A, b)
-    V = np.asarray(obj.vertices if isinstance(obj, VPolygon) else obj, float)
+    V = np.asarray(obj, float)
     _require_finite(V)
     return _canonicalize_vertices(V)
 
@@ -309,7 +361,7 @@ def _canonicalize_vertices(vertices: np.ndarray) -> HPolygon:
         A[off] = np.ldexp(A[off], -np.frexp(np.abs(A[off]).max(axis=1))[1][:, None])
         sq[off] = _rowdot(A[off], A[off])
     A /= np.sqrt(sq)[:, None]
-    return _finish_hpolygon(A, _rowdot(A, hull))
+    return _finish_hpolygon(A, _rowdot(A, hull), _angles(A))
 
 
 def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -348,15 +400,15 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
         raise UnboundedError("interior direction escapes to infinity")
     A, b = A[order], b[order]
     x, y = res.point[:2]
-    return _dual_hull(A, b, b - (A[:, 0] * x + A[:, 1] * y))
+    return _dual_hull(A, b, b - (A[:, 0] * x + A[:, 1] * y), s)
 
 
-def _dual_hull(A: np.ndarray, b: np.ndarray, depth: np.ndarray) -> HPolygon:
-    """The irredundant rows of {A x <= b}, rows in angle order, from each
-    row's `depth` b - A.c at a point c inside: the corners of the polar
-    dual a / depth, which keep their order."""
-    chosen = np.sort(_convex_hull_ccw(A / depth[:, None]))
-    return _finish_hpolygon(A[chosen], b[chosen])
+def _dual_hull(A: np.ndarray, b: np.ndarray, depth: np.ndarray, ang: np.ndarray) -> HPolygon:
+    """The irredundant rows of {A x <= b}, rows in angle order with normal
+    angles `ang`, from each row's `depth` b - A.c at a point c inside: the
+    corners of the polar dual a / depth, which keep their order."""
+    chosen = _angle_order_hull(A / depth[:, None])
+    return _finish_hpolygon(A[chosen], b[chosen], ang[chosen])
 
 
 def _angles(A: np.ndarray) -> np.ndarray:
@@ -372,8 +424,8 @@ def _angles(A: np.ndarray) -> np.ndarray:
 def _antipodes(ang: np.ndarray) -> np.ndarray:
     """For each of the ascending normal angles `ang` of a convex polygon's
     rows, the corner k, where rows k and k+1 meet, whose normal cone holds
-    the opposite normal: where that row's A_i.x is smallest."""
-    return _antipodes_of(ang, ang)
+    the opposite normal: where that row's A_i.x is smallest.  As int32."""
+    return _antipodes_of(ang, ang).astype(np.int32)
 
 
 def _antipodes_of(ang: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -403,9 +455,10 @@ def min_width(P: HPolygon) -> WidthResult:
     The minimizing direction is always one of the edge normals.  Vertex j,
     where rows j and j+1 meet, minimizes n . x for every n whose opposite
     lies between those two normals, so each edge's antipodal vertex is a
-    binary search on the rows' sorted normal angles (canonical order); its
-    two neighbours are checked too, which absorbs rounding in the angles.
-    The three candidates are three 1-D passes over the cyclically padded
+    binary search on the rows' sorted normal angles (canonical order),
+    made once when P was built (`HPolygon.antipodes`); its two neighbours
+    are checked too, which absorbs rounding in the angles.  The three
+    candidates are three 1-D passes over the cyclically padded
     vertex columns, with no m x 3 array.  Of equal projections the first
     is reported, as argmin does; a tie of 0.0 and -0.0 could change the
     sign of a zero width only, which a polygon with interior does not have.
@@ -413,7 +466,7 @@ def min_width(P: HPolygon) -> WidthResult:
     A, b = P.A, P.b
     ax, ay = A[:, 0], A[:, 1]
     x, y = _padded(P.vertices[:, 0]), _padded(P.vertices[:, 1])
-    k = _antipodes(_angles(A))
+    k = P.antipodes
     low = None
     for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
         proj = ax * x[j] + ay * y[j]
@@ -447,7 +500,7 @@ def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
     if incenter is not None and depth.min() <= limit:
         return None
     try:
-        return _dual_hull(A, b, depth)
+        return _dual_hull(A, b, depth, P.angles)
     except EmptyInteriorError:
         return None
 
@@ -455,18 +508,21 @@ def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
 def _spread_rows(A: np.ndarray) -> np.ndarray:
     """`chebyshev_lp`'s sample start: the first and the last row, in angle
     order, of each of _LP_BATCH equal angle bins; every row up to
-    2 * _LP_BATCH rows."""
+    2 * _LP_BATCH rows.  Rows already in angle order, as a canonical
+    polygon's are, need no sort."""
     m = len(A)
     if m <= 2 * _LP_BATCH:
         return np.ones(m, dtype=bool)
     ang = _angles(A)
-    order = np.argsort(ang, kind="stable")
-    bins = np.minimum((ang[order] * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
+    order = None
+    if not (ang[1:] >= ang[:-1]).all():
+        order = np.argsort(ang, kind="stable")
+        ang = ang[order]
+    bins = np.minimum((ang * (_LP_BATCH / (2 * math.pi))).astype(int), _LP_BATCH - 1)
     change = np.nonzero(np.diff(bins))[0]
+    pick = np.concatenate(([0, m - 1], change, change + 1))
     used = np.zeros(m, dtype=bool)
-    used[order[[0, m - 1]]] = True
-    used[order[change]] = True
-    used[order[change + 1]] = True
+    used[pick if order is None else order[pick]] = True
     return used
 
 
@@ -543,7 +599,8 @@ def diameter(P: HPolygon) -> float:
     """Largest vertex-to-vertex distance, over the antipodal vertex pairs.
 
     Every antipodal pair has a vertex on an edge whose antipodal vertex
-    (found as in `min_width`) is the other one, so each edge's two ends are
+    (`HPolygon.antipodes`, as in `min_width`) is the other one, so each
+    edge's two ends are
     measured to that vertex and its two neighbours: six pairs an edge,
     streamed _PAIR_CHUNK edges at a time.
 
@@ -557,7 +614,7 @@ def diameter(P: HPolygon) -> float:
     underflow, hypot runs over every pair.
     """
     x, y = _padded(P.vertices[:, 0]), _padded(P.vertices[:, 1])
-    a = _antipodes(_angles(P.A))
+    a = P.antipodes
 
     def pairs():
         for lo in range(0, P.m, _PAIR_CHUNK):

@@ -60,10 +60,9 @@ from .errors import GeometryError, InvalidPieceCountError, VerificationFailedErr
 from .geometry import (
     _FLOOR,
     HPolygon,
-    _angles,
+    _angle_order_hull,
     _antipodes,
     _antipodes_of,
-    _convex_hull_ccw,
     _corners,
     _expand_ranges,
     _meet,
@@ -157,8 +156,9 @@ def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray, rows=slice(No
     return b - (P.A[i, 0] * X[:, 0] + P.A[i, 1] * X[:, 1])
 
 
-def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarray:
-    """Root of every gap f_i, i in S, while exactly the rows S are alive.
+def _gap_roots(P: HPolygon, S: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    """Root of every gap f_i, i in S, while exactly the rows S are alive,
+    given the `_antipodes` k of S's normal angles.
 
     The antipodal corner then moves along the line where its two lifted
     rows meet, so f_i is linear and its root is the concurrence of those
@@ -167,7 +167,6 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
     differenced exactly first.  Singular triples give +inf, which `solve`
     counts in `stats["fallbacks"]["singular_gap"]`.
     """
-    k = _antipodes(ang[S])
     p = S[k]
     q = S[k - (len(S) - 1)]  # row k + 1 of S, cyclically
     lo = np.minimum(p, q)
@@ -190,12 +189,15 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, ang: np.ndarray) -> np.ndarra
 
 def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work: dict):
     """rho and the winning edge from P's incenter c and inradius r, with
-    I_rho's rows S, their gap roots tau and the number of steps taken.
+    I_rho's rows S, their antipodes k and gap roots tau, and the number of
+    steps taken.
 
     Each step reads S's gap roots, and at n >= 2 the rows of I_t at their
-    least root t: the polar dual's corners about c, in angle order.  A
-    step whose t is the offset S were read at ends the descent with no
-    hull, since I_t's rows are then S.
+    least root t: the polar dual's corners about c, whose points run round
+    c in P's angle order.  The first step, from every row, reads P's
+    stored antipodes; each later one searches those of its S.  A step
+    whose t is the offset S were read at ends the descent with no hull,
+    since I_t's rows are then S.
     """
     A = P.A
     Ac = A[:, 0] * c[0] + A[:, 1] * c[1]
@@ -205,13 +207,17 @@ def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work
         if not depth.min() > 0:
             raise GeometryError(f"the incenter left the inner body at offset {t!r}")
         work["rows"] += len(depth)
-        return np.sort(_convex_hull_ccw(A / depth[:, None]))
+        return _angle_order_hull(A / depth[:, None])
 
-    S = alive(r - tie) if n == 1 else np.arange(P.m)
+    if n == 1:
+        S = alive(r - tie)
+        k = _antipodes(ang[S])
+    else:
+        S, k = np.arange(P.m), P.antipodes
     at = None  # the offset whose rows S are
     for steps in range(1, _MAX_STEPS + 1):
         work["rows"] += len(S)
-        tau = _gap_roots(P, S, n, ang)
+        tau = _gap_roots(P, S, n, k)
         t = float(tau.min())
         if not math.isfinite(t):
             raise VerificationFailedError("no-root", "no edge gap has a root; invalid input?")
@@ -221,10 +227,11 @@ def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work
         if np.array_equal(S2, S):
             break
         S, at = S2, t
+        k = _antipodes(ang[S])
     else:
         raise GeometryError(f"the descent to rho did not settle in {_MAX_STEPS} steps")
     winner = int(S[np.nonzero(tau <= t + tie)[0][0]])
-    return (t if n > 1 else r), winner, S, tau, steps
+    return (t if n > 1 else r), winner, S, k, tau, steps
 
 
 def _heights(ax, ay, b, p, e, q):
@@ -287,14 +294,14 @@ def solve(P, n: int) -> Solution:
     marks.append(time.perf_counter())
 
     work = {"rows": 0}
-    ang = _angles(P.A)  # ascending: P is canonical
+    ang = P.angles
     tie = _TIE_REL * float(np.abs(P.b).max())
-    rho, winner, S, tau, steps = _descend(P, n, res.point[:2], r, ang, tie, work)
+    rho, winner, S, k, tau, steps = _descend(P, n, res.point[:2], r, ang, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
     inner = None  # at n = 1 I_rho is the apex, which no row outlives
     if n > 1:
         A, b = P.A[S], P.b[S] - rho
-        inner = HPolygon(A, b, _corners(A, b)[0])
+        inner = HPolygon(A, b, _corners(A, b)[0], ang[S], k)
     marks.append(time.perf_counter())
     diag = _diagnostics(P, n, rho, S, tau, ang, tie)
     marks.append(time.perf_counter())

@@ -6,8 +6,10 @@ Run from the repository root:
 
 It is a script, not a test module, so pytest does not collect it.  The
 inputs are criterion 2's 500 cases (tests/test_acceptance.py), the regular
-3- to 600-gons at n = 1, 2, 3 and 7, and the seed-1 inputs of the three
-benchmark workloads (bench/workloads.py).  For each it hashes `solve`'s
+3- to 600-gons at n = 1, 2, 3 and 7, the seed-1 inputs of the three
+benchmark workloads (bench/workloads.py), and `random_polygon(65536,
+seed=1)` of each model at n = 2, 64 and 1024, whose descents drop
+thousands of rows at each hull and take the most quickhull rounds.  For each it hashes `solve`'s
 rho, direction, winner, cuts, `Diagnostics` arrays and the stats that are
 not timings, then the width residual, piece inradii and tolerance of the
 report `solve` made and of a from-scratch `verify_solution`.  Two
@@ -44,6 +46,10 @@ def cases():
     for name in workloads.WORKLOADS:
         for case in workloads.build(name, 1):
             yield canonicalize(case.vertices), case.n
+    for model in ("circle", "ellipse", "smoothed"):
+        P = random_polygon(65536, seed=1, model=model)
+        for n in (2, 64, 1024):
+            yield P, n
 
 
 def _floats(*values) -> bytes:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from parcut.dome import build_dome, facet_lifetimes
+from parcut.geometry import _antipodes
 from parcut.solver import _TIE_REL, _gap_roots, _widths
 
 
@@ -45,7 +46,7 @@ def _critical_radius(P, n: int, M: np.ndarray, r: float, ang: np.ndarray, tie: f
             else:
                 lo = mid + 1
     S = alive(hi)
-    tau = _gap_roots(P, S, n, ang)
+    tau = _gap_roots(P, S, n, _antipodes(ang[S]))
     best = float(tau.min())
     if not math.isfinite(best):
         raise ValueError("no edge gap has a root")

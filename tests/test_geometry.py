@@ -14,7 +14,7 @@ from parcut.oracle import random_polygon
 from parcut.solver import solve
 from parcut.geometry import (
     HPolygon,
-    VPolygon,
+    _angle_order_hull,
     _angles,
     _antipodes,
     _convex_hull_ccw,
@@ -85,7 +85,8 @@ class TestCanonicalize:
         A_bad[1, 0] = b_bad[2] = v_bad[2, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for obj in (v_bad, VPolygon(v_bad), (A_bad, b), (A, b_bad), HPolygon(A_bad, b, v_bad)):
+            ang = _angles(A)
+            for obj in (v_bad, (A_bad, b), (A, b_bad), HPolygon(A_bad, b, v_bad, ang, _antipodes(ang))):
                 with pytest.raises(NonFiniteInputError):
                     canonicalize(obj)
 
@@ -369,10 +370,35 @@ class TestConvexHull:
         # which dropping reflex points one round at a time would peel for
         # a thousand rounds
         P = random_polygon(16384, seed=2, model=model)
-        _assert_hull_is_loops(_dual_cloud(P, solve(P, 2).rho))
+        cloud = _dual_cloud(P, solve(P, 2).rho)
+        _assert_hull_is_loops(cloud)
+        assert np.array_equal(_angle_order_hull(cloud), np.sort(_convex_hull_ccw(cloud)))
 
     def test_graded_angles(self):
         _assert_hull_is_loops(_graded_cloud())
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        m=st.sampled_from(range(8, 4097)),
+        seed=st.integers(0, 2**16),
+        model=st.sampled_from(["circle", "ellipse", "smoothed"]),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        extra=st.integers(0, 3),
+    )
+    def test_angle_order_entry(self, m, seed, model, frac, extra):
+        # the dual cloud of I_t about the incenter, t = frac * r, with up to
+        # 3 extra rows after rows drawn from the seed: an exact duplicate,
+        # or the same normal at an offset moved in or out, whose dual point
+        # lies on the same ray
+        P = random_polygon(m, seed=seed, model=model)
+        r, c = inradius_incenter(P)
+        A, b = P.A, P.b - frac * r
+        rng = np.random.default_rng(seed)
+        for i in np.sort(rng.choice(m, size=extra, replace=False))[::-1]:
+            move = rng.choice([0.0, 0.5, -0.5]) * (b[i] - A[i] @ np.asarray(c))
+            A, b = np.insert(A, i + 1, A[i], axis=0), np.insert(b, i + 1, b[i] + move)
+        cloud = A / (b - A @ np.asarray(c))[:, None]
+        assert np.array_equal(_angle_order_hull(cloud), np.sort(_convex_hull_ccw(cloud)))
 
 
 class TestAgainstLoops:
@@ -487,14 +513,45 @@ class TestAgainstReference:
     def _from_rows(P, s):
         """P's rows with offsets scaled by s, and their corners."""
         A, b = P.A, P.b * s
-        return HPolygon(A, b, _corners(A, b)[0])
+        return HPolygon(A, b, _corners(A, b)[0], P.angles, P.antipodes)
+
+    @staticmethod
+    def _assert_fields_are_reference(P):
+        """P's stored angles and antipodes are those read off its rows."""
+        ang = reference_angles(P.A)
+        assert P.angles.tobytes() == ang.tobytes()
+        assert P.antipodes.dtype == np.int32
+        assert P.antipodes.tobytes() == reference_antipodes(ang).astype(np.int32).tobytes()
 
     def test_min_width_and_diameter(self):
         for P in self._polygons():
             assert _angles(P.A).tobytes() == reference_angles(P.A).tobytes()
             assert np.array_equal(_antipodes(_angles(P.A)), reference_antipodes(reference_angles(P.A)))
+            self._assert_fields_are_reference(P)
             assert min_width(P) == reference_min_width(P)
             assert diameter(P) == reference_diameter(P)
+
+    def test_solve_inner_body_fields(self, monkeypatch):
+        # solve builds I_rho from P's stored angles and the antipodes its
+        # descent searched last, or P's own when it took one step
+        import parcut.solver as solver_mod
+
+        real = solver_mod.verify_solution
+        seen = []
+
+        def capture(*args, _inner=None, **kwargs):
+            seen.append(_inner)
+            return real(*args, _inner=_inner, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "verify_solution", capture)
+        polys = [regular_polygon(m) for m in range(3, 601, 7)] + _test_polygons(np.random.default_rng(28))
+        polys += [random_polygon(16384, seed=2, model=model) for model in ("circle", "ellipse", "smoothed")]
+        for P in polys:
+            for n in (2, 3, 64):
+                solve(P, n)
+                inner = seen.pop()
+                self._assert_fields_are_reference(inner)
+                assert inner.vertices.tobytes() == _corners(inner.A, inner.b)[0].tobytes()
 
     def test_diameter_where_squares_overflow_or_underflow(self):
         # the squared vertex distances are not normal floats, so diameter
@@ -597,7 +654,7 @@ def test_diameter_square():
     assert diameter(unit_square()) == pytest.approx(math.sqrt(2))
 
 
-def test_vpolygon_roundtrip():
-    P = canonicalize(VPolygon(np.array([(0, 0), (2, 0), (2, 1), (0, 1)], float)))
+def test_vertex_array_roundtrip():
+    P = canonicalize(np.array([(0, 0), (2, 0), (2, 1), (0, 1)], float))
     assert P.m == 4
     assert diameter(P) == pytest.approx(math.sqrt(5))

@@ -374,7 +374,7 @@ class TestLifetimePath:
             return real(*args) - 1e-9 * len(calls)
 
         monkeypatch.setattr(solver_mod, "_gap_roots", falling)
-        monkeypatch.setattr(solver_mod, "_convex_hull_ccw", lambda points: np.arange(len(calls) % 2, len(points)))
+        monkeypatch.setattr(solver_mod, "_angle_order_hull", lambda points: np.arange(len(calls) % 2, len(points)))
         with pytest.raises(GeometryError, match="did not settle"):
             solve(random_polygon(40, seed=3), 3)
         assert len(calls) == solver_mod._MAX_STEPS
