@@ -143,11 +143,11 @@ class Solution:
 # rho from the rows alive at rho
 
 
-def _widths(P: HPolygon, S: np.ndarray, t: float, ang: np.ndarray, rows=slice(None)) -> np.ndarray:
+def _widths(P: HPolygon, S: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
     """Width of I_t along the normals of S at positions `rows`, every one
     by default, given that S are its rows: from each normal's antipodal
     corner of I_t, where two rows of S meet."""
-    angS = ang[S]
+    angS = P.angles[S]
     k = _antipodes_of(angS, angS[rows])
     p, q = S[k], S[k - (len(S) - 1)]  # rows k and k + 1 of S, cyclically
     X = _meet(P.A[p], P.b[p] - t, P.A[q], P.b[q] - t)[0]
@@ -187,15 +187,16 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
     return np.where(singular, np.inf, b[lo] - A[lo, 0] * x - A[lo, 1] * y)
 
 
-def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work: dict):
+def _descend(P: HPolygon, n: int, c, r: float, tie: float, work: dict):
     """rho and the winning edge from P's incenter c and inradius r, with
     I_rho's rows S, their antipodes k and gap roots tau, and the number of
     steps taken.
 
     Each step reads S's gap roots, and at n >= 2 the rows of I_t at their
     least root t: the polar dual's corners about c, whose points run round
-    c in P's angle order.  The first step, from every row, reads P's
-    stored antipodes; each later one searches those of its S.  A step
+    c in P's angle order.  At n >= 2 the first step, from every row,
+    reads P's stored antipodes; every other step searches those of its
+    S.  A step
     whose t is the offset S were read at ends the descent with no hull,
     since I_t's rows are then S.
     """
@@ -211,7 +212,7 @@ def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work
 
     if n == 1:
         S = alive(r - tie)
-        k = _antipodes(ang[S])
+        k = _antipodes(P.angles[S])
     else:
         S, k = np.arange(P.m), P.antipodes
     at = None  # the offset whose rows S are
@@ -227,7 +228,7 @@ def _descend(P: HPolygon, n: int, c, r: float, ang: np.ndarray, tie: float, work
         if np.array_equal(S2, S):
             break
         S, at = S2, t
-        k = _antipodes(ang[S])
+        k = _antipodes(P.angles[S])
     else:
         raise GeometryError(f"the descent to rho did not settle in {_MAX_STEPS} steps")
     winner = int(S[np.nonzero(tau <= t + tie)[0][0]])
@@ -253,7 +254,7 @@ def _heights(ax, ay, b, p, e, q):
 
 
 def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray,
-                 ang: np.ndarray, tie: float) -> Diagnostics:
+                 tie: float) -> Diagnostics:
     """Per-edge diagnostics read off rho's bracket (I_rho's rows S and
     their roots tau): a root counts only inside the bracket, and f_i(M_i)
     is read at its top t_hi for the rows that die there, from the widths
@@ -268,7 +269,7 @@ def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray
     inside = tau <= t_hi + tie
     root[S[inside]] = tau[inside]
     dying = np.flatnonzero(ends & (h <= t_hi + tie))
-    f_at_M[S[dying]] = _widths(P, S, t_hi, ang, dying) - 2.0 * (n - 1) * t_hi
+    f_at_M[S[dying]] = _widths(P, S, t_hi, dying) - 2.0 * (n - 1) * t_hi
     return Diagnostics(root, f_at_M)
 
 
@@ -294,16 +295,15 @@ def solve(P, n: int) -> Solution:
     marks.append(time.perf_counter())
 
     work = {"rows": 0}
-    ang = P.angles
     tie = _TIE_REL * float(np.abs(P.b).max())
-    rho, winner, S, k, tau, steps = _descend(P, n, res.point[:2], r, ang, tie, work)
+    rho, winner, S, k, tau, steps = _descend(P, n, res.point[:2], r, tie, work)
     direction = (float(P.A[winner, 0]), float(P.A[winner, 1]))
     inner = None  # at n = 1 I_rho is the apex, which no row outlives
     if n > 1:
         A, b = P.A[S], P.b[S] - rho
-        inner = HPolygon(A, b, _corners(A, b)[0], ang[S], k)
+        inner = HPolygon(A, b, _corners(A, b)[0], P.angles[S], k)
     marks.append(time.perf_counter())
-    diag = _diagnostics(P, n, rho, S, tau, ang, tie)
+    diag = _diagnostics(P, n, rho, S, tau, tie)
     marks.append(time.perf_counter())
     cuts = place_cuts(P, rho, direction, n, _inner=inner)
     marks.append(time.perf_counter())

@@ -19,7 +19,7 @@ from parcut.geometry import _antipodes
 from parcut.solver import _TIE_REL, _gap_roots, _widths
 
 
-def _critical_radius(P, n: int, M: np.ndarray, r: float, ang: np.ndarray, tie: float):
+def _critical_radius(P, n: int, M: np.ndarray, r: float, tie: float):
     """rho and the winning edge from the lifetimes M and the inradius r.
 
     Lifetimes that agree to rounding are one event: a row whose swept
@@ -41,12 +41,12 @@ def _critical_radius(P, n: int, M: np.ndarray, r: float, ang: np.ndarray, tie: f
         while lo < hi:
             mid = (lo + hi) // 2
             t = float(top[mid])
-            if _widths(P, alive(mid), t, ang).min() - c * t <= 0.0:
+            if _widths(P, alive(mid), t).min() - c * t <= 0.0:
                 hi = mid
             else:
                 lo = mid + 1
     S = alive(hi)
-    tau = _gap_roots(P, S, n, _antipodes(ang[S]))
+    tau = _gap_roots(P, S, n, _antipodes(P.angles[S]))
     best = float(tau.min())
     if not math.isfinite(best):
         raise ValueError("no edge gap has a root")
@@ -57,6 +57,5 @@ def _critical_radius(P, n: int, M: np.ndarray, r: float, ang: np.ndarray, tie: f
 def critical_radius(P, n: int):
     """rho and the winning edge of a canonical P cut into n pieces."""
     life = facet_lifetimes(build_dome(P))
-    ang = np.arctan2(P.A[:, 1], P.A[:, 0]) % (2 * math.pi)
     tie = _TIE_REL * float(np.abs(P.b).max())
-    return _critical_radius(P, n, life.M, life.apex[2], ang, tie)
+    return _critical_radius(P, n, life.M, life.apex[2], tie)
