@@ -163,7 +163,8 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     k = len(order)
     if k < 3:
         raise EmptyInteriorError("fewer than 3 distinct points")
-    # the cycle: left end, lower chain, right end, upper chain, left end again
+    # the cycle: left end, lower chain, right end, upper chain, left end
+    # again; positions in it are the output's order
     cross, cut = _turns(sx[0], sy[0], sx[1:-1], sy[1:-1], sx[-1], sy[-1])
     below = cross > cut
     mid = np.arange(1, k - 1)
