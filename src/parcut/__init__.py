@@ -29,7 +29,6 @@ from .errors import (
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, small_lp
 from .geometry import (
     HPolygon,
-    WidthResult,
     canonicalize,
     diameter,
     inner_body,
@@ -52,7 +51,6 @@ from .queries import (
     facet_max_t,
     lp_max,
     lp_max_constrained,
-    lp_max_facet,
     lp_max_section,
     root_lp,
 )
@@ -65,6 +63,6 @@ from .solver import (
     solve,
     verify_solution,
 )
-from .oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
+from .oracle import oracle_Mi, oracle_fi, oracle_solve, random_polygon
 
 __version__ = "0.1.0"

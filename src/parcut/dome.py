@@ -47,10 +47,6 @@ class Dome:
     def floor(self) -> int:
         return self.m
 
-    def row(self, label: int) -> tuple[tuple[float, float, float], float]:
-        n = self.normals[label]
-        return (float(n[0]), float(n[1]), float(n[2])), float(self.offsets[label])
-
     def row_list(self) -> list[tuple[tuple[float, float, float], float]]:
         """All rows as python tuples, for the sweeps that index them a lot;
         a new list each call, so callers build it once."""

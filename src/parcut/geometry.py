@@ -55,19 +55,6 @@ class HPolygon:
     def m(self) -> int:
         return len(self.b)
 
-    def contains(self, x, scale: float = 1.0) -> bool:
-        return bool(np.all(self.A @ np.asarray(x) <= self.b + slack(scale)))
-
-
-@dataclass(frozen=True)
-class WidthResult:
-    """Minimum width of a polygon and where it is achieved."""
-
-    width: float
-    direction: tuple[float, float]
-    edge_index: int
-    opposite_vertex: int
-
 
 def _turns(ox, oy, ax, ay, px, py):
     """The cross product of a - o and p - o, which is positive where
@@ -450,7 +437,7 @@ def _padded(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[-1:], x, x[:1]))
 
 
-def min_width(P: HPolygon) -> WidthResult:
+def min_width(P: HPolygon) -> float:
     """Minimum width over all directions, from the antipodal vertex pairs.
 
     The minimizing direction is always one of the edge normals.  Vertex j,
@@ -460,23 +447,16 @@ def min_width(P: HPolygon) -> WidthResult:
     made once when P was built (`HPolygon.antipodes`); its two neighbours
     are checked too, which absorbs rounding in the angles.  The three
     candidates are three 1-D passes over the cyclically padded
-    vertex columns, with no m x 3 array.  Of equal projections the first
-    is reported, as argmin does; a tie of 0.0 and -0.0 could change the
-    sign of a zero width only, which a polygon with interior does not have.
+    vertex columns, with no m x 3 array.
     """
-    A, b = P.A, P.b
-    ax, ay = A[:, 0], A[:, 1]
+    ax, ay = P.A[:, 0], P.A[:, 1]
     x, y = _padded(P.vertices[:, 0]), _padded(P.vertices[:, 1])
     k = P.antipodes
     low = None
     for j in (k, k + 1, k + 2):  # vertices k - 1, k, k + 1
         proj = ax * x[j] + ay * y[j]
         low = proj if low is None else np.minimum(low, proj)
-    w = b - low
-    i = int(np.argmin(w))
-    ki = int(k[i])
-    near = [ax[i] * x[j] + ay[i] * y[j] for j in (ki, ki + 1, ki + 2)]
-    return WidthResult(float(w[i]), (float(ax[i]), float(ay[i])), i, (ki - 1 + near.index(min(near))) % P.m)
+    return float((P.b - low).min())
 
 
 def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
@@ -666,10 +646,8 @@ def clip_halfplane(vertices: np.ndarray, a, off: float, eps: float = 1e-12) -> n
     return out[np.stack([keep, cross], axis=1)]
 
 
-def regular_polygon(m: int, radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> HPolygon:
-    """Canonical regular m-gon with the given circumradius."""
-    ang = phase + 2 * math.pi * np.arange(m) / m
-    verts = np.stack(
-        [center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)], axis=1
-    )
-    return canonicalize(verts)
+def regular_polygon(m: int) -> HPolygon:
+    """Canonical regular m-gon with circumradius 1 about the origin, its
+    first vertex at (1, 0)."""
+    ang = 2 * math.pi * np.arange(m) / m
+    return canonicalize(np.stack([np.cos(ang), np.sin(ang)], axis=1))

@@ -1,14 +1,13 @@
 """Small-dimension linear programming.
 
 Seidel's randomized incremental LP in 1, 2 or 3 variables: expected
-linear time in the number of constraints, deterministic for a fixed
-shuffle seed.  The recursion is written out once per dimension (`_lp3`,
-`_lp2`, `_lp1`) over flat float rows (a_0, ..., a_{d-1}, b, rid), with
-its dot products, slacks, eliminations and back-substitutions inline.
+linear time in the number of constraints, and deterministic, since the
+rows are always shuffled with seed 0.  The recursion is written out once
+per dimension (`_lp3`, `_lp2`, `_lp1`) over flat float rows
+(a_0, ..., a_{d-1}, b, rid), with its dot products, slacks, eliminations
+and back-substitutions inline.
 Unboundedness is detected with a large bounding box, so coordinates of
 genuine optima must stay well below ``_BOX_FACTOR`` times the data scale.
-Equality constraints are eliminated up front by parametrizing the affine
-subspace they define.
 """
 
 from __future__ import annotations
@@ -142,47 +141,11 @@ def _lp3(rows, c, box):
     return OPTIMAL, (x0, x1, x2), basis
 
 
-def _reduce_equality(rows, eqs, c, eq):
-    """Eliminate one variable using the flat equality row eq; returns the
-    reduced (rows, eqs, c) plus lift info (piv, keep, q0, sub)."""
-    d = len(c)
-    if d == 0:  # every variable is fixed: the equality reads 0 = b
-        return (rows, eqs, c, None) if abs(eq[0]) <= slack(eq[0]) else None
-    piv = 0
-    best = abs(eq[0])
-    for k in range(1, d):
-        if abs(eq[k]) > best:
-            best = abs(eq[k])
-            piv = k
-    if best <= 1e-300:
-        if abs(eq[d]) > slack(eq[d]):
-            return None
-        return rows, eqs, c, None  # trivial equality, drop
-    q0 = eq[d] / eq[piv]
-    keep = [k for k in range(d) if k != piv]
-    sub = [-eq[k] / eq[piv] for k in keep]
-
-    def red_row(r):
-        ak = r[piv]
-        return tuple(r[k] + ak * sub[t] for t, k in enumerate(keep)) + (r[d] - ak * q0, r[d + 1])
-
-    nc = tuple(c[k] + c[piv] * sub[t] for t, k in enumerate(keep))
-    return [red_row(r) for r in rows], [red_row(r) for r in eqs], nc, (piv, keep, q0, sub)
-
-
-def small_lp(
-    constraints,
-    objective,
-    *,
-    maximize: bool = True,
-    seed: int = 0,
-    equalities=(),
-) -> LpResult:
+def small_lp(constraints, objective, *, maximize: bool = True) -> LpResult:
     """Solve max (or min) of objective . x subject to a_i . x <= b_i.
 
     `constraints` is a sequence of (a, b) pairs; dimension is taken from
-    the objective length and must be 1, 2 or 3.  Optional `equalities`
-    (same (a, b) format) are eliminated exactly before solving.
+    the objective length and must be 1, 2 or 3.
     """
     d = len(objective)
     if d not in (1, 2, 3):
@@ -190,71 +153,31 @@ def small_lp(
     c_orig = tuple(float(v) for v in objective)
     c = c_orig if maximize else tuple(-v for v in c_orig)
 
-    given = [(*map(float, a), float(b), i) for i, (a, b) in enumerate(constraints)]
-    box = _BOX_FACTOR * max([1.0] + [abs(r[d]) for r in given])
-
-    # Substitute away equality constraints (each one reduces the rest too).
-    rows = given
-    lifts = []
-    eqs = [(*map(float, a), float(b), None) for a, b in equalities]
-    while eqs:
-        red = _reduce_equality(rows, eqs[1:], c, eqs[0])
-        if red is None:
+    rows = [(*map(float, a), float(b), i) for i, (a, b) in enumerate(constraints)]
+    box = _BOX_FACTOR * max([1.0] + [abs(r[d]) for r in rows])
+    order = list(range(len(rows)))
+    random.Random(0).shuffle(order)
+    rows = [rows[i] for i in order]
+    kernel = (_lp1, _lp2, _lp3)[d - 1]
+    st, x, basis_raw = kernel(rows, c, box)
+    if st != OPTIMAL:
+        return LpResult(INFEASIBLE)
+    if any(abs(v) >= 0.99 * box for v in x):
+        # The optimum touches the artificial box.  That is only a real
+        # unboundedness when enlarging the box improves the objective;
+        # a slack direction the objective ignores is harmless.
+        st2, x2, _ = kernel(rows, c, box * 101.0)
+        if st2 != OPTIMAL:
             return LpResult(INFEASIBLE)
-        rows, eqs, c, lift = red
-        if lift is not None:
-            lifts.append(lift)
-
-    dim = d - len(lifts)
-    if dim == 0:
-        x = ()
-    else:
-        order = list(range(len(rows)))
-        random.Random(seed).shuffle(order)
-        rows = [rows[i] for i in order]
-        kernel = (_lp1, _lp2, _lp3)[dim - 1]
-        st, x, basis_raw = kernel(rows, c, box)
-        if st != OPTIMAL:
-            return LpResult(INFEASIBLE)
-        if any(abs(v) >= 0.99 * box for v in x):
-            # The optimum touches the artificial box.  That is only a real
-            # unboundedness when enlarging the box improves the objective;
-            # a slack direction the objective ignores is harmless.
-            st2, x2, _ = kernel(rows, c, box * 101.0)
-            if st2 != OPTIMAL:
-                return LpResult(INFEASIBLE)
-            v1 = v2 = 0.0
-            for ck, xk, xk2 in zip(c, x, x2):
-                v1 += ck * xk
-                v2 += ck * xk2
-            if abs(v2 - v1) > slack(max(abs(v1), abs(v2), 1.0)) * 10.0:
-                return LpResult(UNBOUNDED)
-
-    # Lift back through the equality substitutions, innermost last.
-    for piv, keep, q0, sub in reversed(lifts):
-        xp = q0
-        for t in range(len(keep)):
-            xp += sub[t] * x[t]
-        full = [0.0] * (len(keep) + 1)
-        for t, k in enumerate(keep):
-            full[k] = x[t]
-        full[piv] = xp
-        x = tuple(full)
-
-    if dim == 0:
-        # Point fully determined; check feasibility of every row.
-        for r in given:
-            val = 0.0
-            for k in range(d):
-                val += r[k] * x[k]
-            sc = abs(r[d]) + sum(abs(r[k] * x[k]) for k in range(d))
-            if val > r[d] + slack(sc):
-                return LpResult(INFEASIBLE)
-        basis: tuple[int, ...] = ()
-    else:
-        basis = tuple(sorted(r for r in basis_raw if isinstance(r, int)))
+        v1 = v2 = 0.0
+        for ck, xk, xk2 in zip(c, x, x2):
+            v1 += ck * xk
+            v2 += ck * xk2
+        if abs(v2 - v1) > slack(max(abs(v1), abs(v2), 1.0)) * 10.0:
+            return LpResult(UNBOUNDED)
 
     value = 0.0
     for ck, xk in zip(c_orig, x):
         value += ck * xk
+    basis = tuple(sorted(r for r in basis_raw if isinstance(r, int)))
     return LpResult(OPTIMAL, tuple(x), value, basis)

@@ -10,7 +10,6 @@ the fast solver against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,11 @@ from .lp import OPTIMAL, UNBOUNDED, small_lp
 from .tolerance import slack
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Bisections stop once the bracket is at most `bisection_tol` times
-    its upper end, so the error is relative whatever the polygon's scale."""
-
-    bisection_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection tolerance must be positive")
+# bisections stop once the bracket is at most _BISECTION_TOL times its
+# upper end, so the error is relative whatever the polygon's scale, or
+# after _MAX_ITER steps
+_BISECTION_TOL = 1e-12
+_MAX_ITER = 200
 
 
 def _clip_inner(P: HPolygon, t: float, eps: float) -> np.ndarray:
@@ -42,7 +35,7 @@ def _clip_inner(P: HPolygon, t: float, eps: float) -> np.ndarray:
     return verts
 
 
-def oracle_fi(P: HPolygon, i: int, t: float, n: int, cfg: OracleConfig = OracleConfig()) -> float:
+def oracle_fi(P: HPolygon, i: int, t: float, n: int) -> float:
     """Width gap along edge normal i at offset t, by explicit clipping."""
     eps = 1e-9 * max(1.0, float(np.abs(P.b).max()))
     verts = _clip_inner(P, t, eps)
@@ -74,14 +67,14 @@ def _row_alive(P: HPolygon, i: int, t: float) -> bool:
     return res.value > P.b[i] - t - eps
 
 
-def oracle_Mi(P: HPolygon, i: int, cfg: OracleConfig = OracleConfig()) -> float:
+def oracle_Mi(P: HPolygon, i: int) -> float:
     """Largest offset at which row i is still non-redundant, by bisection."""
     r, _ = inradius_incenter(P)
-    lo, hi = 0.0, r * (1.0 + 1e-9 + cfg.bisection_tol)
+    lo, hi = 0.0, r * (1.0 + 1e-9 + _BISECTION_TOL)
     if _row_alive(P, i, hi):
         return min(hi, r)
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol * hi:
+    for _ in range(_MAX_ITER):
+        if hi - lo <= _BISECTION_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if _row_alive(P, i, mid):
@@ -125,7 +118,7 @@ def _inradius_direction(P: HPolygon, r: float, center) -> int:
     raise EmptyInteriorError("no edge qualifies at the inradius; invalid input?")
 
 
-def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig()):
+def oracle_solve(P: HPolygon, n: int):
     """Reference (rho, direction) straight from the defining identity.
 
     rho is the root of g(t) = minwidth(I_t) - 2(n-1) t, where I_t is the
@@ -143,8 +136,8 @@ def oracle_solve(P: HPolygon, n: int, cfg: OracleConfig = OracleConfig()):
         return float(r), (float(P.A[i, 0]), float(P.A[i, 1]))
     c = 2.0 * (n - 1)
     lo, hi = 0.0, r
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol * hi:
+    for _ in range(_MAX_ITER):
+        if hi - lo <= _BISECTION_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         w = _edge_widths(P, mid, center)

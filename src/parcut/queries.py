@@ -48,14 +48,10 @@ from .tolerance import slack
 class QueryStats:
     """Instrumentation counters for the complexity acceptance envelopes,
     and `noise_floor_survivals`, the section points kept although a
-    reinstated facet cut them off, by a hair, without reaching the plane.
-
-    Setting `trace` to a list additionally records the incumbent objective
-    value at every level of a full-dimensional descent."""
+    reinstated facet cut them off, by a hair, without reaching the plane."""
 
     vertex_inspections: int = 0
     noise_floor_survivals: int = 0
-    trace: list[float] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +82,10 @@ def _vertex_descend(H: Hierarchy, c, stats: QueryStats) -> int:
             best, bestval, bestpt = vid, v, p
     vid = best
     killer = H.store.birth_killer
-    trace = stats.trace
-    if trace is not None:
-        trace.append(bestval)
     for l in range(H.depth - 1, -1, -1):
         if birth[vid] == l + 1:
             vid = _facet_descend(H, l, killer[vid], c, stats)
-        if trace is not None:
-            p = pts[vid]
-            trace.append(c[0] * p[0] + c[1] * p[1] + c[2] * p[2])
     return vid
-
-
-def lp_max_facet(H: Hierarchy, level: int, facet: int, c, stats: QueryStats | None = None) -> LpResult:
-    """Maximize c over one facet of the polytope at `level`."""
-    if stats is None:
-        stats = QueryStats()
-    vid = _facet_descend(H, level, facet, tuple(map(float, c)), stats)
-    p = H.store.pts[vid]
-    val = c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
-    return LpResult(OPTIMAL, p, val, H.store.tris[vid])
 
 
 def facet_max_t(H: Hierarchy, i: int, stats: QueryStats | None = None):
@@ -122,10 +102,10 @@ def _facet_descend(H: Hierarchy, level: int, facet: int, c, stats: QueryStats) -
     a scan of the facet's vertex cycle there (ties to the smaller point).
 
     In a descent the facet is a deleted one, reinstated, so its cycle has
-    at most `hierarchy.MAX_PEEL_VERTICES` vertices.  `facet_max_t` and
-    `lp_max_facet` may ask for any facet and pay its cycle's length.  At
-    level 0 the m lifted facets' cycles hold 5m - 6 vertices in all (the
-    floor holds m of the 6F - 12), so `facet_max_t` on every edge, as
+    at most `hierarchy.MAX_PEEL_VERTICES` vertices.  `facet_max_t` may ask
+    for any level-0 facet and pays its cycle's length.  At level 0 the m
+    lifted facets' cycles hold 5m - 6 vertices in all (the floor holds m
+    of the 6F - 12), so `facet_max_t` on every edge, as
     `eval_fi` and `root_lp` run it, costs O(m) together; single cycles
     can be long: the regular 4096-gon has 285 longer than 8, up to 155.
     """

@@ -273,6 +273,13 @@ def _diagnostics(P: HPolygon, n: int, rho: float, S: np.ndarray, tau: np.ndarray
     return Diagnostics(root, f_at_M)
 
 
+def _piece_count(n) -> int:
+    """n as an int, when it is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidPieceCountError(f"piece count must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def solve(P, n: int) -> Solution:
     """Compute rho with width(P^rho) = 2 n rho, the direction, and the cuts.
 
@@ -282,9 +289,7 @@ def solve(P, n: int) -> Solution:
     `stats["phases_ms"]` the wall time of each of those steps (`_PHASES`).
     """
     marks = [time.perf_counter()]
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidPieceCountError(f"piece count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _piece_count(n)
     if not isinstance(P, HPolygon):
         P = canonicalize(P)  # HPolygon input is canonical by contract
     marks.append(time.perf_counter())
@@ -430,7 +435,7 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     edge = edge[order]
     bounds = np.searchsorted(piece[order], np.arange(k + 2))
 
-    # each piece's extent along v inside P: flat at most 1e-12, clip_halfplane's eps
+    # each piece's extent along v inside P: at most 1e-12 is degenerate
     extent = (np.minimum(np.append(offsets, np.inf), proj.max())
               - np.maximum(np.insert(offsets, 0, -np.inf), proj.min()))
     for j in np.nonzero(~settled)[0].tolist():
@@ -465,7 +470,11 @@ def verify_solution(
     vanishes, (b) cutting P yields n pieces with max inradius rho (none
     exceeding it).  Every cut's normal must be `direction`.
     Raises VerificationFailedError otherwise.  Every check allows 1e-8
-    times P's diameter, whatever its size.
+    times P's diameter, whatever its size.  The claim itself is checked
+    first, before any geometry: n must be a positive integer
+    (InvalidPieceCountError otherwise, as in `solve`), and rho must be
+    finite and positive, `direction` a finite unit vector to 1e-8 and
+    every cut offset finite (clause "claim" otherwise).
 
     Called with P and the claim alone, as `parcut verify` calls it, it
     reads nothing of the solver's state and runs in O((m + n) log m).  One
@@ -484,6 +493,15 @@ def verify_solution(
     unbounded ("piece_hint") and those whose angle-bin start fell back to
     every row ("piece_every_row").
     """
+    n = _piece_count(n)
+    v = np.asarray(direction, float)
+    offsets = np.array([float(cut.offset) for cut in cuts])
+    if not (math.isfinite(rho) and rho > 0):
+        raise VerificationFailedError("claim", f"rho={rho!r} is not a finite positive number")
+    if v.shape != (2,) or not np.isfinite(v).all() or abs(math.hypot(v[0], v[1]) - 1.0) > 1e-8:
+        raise VerificationFailedError("claim", f"direction {direction!r} is not a unit vector")
+    if not np.isfinite(offsets).all():
+        raise VerificationFailedError("claim", "a cut offset is not finite")
     vtol = 1e-8 * diameter(P)
 
     inner, r = _inner, _r
@@ -497,7 +515,7 @@ def verify_solution(
             raise VerificationFailedError("width", f"rho={rho} exceeds inradius {r}")
         width_inner = 0.0
     else:
-        width_inner = min_width(inner).width
+        width_inner = min_width(inner)
     width_residual = width_inner + 2 * rho - 2 * n * rho
     if abs(width_residual) > vtol:
         raise VerificationFailedError(
@@ -506,11 +524,9 @@ def verify_solution(
 
     # a normal off by angle d tilts its line by up to d * diam inside P, so
     # agreement to 1e-8 keeps every cut within vtol of the claimed one
-    v = np.asarray(direction, float)
     normals = np.array([cut.normal for cut in cuts], float).reshape(-1, 2)
     if not np.all(np.hypot(*(normals - v).T) <= 1e-8):
         raise VerificationFailedError("cuts", "a cut's normal differs from the direction")
-    offsets = np.array([float(cut.offset) for cut in cuts])
     fallbacks = Counter()
     if not cuts:  # the one piece is P, whose inradius is r
         inradii = [r]

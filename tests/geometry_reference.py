@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from parcut.geometry import HPolygon, WidthResult
+from parcut.geometry import HPolygon
 
 
 def reference_angles(A: np.ndarray) -> np.ndarray:
@@ -27,7 +27,7 @@ def reference_antipodes(ang: np.ndarray) -> np.ndarray:
     return (np.searchsorted(ang, (ang + math.pi) % (2 * math.pi), side="right") - 1) % len(ang)
 
 
-def reference_min_width(P: HPolygon) -> WidthResult:
+def reference_min_width(P: HPolygon) -> float:
     """Minimum width over all directions, from the antipodal vertex pairs.
 
     The minimizing direction is always one of the edge normals.  Vertex j,
@@ -44,8 +44,7 @@ def reference_min_width(P: HPolygon) -> WidthResult:
     proj = A[:, None, 0] * V[:, :, 0] + A[:, None, 1] * V[:, :, 1]
     low = proj.argmin(axis=1)
     w = b - proj[np.arange(m), low]
-    i = int(np.argmin(w))
-    return WidthResult(float(w[i]), (float(A[i, 0]), float(A[i, 1])), i, int(cand[i, low[i]]))
+    return float(w[np.argmin(w)])
 
 
 def reference_diameter(P: HPolygon) -> float:

@@ -4,7 +4,11 @@ the recursion was written out per dimension.
 `reference_lp` takes `small_lp`'s arguments and runs the generic
 recursion `_lp_rec` on tuple rows (a, b, rid), with the arithmetic in
 the order the per-dimension kernels keep, so the two must return equal
-LpResults bit for bit.  It is a test reference only.
+LpResults bit for bit.  It also takes what `small_lp` no longer does: a
+shuffle `seed` other than 0, and `equalities`, rows (a, b) held tight,
+which it eliminates exactly before solving, so that it is the direct LP
+that the hierarchy's section queries are checked against.  It is a test
+reference only.
 """
 
 from __future__ import annotations
@@ -159,8 +163,9 @@ def reference_lp(
     seed: int = 0,
     equalities=(),
 ) -> LpResult:
-    """`small_lp` as the generic recursion computes it: the same
-    arguments, and an LpResult that must equal `small_lp`'s bit for bit."""
+    """`small_lp` as the generic recursion computes it: at seed 0 and
+    with no `equalities`, an LpResult that must equal `small_lp`'s bit
+    for bit."""
     d = len(objective)
     if d not in (1, 2, 3):
         raise ValueError("small_lp supports dimensions 1..3 only")

@@ -8,12 +8,13 @@ import math
 import time
 
 import numpy as np
+from lp_reference import reference_lp
 
 from parcut.dome import build_dome
 from parcut.errors import NotQualifiedError
 from parcut.geometry import canonicalize, diameter, regular_polygon
 from parcut.hierarchy import build_hierarchy
-from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
+from parcut.lp import INFEASIBLE, OPTIMAL
 from parcut.oracle import oracle_solve, random_polygon
 from parcut.queries import (
     QueryStats,
@@ -155,19 +156,19 @@ def test_criterion_5_lp_query_correctness():
             seed = total
             if kind == 0:
                 got = lp_max(H, c)
-                ref = small_lp(rows, c, seed=seed)
+                ref = reference_lp(rows, c, seed=seed)
             elif kind == 1:
                 nrm = rng.normal(size=3)
                 nrm /= np.linalg.norm(nrm)
                 d = float(nrm @ (0.0, 0.0, rng.uniform(0.0, apex)))
                 got = lp_max_section(H, (tuple(nrm), d), c)
-                ref = small_lp(rows, c, seed=seed, equalities=[(tuple(nrm), d)])
+                ref = reference_lp(rows, c, seed=seed, equalities=[(tuple(nrm), d)])
             else:
                 g = rng.normal(size=3)
                 g /= np.linalg.norm(g)
                 hoff = float(rng.uniform(-0.5, 0.8))
                 got = lp_max_constrained(H, c, (tuple(g), hoff))
-                ref = small_lp(rows + [(tuple(g), hoff)], c, seed=seed)
+                ref = reference_lp(rows + [(tuple(g), hoff)], c, seed=seed)
             total += 1
             if ref.status != OPTIMAL:
                 if got.status != INFEASIBLE:

@@ -130,6 +130,18 @@ class TestVerifyCommand:
         assert "cuts" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n,field,value", [(1, "direction", [5.0, 7.0]), (2, "rho", math.nan)])
+    def test_malformed_claim(self, tmp_path, capsys, n, field, value):
+        path = write(tmp_path, "sq.json", dict(SQUARE_DOC, n=n))
+        assert run(["solve", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc[field] = value
+        outp = tmp_path / "malformed.json"
+        outp.write_text(json.dumps(doc))
+        assert run(["verify", path, str(outp)]) == 3
+        assert "claim" in capsys.readouterr().err
+
+
 class TestSvg:
     def test_deterministic_bytes(self, tmp_path):
         P = canonicalize(SQUARE_DOC["vertices"])

@@ -6,11 +6,13 @@ import pytest
 
 import parcut.dome as dome_mod
 from hierarchy_checks import check_hierarchy
+from lp_reference import reference_lp
 from parcut.dome import build_dome, facet_lifetimes
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
 from parcut.hierarchy import bounded_core, build_hierarchy, face_lattice, perturb
 from parcut.oracle import random_polygon
 from parcut.lp import OPTIMAL, small_lp
+from parcut.tolerance import slack
 
 SQ3 = math.sqrt(3.0)
 
@@ -25,7 +27,7 @@ def equilateral():
 
 def brute_force_vertices(D, tol=1e-9):
     """Independent lattice oracle: feasible concurrences of plane triples."""
-    rows = [D.row(i) for i in range(D.m + 1)]
+    rows = D.row_list()
     found = []
     for (i, (n1, o1)), (j, (n2, o2)), (k, (n3, o3)) in itertools.combinations(
         enumerate(rows), 3
@@ -47,17 +49,17 @@ class TestBuildDome:
         assert D.normals.shape == (5, 3)
         assert tuple(D.normals[4]) == (0.0, 0.0, -1.0)
         # apex = incenter at inradius height
-        res = small_lp([D.row(i) for i in range(5)], (0, 0, 1))
+        res = small_lp(D.row_list()[:5], (0, 0, 1))
         assert res.point == pytest.approx((0.5, 0.5, 0.5), abs=1e-9)
 
     def test_triangle_apex(self):
         D = build_dome(equilateral())
-        res = small_lp([D.row(i) for i in range(4)], (0, 0, 1))
+        res = small_lp(D.row_list()[:4], (0, 0, 1))
         assert res.value == pytest.approx(SQ3 / 6, rel=1e-9)
 
     def test_hexagon_apex(self):
         D = build_dome(regular_polygon(6))
-        res = small_lp([D.row(i) for i in range(7)], (0, 0, 1))
+        res = small_lp(D.row_list()[:7], (0, 0, 1))
         assert res.value == pytest.approx(SQ3 / 2, rel=1e-9)
 
     def test_slice_fidelity(self):
@@ -83,7 +85,7 @@ class TestBuildDome:
         r, c = inradius_incenter(P)
         for _ in range(100):
             x = np.array(c) + rng.uniform(-1, 1, size=2) * r * 0.8
-            if not P.contains(x):
+            if not np.all(P.A @ x <= P.b + slack(1.0)):
                 continue
             tmax = float(np.min(P.b - P.A @ x))
             p = (x[0], x[1], tmax)
@@ -148,10 +150,11 @@ class TestFaceLattice:
     def test_vertices_on_their_planes(self):
         D = perturb(build_dome(regular_polygon(9)), seed=3)
         store, level = face_lattice(D, facet_lifetimes(D))
+        rows = D.row_list()
         for v in level.verts:
             p = store.pts[v]
             for lab in store.tris[v]:
-                n, o = D.row(lab)
+                n, o = rows[lab]
                 assert abs(np.dot(n, p) - o) < 1e-8 * D.scale
 
     def test_facet_cycles_are_edges_of_both(self):
@@ -273,9 +276,9 @@ class TestFacetLifetimes:
             P = canonicalize(rng.normal(size=(12, 2)))
             D0 = build_dome(P)
             life = facet_lifetimes(D0)
-            rows = [D0.row(j) for j in range(P.m + 1)]
+            rows = D0.row_list()
             for i in range(P.m):
-                res = small_lp(rows, (0.0, 0.0, 1.0), equalities=[D0.row(i)])
+                res = reference_lp(rows, (0.0, 0.0, 1.0), equalities=[rows[i]])
                 assert life.M[i] == pytest.approx(res.value, abs=1e-9)
             r, c = inradius_incenter(P)
             assert life.apex == pytest.approx((c[0], c[1], r), abs=1e-9)
@@ -309,7 +312,7 @@ class TestFacetLifetimes:
 
 
 def _assert_bounded(D, core: frozenset[int]):
-    rows = [D.row(i) for i in sorted(core)]
+    rows = [D.row_list()[i] for i in sorted(core)]
     for k in range(3):
         for sgn in (1.0, -1.0):
             obj = [0.0, 0.0, 0.0]

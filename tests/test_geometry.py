@@ -12,6 +12,7 @@ from parcut.errors import EmptyInteriorError, GeometryError, NonFiniteInputError
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
 from parcut.solver import solve
+from parcut.tolerance import slack
 from parcut.geometry import (
     HPolygon,
     _angle_order_hull,
@@ -164,29 +165,27 @@ class TestWidths:
         assert _width_along(P, (0.0, -1.0)) == pytest.approx(SQ3 / 2)
 
     def test_min_width_square(self):
-        w = min_width(unit_square())
-        assert w.width == pytest.approx(1.0)
-        assert abs(w.direction[0]) == pytest.approx(1.0) or abs(w.direction[1]) == pytest.approx(1.0)
+        assert min_width(unit_square()) == pytest.approx(1.0)
 
     def test_min_width_triangle_brute(self):
         P = equilateral()
         w = min_width(P)
         brute = min(_width_along(P, a) for a in P.A)
-        assert w.width == pytest.approx(SQ3 / 2)
-        assert w.width == pytest.approx(brute)
+        assert w == pytest.approx(SQ3 / 2)
+        assert w == pytest.approx(brute)
 
     def test_min_width_hexagon(self):
         P = hexagon()
         w = min_width(P)
         brute = min(_width_along(P, a) for a in P.A)
-        assert w.width == pytest.approx(SQ3)
-        assert w.width == pytest.approx(brute)
+        assert w == pytest.approx(SQ3)
+        assert w == pytest.approx(brute)
 
     def test_min_width_is_global_min_random(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             P = canonicalize(rng.normal(size=(16, 2)))
-            w = min_width(P).width
+            w = min_width(P)
             for _ in range(100):
                 th = rng.uniform(0, 2 * math.pi)
                 assert w <= _width_along(P, (math.cos(th), math.sin(th))) + 1e-9
@@ -197,7 +196,7 @@ def _min_width_loop(P):
     A, b, verts = P.A, P.b, P.vertices
     m = P.m
     j = int(np.argmin(verts @ A[0]))
-    best = None
+    best = math.inf
     for i in range(m):
         cur = A[i] @ verts[j]
         for _ in range(m):
@@ -206,8 +205,7 @@ def _min_width_loop(P):
                 break
             j = (j + 1) % m
             cur = nxt
-        if best is None or b[i] - cur < best[0]:
-            best = (b[i] - cur, i)
+        best = min(best, b[i] - cur)
     return best
 
 
@@ -470,14 +468,7 @@ class TestAgainstLoops:
         polys += [canonicalize(rng.normal(size=(int(rng.integers(3, 60)), 2))) for _ in range(40)]
         polys += [inner_body(P, 0.3 * inradius_incenter(P)[0]) for P in polys[5:25]]
         for P in polys:
-            w = min_width(P)
-            ref_w, ref_i = _min_width_loop(P)
-            assert w.width == pytest.approx(ref_w, abs=1e-14)
-            assert P.b[w.edge_index] - P.A[w.edge_index] @ P.vertices[w.opposite_vertex] == (
-                pytest.approx(w.width, abs=1e-14)
-            )
-            # a different edge only on a tie at rounding level
-            assert w.edge_index == ref_i or abs(w.width - ref_w) <= 1e-14
+            assert min_width(P) == pytest.approx(_min_width_loop(P), abs=1e-14)
 
     def test_clip_halfplane(self):
         rng = np.random.default_rng(22)
@@ -593,11 +584,9 @@ class TestInnerBody:
             polys = [inner_body(P, t) for t in ts]
             scale = diameter(P)
             for smaller, larger in zip(polys[1:], polys[:-1]):
-                for v in smaller.vertices:
-                    assert larger.contains(v, scale=scale)
+                assert np.all(smaller.vertices @ larger.A.T <= larger.b + slack(scale))
             for Q in polys:
-                for v in Q.vertices:
-                    assert P.contains(v, scale=scale)
+                assert np.all(Q.vertices @ P.A.T <= P.b + slack(scale))
 
     def test_width_offset_identity(self):
         # width(P^t) = width(inner_t) + 2t, evaluated over edge normals
@@ -608,7 +597,7 @@ class TestInnerBody:
             for t in rng.uniform(0, r * 0.9, size=4):
                 Q = inner_body(P, t)
                 lhs = min(_width_along(Q, a) for a in P.A) + 2 * t
-                assert lhs == pytest.approx(min_width(Q).width + 2 * t, rel=1e-9)
+                assert lhs == pytest.approx(min_width(Q) + 2 * t, rel=1e-9)
 
     def test_given_incenter_changes_nothing(self):
         # P's incenter decides emptiness as I_t's own Chebyshev LP does, and

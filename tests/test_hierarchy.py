@@ -79,7 +79,7 @@ class TestPeel:
         outside = sorted(level.index_set - bounded_core(D, facet_lifetimes(D)))
         assert outside, "hexagon dome should have at least one non-core facet"
         f = outside[0]
-        rows = [D.row(i) for i in range(D.m + 1)]
+        rows = D.row_list()
         adj = level.adjacency(store.tris)
         nxt, readmits = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
         assert readmits == 0
@@ -99,7 +99,7 @@ class TestPeel:
         adj = level.adjacency(store.tris)
         f = 0
         g = sorted(adj[f])[0]
-        rows = [D.row(i) for i in range(D.m + 1)]
+        rows = D.row_list()
         with pytest.raises(NonIndependentRemovalError):
             peel_level(level, [f, g], store, rows, 1, _coincidence_tol(D.scale), adj)
 
@@ -111,7 +111,7 @@ class TestPeel:
         adj = level.adjacency(store.tris)
         cyc = level.cycles[5]
         cyc[0], cyc[1] = cyc[1], cyc[0]
-        rows = [D.row(i) for i in range(D.m + 1)]
+        rows = D.row_list()
         with pytest.raises(GeometryError, match="a removed facet edge has no unique neighbour"):
             peel_level(level, [5], store, rows, 1, _coincidence_tol(D.scale), adj)
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import parcut.oracle as oracle_mod
 from parcut.dome import build_dome
 from parcut.errors import EmptyInteriorError
 from parcut.geometry import canonicalize, inradius_incenter
 from parcut.hierarchy import build_hierarchy
-from parcut.oracle import OracleConfig, oracle_Mi, oracle_fi, oracle_solve, random_polygon
+from parcut.oracle import oracle_Mi, oracle_fi, oracle_solve, random_polygon
 from parcut.queries import eval_fi, facet_max_t
 from parcut.solver import solve, verify_solution
 
@@ -86,10 +87,11 @@ class TestOracleSolve:
             assert rho == inradius_incenter(P)[0]
             assert any(np.allclose(v, a) for a in P.A)
 
-    def test_bisection_tol_bounds_the_error(self):
+    def test_bisection_tol_bounds_the_error(self, monkeypatch):
         P = random_polygon(24, seed=3)
         fine, _ = oracle_solve(P, 3)
-        coarse, _ = oracle_solve(P, 3, OracleConfig(bisection_tol=1e-4))
+        monkeypatch.setattr(oracle_mod, "_BISECTION_TOL", 1e-4)
+        coarse, _ = oracle_solve(P, 3)
         assert abs(coarse - fine) <= 1e-4
         assert abs(coarse - fine) > 1e-10  # the coarse run really stopped early
 
@@ -100,16 +102,15 @@ class TestOracleSolve:
         ref = solve(P, 200).rho
         assert abs(rho - ref) <= 1e-8 * ref
 
-    def test_max_iter_caps_the_bisection(self):
+    def test_max_iter_caps_the_bisection(self, monkeypatch):
         P = random_polygon(24, seed=3)
         r, _ = inradius_incenter(P)
-        rho, _ = oracle_solve(P, 3, OracleConfig(max_iter=1))
+        monkeypatch.setattr(oracle_mod, "_MAX_ITER", 1)
+        rho, _ = oracle_solve(P, 3)
         assert rho in (0.25 * r, 0.75 * r)
 
     def test_independent_of_fast_path(self):
         import ast
-
-        import parcut.oracle as oracle_mod
 
         tree = ast.parse(open(oracle_mod.__file__).read())
         imported = set()
@@ -119,10 +120,6 @@ class TestOracleSolve:
             elif isinstance(node, ast.Import):
                 imported.update(a.name.split(".")[-1] for a in node.names)
         assert not imported & {"dome", "hierarchy", "queries", "solver"}
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(bisection_tol=0.0)
 
 
 class TestRandomPolygon:

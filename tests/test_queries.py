@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from lp_reference import reference_lp
 
 from parcut.dome import build_dome
 from parcut.geometry import canonicalize, regular_polygon
 from parcut.hierarchy import build_hierarchy
-from parcut.lp import INFEASIBLE, OPTIMAL, small_lp
+from parcut.lp import INFEASIBLE, OPTIMAL
 from parcut.oracle import oracle_fi, random_polygon
 from parcut.queries import (
     QueryStats,
+    _facet_descend,
     eval_fi,
     facet_max_t,
     lp_max,
     lp_max_constrained,
-    lp_max_facet,
     lp_max_section,
     root_lp,
 )
@@ -33,6 +34,12 @@ def square_hier():
 
 def _dome_rows(H):
     return list(H.rows)
+
+
+def _facet_max(H, level, facet, c):
+    """The point and value of c's maximum over one facet at `level`."""
+    p = H.store.pts[_facet_descend(H, level, facet, c, QueryStats())]
+    return p, c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
 
 
 class TestLpMax:
@@ -56,30 +63,42 @@ class TestLpMax:
             for k in range(60):
                 c = tuple(rng.normal(size=3))
                 got = lp_max(H, c)
-                ref = small_lp(rows, c, seed=k)
+                ref = reference_lp(rows, c, seed=k)
                 assert ref.status == OPTIMAL
                 assert got.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
 
     def test_monotone_descent(self):
+        # walk the levels as lp_max does: the incumbent's value never rises
         H = hier(regular_polygon(32))
-        stats = QueryStats(trace=[])
-        lp_max(H, (0.3, -0.7, 0.2), stats)
-        tr = stats.trace
-        assert all(a >= b - 1e-9 for a, b in zip(tr, tr[1:]))
+        c = (0.3, -0.7, 0.2)
+        pts = H.store.pts
+
+        def value(vid):
+            return c[0] * pts[vid][0] + c[1] * pts[vid][1] + c[2] * pts[vid][2]
+
+        vid = min(H.levels[-1].verts, key=lambda v: (-value(v), pts[v]))
+        trace = [value(vid)]
+        for level in range(H.depth - 1, -1, -1):
+            if H.store.birth_level[vid] == level + 1:
+                vid = _facet_descend(H, level, H.store.birth_killer[vid], c, QueryStats())
+            trace.append(value(vid))
+        assert H.depth > 1
+        assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert pts[vid] == lp_max(H, c).point
 
 
 class TestFacetQueries:
     def test_floor_corner(self):
         H = square_hier()
-        res = lp_max_facet(H, 0, H.m, (1.0, 1.0, 0.0))
-        assert res.point[2] == pytest.approx(0.0, abs=1e-9)
-        assert res.value == pytest.approx(2.0, abs=1e-6)
+        point, value = _facet_max(H, 0, H.m, (1.0, 1.0, 0.0))
+        assert point[2] == pytest.approx(0.0, abs=1e-9)
+        assert value == pytest.approx(2.0, abs=1e-6)
 
     def test_triangle_facet_top_is_apex(self):
         P = canonicalize([(0, 0), (1, 0), (0.5, SQ3 / 2)])
         H = hier(P)
-        res = lp_max_facet(H, 0, 0, (0.0, 0.0, 1.0))
-        assert res.value == pytest.approx(SQ3 / 6, abs=1e-6)
+        _, value = _facet_max(H, 0, 0, (0.0, 0.0, 1.0))
+        assert value == pytest.approx(SQ3 / 6, abs=1e-6)
 
     def test_random_facets_against_direct_lp(self):
         rng = np.random.default_rng(1)
@@ -89,10 +108,10 @@ class TestFacetQueries:
         for k in range(80):
             i = int(rng.integers(0, H.m + 1))
             c = tuple(rng.normal(size=3))
-            got = lp_max_facet(H, 0, i, c)
-            ref = small_lp(rows, c, seed=k, equalities=[H.rows[i]])
+            _, got = _facet_max(H, 0, i, c)
+            ref = reference_lp(rows, c, seed=k, equalities=[H.rows[i]])
             assert ref.status == OPTIMAL
-            assert got.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+            assert got == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
 
     def test_facet_max_t_square(self):
         H = square_hier()
@@ -143,7 +162,7 @@ class TestSections:
                 d = float(n @ inside)
                 c = tuple(rng.normal(size=3))
                 got = lp_max_section(H, (tuple(n), d), c)
-                ref = small_lp(rows, c, seed=k, equalities=[(tuple(n), d)])
+                ref = reference_lp(rows, c, seed=k, equalities=[(tuple(n), d)])
                 if ref.status != OPTIMAL:
                     assert got.status == INFEASIBLE
                     continue
@@ -164,7 +183,7 @@ class TestSections:
         for shift, kept in ((100.0, 1), (1e4, 0)):
             stats = QueryStats()
             got = lp_max_section(H, (n, off + shift * ztol), (0.0, 0.0, 1.0), stats)
-            assert small_lp(H.rows, (0.0, 0.0, 1.0), equalities=[(n, off + shift * ztol)]).status == INFEASIBLE
+            assert reference_lp(H.rows, (0.0, 0.0, 1.0), equalities=[(n, off + shift * ztol)]).status == INFEASIBLE
             assert stats.noise_floor_survivals == kept, shift
             assert got.status == (OPTIMAL if kept else INFEASIBLE), shift
 
@@ -179,7 +198,7 @@ class TestSections:
             d = float(rng.uniform(-0.3, 0.3))
             c = tuple(rng.normal(size=3))
             got = lp_max_section(H, (n, d), c)
-            ref = small_lp(rows, c, seed=k, equalities=[(n, d)])
+            ref = reference_lp(rows, c, seed=k, equalities=[(n, d)])
             if ref.status != OPTIMAL:
                 assert got.status == INFEASIBLE
             else:
@@ -208,7 +227,7 @@ class TestConstrained:
             hoff = float(rng.uniform(-0.5, 0.7))
             c = tuple(rng.normal(size=3))
             got = lp_max_constrained(H, c, (tuple(g), hoff))
-            ref = small_lp(rows + [(tuple(g), hoff)], c, seed=k)
+            ref = reference_lp(rows + [(tuple(g), hoff)], c, seed=k)
             if ref.status != OPTIMAL:
                 assert got.status == INFEASIBLE
             else:

@@ -17,7 +17,7 @@ from parcut.errors import (
 )
 from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
 from parcut.hierarchy import build_hierarchy
-from parcut.oracle import oracle_fi, random_polygon
+from parcut.oracle import oracle_fi, oracle_solve, random_polygon
 from parcut.queries import eval_fi, facet_max_t, root_lp
 from parcut.solver import Cut, place_cuts, solve, verify_solution
 
@@ -590,3 +590,43 @@ def test_descent_matches_lifetime_bracket(m, seed, model, n):
     else:
         assert abs(s.rho - rho) <= 4 * np.spacing(rho)
         assert abs(s.diagnostics.root[s.winner] - rho) <= 1e-12 * rho
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    m=st.sampled_from([3, 4, 5, 8, 16, 32, 64]),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    model=st.sampled_from(["circle", "ellipse", "smoothed"]),
+    angle=st.floats(0.0, 2 * math.pi),
+    log_scale=st.floats(-1.0, 3.0),
+)
+def test_oracle_invariance_and_monotone_in_n(m, n, seed, model, angle, log_scale):
+    # criteria 2 and 7 on drawn inputs: rho agrees with the oracle, is
+    # invariant under rotation, covariant under scale over 0.1..1000, and
+    # falls as n grows
+    P = random_polygon(m, seed=seed, model=model)
+    rho = solve(P, n).rho
+    ref, _ = oracle_solve(P, n)
+    assert abs(rho - ref) <= 1e-8 * ref
+    c, s = math.cos(angle), math.sin(angle)
+    rotated = solve(P.vertices @ np.array([[c, s], [-s, c]]), n).rho
+    assert abs(rotated - rho) <= 1e-9 * rho
+    k = 10.0**log_scale
+    assert abs(solve(P.vertices * k, n).rho - k * rho) <= 1e-9 * k * rho
+    assert solve(P, n + 1).rho < rho
+
+
+UNIT_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float)
+
+
+@pytest.mark.xfail(strict=True, raises=VerificationFailedError,
+                   reason="'degenerate piece produced': the piece extent test is an absolute 1e-12")
+def test_unit_square_scaled_by_1e_minus_12():
+    assert solve(UNIT_SQUARE * 1e-12, 2).rho == pytest.approx(0.25e-12, rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, raises=VerificationFailedError,
+                   reason="width residual -2.98e-8: solve works in the input's frame, not a centred one")
+def test_unit_square_shifted_by_1e8():
+    assert solve(UNIT_SQUARE + 1e8, 3).rho == pytest.approx(1 / 6, rel=1e-8)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcut.errors import EmptyInteriorError, VerificationFailedError
+from parcut.errors import EmptyInteriorError, InvalidPieceCountError, VerificationFailedError
 from parcut import geometry, solver
 from parcut.geometry import (
     canonicalize,
@@ -91,7 +91,7 @@ def _verify_ref(P, n, rho, direction, cuts):
             raise VerificationFailedError("width", "rho exceeds the inradius")
         width_inner = 0.0
     else:
-        width_inner = min_width(inner).width
+        width_inner = min_width(inner)
     if abs(width_inner + 2 * rho - 2 * n * rho) > vtol:
         raise VerificationFailedError("width", "width residual")
     if abs(width_inner - 2 * (n - 1) * rho) > vtol:
@@ -404,6 +404,51 @@ def test_verify_from_scratch_inner_lp_reads_few_rows(monkeypatch):
     monkeypatch.setattr(geometry, "small_lp", counting_lp)
     assert verify_solution(P, 2, s.rho, s.direction, s.cuts).ok
     assert rows and sum(rows) <= 64, rows
+
+# the hexagon of the numpy-only package check in CI
+HEXAGON = [(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)]
+
+
+class TestClaim:
+    """The claim is checked before any geometry: a malformed one raises
+    the "claim" clause, or InvalidPieceCountError for n as `solve` does."""
+
+    @staticmethod
+    def _rejected(n, rho, direction, cuts):
+        with pytest.raises(VerificationFailedError) as exc:
+            verify_solution(canonicalize(HEXAGON), n, rho, direction, cuts)
+        assert exc.value.clause == "claim"
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.5, 0.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rho_finite_and_positive(self, n, rho):
+        s = solve(canonicalize(HEXAGON), n)
+        self._rejected(n, rho, s.direction, s.cuts)
+
+    @pytest.mark.parametrize("direction", [(math.nan, math.nan), (5.0, 7.0), (0.6, 0.8 + 1e-7),
+                                           (math.inf, 0.0), (1.0, 0.0, 0.0)])
+    def test_direction_finite_unit_vector(self, direction):
+        s = solve(canonicalize(HEXAGON), 1)
+        self._rejected(1, s.rho, direction, s.cuts)
+
+    def test_direction_checked_before_the_cuts(self):
+        s = solve(canonicalize(HEXAGON), 3)
+        v = (5 * s.direction[0], 5 * s.direction[1])
+        self._rejected(3, s.rho, v, [Cut(v, cut.offset) for cut in s.cuts])
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_cut_offsets_finite(self, offset):
+        s = solve(canonicalize(HEXAGON), 3)
+        cuts = [s.cuts[0], Cut(s.cuts[1].normal, offset)]
+        self._rejected(3, s.rho, s.direction, cuts)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0, 2.5, True, "2"])
+    def test_piece_count(self, n):
+        P = canonicalize(HEXAGON)
+        s = solve(P, 2)
+        with pytest.raises(InvalidPieceCountError):
+            verify_solution(P, n, s.rho, s.direction, s.cuts)
+
 
 class TestSmallPolygons:
     """Verification's slack is relative to P's diameter at every size."""
