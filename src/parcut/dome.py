@@ -13,13 +13,13 @@ floor (`facet_lifetimes`), it gives every facet's top, the height at
 which its polygon edge leaves the inner body, and every dome vertex with
 its three planes, which the hierarchy's level 0 stores as they come
 (`parcut.hierarchy.face_lattice`); run in a deleted facet's plane, it
-caps the hole that facet leaves (`parcut.hierarchy.peel_level`).
+caps the hole that facet leaves (`parcut.hierarchy.peel_level`).  A
+sweep whose slice runs out of dying edges early raises GeometryError.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,18 +144,19 @@ def collapse_sweep(labels, bottom, rows, lam, ctol):
     is a 3-D point on that cycle.  rows maps a label to its half-space
     (n, off) with n . p <= off; lam is the sweep functional (height
     h = lam . p, bottom cycle at the minimum h).  Returns the death
-    events [(point, (la, lb, lc))], final last, and the number of times
-    the heap ran empty early and every live edge was re-admitted.
+    events [(point, (la, lb, lc))], final last.
 
     Each live edge's death is estimated where its plane meets those of
-    its two live neighbours, by one `estimate`: at the start, for both
-    neighbours after each death, and when a stalled sweep re-admits every
-    edge.  An estimate more than 100 ctol below the current height is an
-    edge that is growing, not dying, and is not queued.  Four or more
-    planes through one point need no special case: their edges die one
-    after another at the same height, in the order the heap pops them.
-    The relinking is purely combinatorial, and each event lands at the
-    height where its edge dies.
+    its two live neighbours, by one `estimate`: at the start and for both
+    neighbours after each death.  An estimate more than 100 ctol below
+    the current height is an edge that is growing, not dying, and is not
+    queued.  A bounded slice always has a dying edge while more than
+    three are alive, so a heap that runs empty before then means the
+    input is inconsistent, and the sweep raises GeometryError.  Four or
+    more planes through one point need no special case: their edges die
+    one after another at the same height, in the order the heap pops
+    them.  The relinking is purely combinatorial, and each event lands at
+    the height where its edge dies.
     """
     k = len(labels)
     if k < 3:
@@ -190,19 +191,9 @@ def collapse_sweep(labels, bottom, rows, lam, ctol):
         estimate(j, h0 - skip_margin)
 
     n_alive = k
-    retries = 0
     while n_alive > 3:
         if not heap:
-            # All candidates were filtered as past events; numerical noise
-            # can do that near the resolution floor.  Re-admit everything.
-            retries += 1
-            if retries > 2:
-                raise GeometryError("collapse sweep stalled; inconsistent input")
-            for j in range(k):
-                if gen[j] >= 0:
-                    gen[j] += 1
-                    estimate(j, -math.inf)
-            continue
+            raise GeometryError("collapse sweep stalled; inconsistent input")
         h, j, g = heapq.heappop(heap)
         if g != gen[j]:
             continue
@@ -227,7 +218,7 @@ def collapse_sweep(labels, bottom, rows, lam, ctol):
     if pt is None:
         raise GeometryError("final plane triple is singular")
     events.append((pt, (labels[a], labels[b], labels[c])))
-    return events, retries
+    return events
 
 
 @dataclass(frozen=True)
@@ -238,13 +229,11 @@ class Lifetimes:
     point between its neighbours p and q then, in order of death, and
     the last event is the apex, where the three edges left meet.  `M[i]`
     is the offset at which polygon edge i leaves the inner parallel body
-    (the top of lifted facet i).  `readmits` counts the times the heap ran
-    empty early and every live edge was estimated again (a safety net).
+    (the top of lifted facet i).
     """
 
     M: np.ndarray
     sweep: list
-    readmits: int
 
     @property
     def apex(self) -> tuple[float, float, float]:
@@ -270,10 +259,10 @@ def facet_lifetimes(D: Dome) -> Lifetimes:
     m = D.m
     bottom = (float(D.corners[0, 0]), float(D.corners[0, 1]), 0.0)
     ctol = _coincidence_tol(D.scale)
-    sweep, readmits = collapse_sweep(range(m), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
+    sweep = collapse_sweep(range(m), bottom, D.row_list(), (0.0, 0.0, 1.0), ctol)
     M = np.empty(m)
     for pt, tri in sweep[:-1]:
         M[tri[1]] = pt[2]
     apex, tri = sweep[-1]
     M[list(tri)] = apex[2]
-    return Lifetimes(M, sweep, readmits)
+    return Lifetimes(M, sweep)

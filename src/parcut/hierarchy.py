@@ -15,7 +15,9 @@ vertex store and level 0).  Every sweep of the build is one
 `parcut.dome.facet_lifetimes`, its events are level 0's vertices with
 their three planes, stored as they come, and each facet's vertex cycle
 is the path of deaths across its face (`_sweep_paths`).  Run in a
-deleted facet's plane, the same sweep caps the hole that facet leaves.
+deleted facet's plane, the same sweep caps the hole that facet leaves;
+a sweep that stalls raises GeometryError, so a build either returns a
+consistent hierarchy or fails.
 
 `build_hierarchy(D)` reads both level 0 and the bounded core off that
 one sweep (`bounded_core`: the floor and 3 or 4 lifted facets that bound
@@ -53,7 +55,7 @@ from .errors import (
     GeometryError,
     NonIndependentRemovalError,
 )
-from .geometry import _corners, _turns
+from .geometry import _corners, _meet, _turns
 
 
 def perturb(D: Dome, seed: int = 0) -> Dome:
@@ -72,15 +74,10 @@ def perturb(D: Dome, seed: int = 0) -> Dome:
     N = D.normals[:m, :2]
     off = D.offsets[:m]
     a1 = np.roll(N, 1, axis=0)  # row j-1
-    a2 = np.roll(N, -1, axis=0)  # row j+1
-    o1 = np.roll(off, 1)
-    o2 = np.roll(off, -1)
-    det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
+    # crossing of rows j-1 and j+1
+    Z, det = _meet(a1, np.roll(off, 1), np.roll(N, -1, axis=0), np.roll(off, -1))
     crossing = np.abs(det) >= 1e-12  # parallel neighbours never squeeze a row out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zx = (o1 * a2[:, 1] - o2 * a1[:, 1]) / det
-        zy = (a1[:, 0] * o2 - a2[:, 0] * o1) / det
-    margin = np.abs(N[:, 0] * zx + N[:, 1] * zy - off)[crossing]
+    margin = np.abs(N[:, 0] * Z[:, 0] + N[:, 1] * Z[:, 1] - off)[crossing]
     min_slack = float(margin.min()) if len(margin) else math.inf
     delta = min(1e-7 * D.scale, 0.25 * min_slack)
     offsets = D.offsets.copy()
@@ -339,15 +336,15 @@ def peel_level(
     new_level_index: int,
     ctol: float,
     adjacency: dict[int, set[int]],
-) -> tuple[Level, int]:
+) -> Level:
     """Delete an independent facet set; rebuild the lattice over each hole.
 
-    Returns the next Level and the re-admissions of its cap sweeps; each
-    new vertex goes into `store` born at `new_level_index` with the
-    deleted facet over it as its killer.
+    Returns the next Level; each new vertex goes into `store` born at
+    `new_level_index` with the deleted facet over it as its killer.
     Raises NonIndependentRemovalError when two deleted facets share an
     edge (their holes would interact and the local sweep would be wrong),
-    checked against `adjacency`, the level's facet adjacency.
+    checked against `adjacency`, the level's facet adjacency, and
+    GeometryError when a cap sweep stalls (`collapse_sweep`).
 
     Each hole is capped by one collapse sweep in the deleted facet's
     plane, whose bottom cycle is the facet's own: the plane of edge j is
@@ -367,7 +364,6 @@ def peel_level(
     cycles = dict(level.cycles)
     # per neighbour: dying corner -> (partner corner, directed cap path)
     patches: dict[int, dict[int, tuple[int, list[int]]]] = {}
-    readmits = 0
     for f in removal:
         cyc = cycles.pop(f)
         dead.update(cyc)
@@ -378,8 +374,7 @@ def peel_level(
                 raise GeometryError("a removed facet edge has no unique neighbour")
             labels.append(shared[0])
         nf, _of = rows[f]
-        events, retries = collapse_sweep(labels, pts[cyc[0]], rows, nf, ctol)
-        readmits += retries
+        events = collapse_sweep(labels, pts[cyc[0]], rows, nf, ctol)
         paths = _sweep_paths(events, store, new_level_index, f)
         k = len(cyc)
         for j, g in enumerate(labels):
@@ -395,7 +390,7 @@ def peel_level(
 
     verts = [v for v in level.verts if v not in dead]
     verts.extend(range(first_new, len(store)))
-    return Level(cycles, verts), readmits
+    return Level(cycles, verts)
 
 
 def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: int) -> list[int]:
@@ -437,17 +432,13 @@ def _apply_patches(old: list[int], entry: dict[int, tuple[int, list[int]]], g: i
 
 @dataclass
 class Hierarchy:
-    """Nested facet-deletion levels over a dome; queries run on its rows.
-    `readmits` counts the times a `collapse_sweep` of the build, the
-    dome's or a cap's, re-admitted every live edge after its heap ran
-    empty early."""
+    """Nested facet-deletion levels over a dome; queries run on its rows."""
 
     dome: Dome
     store: VertexStore
     levels: list[Level]
     core: frozenset[int]
     rows: list[tuple]
-    readmits: int
 
     @property
     def m(self) -> int:
@@ -502,7 +493,6 @@ def build_hierarchy(D: Dome) -> Hierarchy:
     rows = D.row_list()
     core = bounded_core(D, life)
     ctol = _coincidence_tol(D.scale)
-    readmits = life.readmits
 
     while levels[-1].index_set != core:
         cur = levels[-1]
@@ -510,12 +500,10 @@ def build_hierarchy(D: Dome) -> Hierarchy:
         removal = removal_set(cur, adj, core)
         if not removal:
             raise GeometryError("no removable facets left but core not reached")
-        nxt, retries = peel_level(cur, removal, store, rows, len(levels), ctol, adj)
-        levels.append(nxt)
-        readmits += retries
+        levels.append(peel_level(cur, removal, store, rows, len(levels), ctol, adj))
 
     m = D.m
     max_depth = math.log(max(m, 2)) / math.log(6.0 / 5.0) + 2.0
     if len(levels) - 1 > max_depth:
         raise GeometryError("hierarchy deeper than log(m)/log(6/5) + 2")
-    return Hierarchy(dome=D, store=store, levels=levels, core=core, rows=rows, readmits=readmits)
+    return Hierarchy(dome=D, store=store, levels=levels, core=core, rows=rows)

@@ -14,8 +14,9 @@ scanned whole.
   vertex lives on an edge of the current level; it is tracked as its
   facet pair plus the two endpoint vertices, which are refreshed from the
   kill records at every level.  When the point itself is cut off, the
-  killer facet intersects the plane in a segment whose ends are found by
-  a scan of the facet's vertex cycle.
+  optimum moves onto the killer facet, which meets the plane in a segment
+  whose ends are found by a scan of the facet's vertex cycle; where the
+  facet misses the plane, the section is empty and the answer INFEASIBLE.
 * `lp_max_constrained`: one extra half-space, solved as "try without it,
   else optimize on its boundary plane" per the section machinery.
 
@@ -46,12 +47,9 @@ from .tolerance import slack
 
 @dataclass
 class QueryStats:
-    """Instrumentation counters for the complexity acceptance envelopes,
-    and `noise_floor_survivals`, the section points kept although a
-    reinstated facet cut them off, by a hair, without reaching the plane."""
+    """Instrumentation counter for the complexity acceptance envelopes."""
 
     vertex_inspections: int = 0
-    noise_floor_survivals: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +159,11 @@ def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):
     Returns (u, v, pair, x): the optimum x on the edge between vertices u
     and v carried by the facet pair; u == v marks a vertex lying exactly
     on the plane.  None when the plane misses the polytope.
+
+    A point cut off by more than `ztol` by a reinstated facet g is no
+    longer feasible, so the level's optimum, if the section is not empty,
+    lies on g: when g's face misses the plane, so does the level's
+    polytope, and the answer is None.
     """
     birth = H.store.birth_level
     killer = H.store.birth_killer
@@ -182,25 +185,18 @@ def _section_descend(H: Hierarchy, n, d, c, stats: QueryStats):
             if g2 not in hits:
                 hits.append(g2)
         cut = -1
-        cut_excess = 0.0
         for g in hits:
             gn, goff = H.rows[g]
             stats.vertex_inspections += 1
-            excess = gn[0] * x[0] + gn[1] * x[1] + gn[2] * x[2] - goff
-            if excess > ztol:
+            if gn[0] * x[0] + gn[1] * x[1] + gn[2] * x[2] - goff > ztol:
                 cut = g
-                cut_excess = excess
                 break
         if cut >= 0:
             sec = _segment_on_facet(H, l, cut, n, d, c, ztol, stats)
-            if sec is not None:
-                u, v, pair, x = sec
-                continue
-            if cut_excess > 1000.0 * ztol:
-                return None  # decisively cut off and the facet misses the plane
-            # marginal violation yet the killer facet does not reach the
-            # plane: noise-floor call, treat the point as surviving
-            stats.noise_floor_survivals += 1
+            if sec is None:
+                return None
+            u, v, pair, x = sec
+            continue
         # point survives; refresh endpoint vertices onto the current level
         if u != v:
             if birth[u] == l + 1:

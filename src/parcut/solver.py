@@ -310,7 +310,7 @@ def solve(P, n: int) -> Solution:
     marks.append(time.perf_counter())
     diag = _diagnostics(P, n, rho, S, tau, tie)
     marks.append(time.perf_counter())
-    cuts = place_cuts(P, rho, direction, n, _inner=inner)
+    cuts = place_cuts(inner, rho, direction, n)
     marks.append(time.perf_counter())
     report = verify_solution(P, n, rho, direction, cuts, _inner=inner, _r=r)
     marks.append(time.perf_counter())
@@ -338,11 +338,11 @@ def solve(P, n: int) -> Solution:
     )
 
 
-def place_cuts(P: HPolygon, rho: float, v, n: int, _inner: HPolygon | None = None) -> list[Cut]:
-    """n-1 equally spaced cut lines normal to v, spanning width(P^rho)."""
+def place_cuts(inner: HPolygon | None, rho: float, v, n: int) -> list[Cut]:
+    """n-1 equally spaced cut lines normal to v, spanning the width of the
+    inner body `inner` = I_rho along v (none at n = 1)."""
     if n <= 1:
         return []
-    inner = _inner if _inner is not None else inner_body(P, rho)
     if inner is None:
         raise VerificationFailedError("cuts", f"inner body empty at rho={rho}")
     vv = np.asarray(v, float)

@@ -124,11 +124,13 @@ def _lp_rec(d, rows, order, c, box):
 
 def _reduce_equality(rows, eqs, c, eq):
     """Eliminate one variable using equality eq = (a, b); returns the
-    reduced (rows, eqs, c) plus lift info (piv, keep, q0, sub)."""
+    reduced (rows, eqs, c) plus lift info (piv, keep, q0, sub).  An
+    equality with no variable left, once earlier ones fixed them all, is
+    trivial: dropped when b is zero to `slack`, else infeasible (None)."""
     a, b = eq
     d = len(a)
     piv = 0
-    best = abs(a[0])
+    best = abs(a[0]) if d else 0.0
     for k in range(1, d):
         if abs(a[k]) > best:
             best = abs(a[k])

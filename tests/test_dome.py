@@ -8,6 +8,7 @@ import parcut.dome as dome_mod
 from hierarchy_checks import check_hierarchy
 from lp_reference import reference_lp
 from parcut.dome import build_dome, facet_lifetimes
+from parcut.errors import GeometryError
 from parcut.geometry import canonicalize, inner_body, inradius_incenter, regular_polygon
 from parcut.hierarchy import bounded_core, build_hierarchy, face_lattice, perturb
 from parcut.oracle import random_polygon
@@ -285,12 +286,11 @@ class TestFacetLifetimes:
             assert life.events == P.m - 2
 
     def test_readmission_and_degenerate_apexes(self, monkeypatch):
-        # the dome's sweep never re-admits on the reference polygons, and
+        # the dome's sweep has m - 2 events on the reference polygons, and
         # its events are level 0's vertices, stored as they come
         for P in _reference_polygons():
             D = build_dome(P)
             life = facet_lifetimes(D)
-            assert life.readmits == 0, D.m
             assert life.events == D.m - 2, D.m
             store, _level = face_lattice(D, life)
             assert store.pts[D.m:] == [pt for pt, _tri in life.sweep], D.m
@@ -299,16 +299,13 @@ class TestFacetLifetimes:
         for P in (unit_square(), canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)]),
                   regular_polygon(6), random_polygon(1024, seed=1, model="ellipse")):
             check_hierarchy(build_hierarchy(build_dome(P)))
-        # a negative coincidence tolerance drops every estimate: the heap
-        # empties, the sweep re-admits every edge once, and its first pop
-        # is then the same death as without the net
+        # a negative coincidence tolerance drops every estimate, so the
+        # heap empties with four edges alive: nothing re-admits them, and
+        # the sweep raises
         D = build_dome(canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]))
-        life = facet_lifetimes(D)
         monkeypatch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
-        forced = facet_lifetimes(D)
-        assert forced.readmits == 1
-        assert forced.M.tobytes() == life.M.tobytes()
-        assert forced.sweep == life.sweep
+        with pytest.raises(GeometryError, match="collapse sweep stalled"):
+            facet_lifetimes(D)
 
 
 def _assert_bounded(D, core: frozenset[int]):

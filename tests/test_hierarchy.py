@@ -81,8 +81,7 @@ class TestPeel:
         f = outside[0]
         rows = D.row_list()
         adj = level.adjacency(store.tris)
-        nxt, readmits = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
-        assert readmits == 0
+        nxt = peel_level(level, [f], store, rows, 1, _coincidence_tol(D.scale), adj)
         assert len(nxt.cycles) == len(level.cycles) - 1
         born = [v for v in nxt.verts if store.birth_level[v] == 1]
         assert born
@@ -212,20 +211,23 @@ class TestBuildHierarchy:
             assert lifetimes == [P.m]
             assert sweeps and max(sweeps) <= MAX_PEEL_VERTICES, (P.m, sorted(set(sweeps)))
 
-    def test_sweep_readmissions_are_counted(self, monkeypatch):
+    def test_stalled_sweeps_raise(self, monkeypatch):
         # a negative coincidence tolerance drops every estimate, so a sweep's
-        # heap empties and it re-admits every live edge: the dome's own sweep
-        # on this 4-gon, and the 4-edge cap over the regular hexagon's
-        # deleted facet 1
+        # heap empties early and the build raises: the dome's own sweep on
+        # this 4-gon, and the 4-edge cap over the regular hexagon's deleted
+        # facet 1 (the dome's sweep keeps its own tolerance there)
         import parcut.dome as dome_mod
 
         quad, hexagon = canonicalize([(0, 0), (3, 0), (2.5, 2), (0.5, 1.5)]), regular_polygon(6)
-        assert _hierarchy_for(quad).readmits == _hierarchy_for(hexagon).readmits == 0
+        for P in (quad, hexagon):
+            _hierarchy_for(P, check=True)
         with monkeypatch.context() as patch:
             patch.setattr(dome_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
-            assert _hierarchy_for(quad).readmits == 1
+            with pytest.raises(GeometryError, match="collapse sweep stalled"):
+                _hierarchy_for(quad)
         monkeypatch.setattr(hierarchy_mod, "_coincidence_tol", lambda scale: -1e3 * scale)
-        assert _hierarchy_for(hexagon).readmits == 1
+        with pytest.raises(GeometryError, match="collapse sweep stalled"):
+            _hierarchy_for(hexagon)
 
     def test_dump_deterministic(self):
         H1 = _hierarchy_for(regular_polygon(12))

@@ -60,6 +60,16 @@ def test_equality_reduction():
     assert res.point == pytest.approx((0.25, 1.0), abs=1e-9)
 
 
+def test_equality_after_every_variable_is_fixed():
+    # x = 0.25 and y = 0.5 fix the point; a third equality is then trivial
+    fixed = [((1.0, 0.0), 0.25), ((0.0, 1.0), 0.5)]
+    res = reference_lp(SQUARE, (1.0, 1.0), equalities=fixed + [((1.0, 1.0), 0.75)])
+    assert res.status == OPTIMAL
+    assert res.point == (0.25, 0.5)
+    res = reference_lp(SQUARE, (1.0, 1.0), equalities=fixed + [((1.0, 1.0), 0.8)])
+    assert res.status == INFEASIBLE
+
+
 def test_determinism():
     a = small_lp(SQUARE, (0.3, 0.7))
     b = small_lp(SQUARE, (0.3, 0.7))

@@ -171,21 +171,24 @@ class TestSections:
                 assert got.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
             assert hits > 40
 
-    def test_noise_floor_survival_is_counted(self):
-        # a plane just outside a deleted facet: it cuts the coarser levels,
-        # and when the facet is reinstated the point is cut off by less
-        # than 1000 times the descent's zero tolerance while the facet
-        # does not reach the plane, so the point is kept as noise
-        H = hier(canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)]))
-        i = min(set(range(H.m)) - H.core)
-        n, off = H.rows[i]
-        ztol = 1e-10 * (abs(n[0]) + abs(n[1]) + abs(n[2])) * H.scale
-        for shift, kept in ((100.0, 1), (1e4, 0)):
-            stats = QueryStats()
-            got = lp_max_section(H, (n, off + shift * ztol), (0.0, 0.0, 1.0), stats)
-            assert reference_lp(H.rows, (0.0, 0.0, 1.0), equalities=[(n, off + shift * ztol)]).status == INFEASIBLE
-            assert stats.noise_floor_survivals == kept, shift
-            assert got.status == (OPTIMAL if kept else INFEASIBLE), shift
+    def test_plane_missing_the_dome_is_infeasible(self):
+        # a plane just outside a deleted facet cuts the coarser levels; when
+        # the facet is reinstated it cuts the point off by more than the
+        # descent's zero tolerance and does not reach the plane, so the
+        # section is empty, as the direct LP says
+        polys = (canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)]),
+                 random_polygon(12, seed=0), random_polygon(32, seed=3))
+        for P in polys:
+            H = hier(P)
+            for i in sorted(set(range(H.m)) - H.core):
+                n, off = H.rows[i]
+                ztol = 1e-10 * (abs(n[0]) + abs(n[1]) + abs(n[2])) * H.scale
+                for shift in (100.0, 1e4):
+                    plane = (n, off + shift * ztol)
+                    ref = reference_lp(H.rows, (0.0, 0.0, 1.0), equalities=[plane])
+                    assert ref.status == INFEASIBLE, (P.m, i, shift)
+                    got = lp_max_section(H, plane, (0.0, 0.0, 1.0))
+                    assert got.status == INFEASIBLE, (P.m, i, shift)
 
     def test_vertical_planes(self):
         rng = np.random.default_rng(3)

@@ -251,7 +251,11 @@ class TestPlaceCuts:
         assert np.allclose(gaps, 2 * s.rho, atol=1e-9)
 
     def test_n1_empty(self):
-        assert place_cuts(unit_square(), 0.5, (1.0, 0.0), 1) == []
+        assert place_cuts(None, 0.5, (1.0, 0.0), 1) == []
+
+    def test_missing_inner_body_raises(self):
+        with pytest.raises(VerificationFailedError, match="cuts"):
+            place_cuts(None, 0.5, (1.0, 0.0), 2)
 
 
 class TestVerify:
