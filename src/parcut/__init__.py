@@ -10,8 +10,10 @@ diagnostics, two float arrays indexed by edge, come from the same rows.
 The paper's Dobkin-Kirkpatrick style facet-peeling hierarchy, which
 deletes only facets of at most 11 vertices, is exported for direct use
 with its polylogarithmic LP queries, each step of which scans one such
-facet; a brute-force oracle cross-checks both.  Every predicate compares
-with one fixed slack, `tolerance.slack`.
+facet; a brute-force oracle cross-checks both.  The LP family's
+constraint tests compare with one fixed slack, `tolerance.slack`; the
+other fixed cutoffs, each named where it lives, and the few exact float
+equalities are listed in the README's Numerical policy.
 """
 
 from .errors import (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import HPolygon, diameter
+from .geometry import HPolygon, _read_only, diameter
 from .lp import small_lp  # noqa: F401 -- bench/spans.py wraps dome.small_lp
 
 
@@ -38,6 +38,9 @@ class Dome:
     offsets: np.ndarray  # (m+1,)
     corners: np.ndarray  # (m, 2) floor polygon corners; corner j starts edge j
     scale: float
+
+    def __post_init__(self):
+        _read_only(self)
 
     @property
     def m(self) -> int:
@@ -234,6 +237,9 @@ class Lifetimes:
 
     M: np.ndarray
     sweep: list
+
+    def __post_init__(self):
+        _read_only(self)
 
     @property
     def apex(self) -> tuple[float, float, float]:

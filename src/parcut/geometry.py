@@ -51,9 +51,19 @@ class HPolygon:
     angles: np.ndarray
     antipodes: np.ndarray
 
+    def __post_init__(self):
+        _read_only(self)
+
     @property
     def m(self) -> int:
         return len(self.b)
+
+
+def _read_only(record) -> None:
+    """Make the array fields of a frozen dataclass read-only."""
+    for x in vars(record).values():
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
 
 
 def _turns(ox, oy, ax, ay, px, py):
@@ -465,12 +475,15 @@ def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
 
     P's `incenter` c centres the largest disk of every nonempty I_t, of
     radius min(b - t - A.c); without it, I_t's one Chebyshev LP finds c
-    and that radius.  The rows are the polar dual's corners about c.
+    and that radius.  I_t counts as empty when that radius is at most
+    1e-9 of the largest |b - t|: `slack`'s relative part, with no absolute
+    floor, so that a polygon far below unit size keeps its inner bodies.
+    The rows are the polar dual's corners about c.
     """
     if t < 0:
         raise ValueError("offset must be nonnegative")
     A, b = P.A, P.b - t
-    limit = slack(float(np.abs(b).max()))
+    limit = 1e-9 * float(np.abs(b).max())
     c = incenter
     if c is None:
         res = chebyshev_lp(A, b)  # P bounds it, so it is OPTIMAL
@@ -507,7 +520,7 @@ def _spread_rows(A: np.ndarray) -> np.ndarray:
     return used
 
 
-def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks=None):
+def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), fallbacks=None):
     """Maximize t subject to A x + t <= b and the lifted rows `extras`.
 
     With unit rows of A this is the largest disk, of radius t centred at
@@ -521,29 +534,16 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks
     all of them, so the start changes the number of rounds, never the
     optimal value beyond rounding.
 
-    Given `points`, one or more (x, y) near which largest disks are
-    expected to be centred, the start is the 4 rows of least depth
-    b - A.x at the nearest of them.  Where the points are the ends of the
-    edge or the vertex of optimal centres, those include every row the
-    largest disks touch, and the LP ends in one round.  Otherwise, and
-    when that start is unbounded, the start is the first and the last
-    row, in angle order, of each of _LP_BATCH equal angle bins of pi/4,
-    16 rows, or every row up to 16.  Those bin rows bound the LP whenever
-    all rows do: consecutive start normals lie within one bin, less than
-    pi/4 apart, or are consecutive normals of the rows, so no two are pi
-    or more apart.  An unbounded bin start (possible only by rounding)
-    falls back to every row.  A Counter `fallbacks`, when given, counts
-    "hint" for each unbounded start at `points` and "every_row" for each
-    unbounded bin start.
+    The start is the first and the last row, in angle order, of each of
+    _LP_BATCH equal angle bins of pi/4, 16 rows, or every row up to 16.
+    Those bin rows bound the LP whenever all rows do: consecutive start
+    normals lie within one bin, less than pi/4 apart, or are consecutive
+    normals of the rows, so no two are pi or more apart.  An unbounded
+    start (possible only by rounding) falls back to every row, which a
+    Counter `fallbacks`, when given, counts as "every_row".
     """
     m = len(b)
-    hinted = points is not None and m > 4
-    if hinted:
-        depth = (b - np.asarray(points, float).reshape(-1, 2) @ A.T).min(axis=0)
-        used = np.zeros(m, dtype=bool)
-        used[np.argpartition(depth, 4)[:4]] = True
-    else:
-        used = _spread_rows(A)
+    used = _spread_rows(A)
     extras = list(extras)
     while True:
         idx = np.nonzero(used)[0]
@@ -551,9 +551,8 @@ def chebyshev_lp(A: np.ndarray, b: np.ndarray, extras=(), points=None, fallbacks
         res = small_lp(rows + extras, (0.0, 0.0, 1.0))
         if res.status == UNBOUNDED and not used.all():
             if fallbacks is not None:
-                fallbacks["hint" if hinted else "every_row"] += 1
-            used = _spread_rows(A) if hinted else np.ones(m, dtype=bool)
-            hinted = False
+                fallbacks["every_row"] += 1
+            used = np.ones(m, dtype=bool)
             continue
         if res.status != OPTIMAL:
             return res

@@ -35,14 +35,13 @@ The n-1 cuts are then equally spaced along that normal across I_rho, the
 polygon of S's rows, and checked by `verify_solution` on that I_rho and
 on r, so a wrong descent could pass; called with P and the claim alone,
 as `parcut verify` calls it, it checks from scratch.  At n = 1, I_rho is
-the apex: `solve` builds no inner body, and the verification solves no
-LP.  Per-edge diagnostics are read off S's bracket as float arrays
+the apex, and `solve` builds no inner body; at every n the verification
+of its claim solves no LP.  Per-edge diagnostics are read off S's bracket as float arrays
 indexed by edge: an edge's root is reported only when it lies there, and
 nan stands for a value not reported.  `Solution.stats["fallbacks"]`
 counts the path's safety nets: the incenter LP when its start fell back
 to every row, S's gap roots whose plane triple was singular, and, from
-the verification, I_rho's Chebyshev LP when its start fell back to every
-row, the piece LPs whose start at I_rho was unbounded and those that
+the verification, I_rho's Chebyshev LP and the piece LPs whose start
 fell back to every row.
 """
 
@@ -66,6 +65,7 @@ from .geometry import (
     _corners,
     _expand_ranges,
     _meet,
+    _read_only,
     canonicalize,
     chebyshev_lp,
     diameter,
@@ -80,8 +80,8 @@ from .queries import eval_fi, facet_max_t, lp_max, lp_max_constrained, lp_max_se
 # roots or heights closer than this, relative to the largest offset, are
 # equal up to rounding; tied roots break by lowest index
 _TIE_REL = 1e-13
-# a slab's half-width may exceed rho by this much, relative to the largest
-# cut offset or rho, and still be settled by the strip lemma: the rounding
+# a piece's inradius bounds may differ by this much, relative to the
+# largest cut offset or rho, and still settle it with no LP: the rounding
 # of an honest claim's offsets
 _LEMMA_REL = 4 * np.finfo(float).eps
 # the most steps the descent takes before `solve` raises; no input seen
@@ -107,6 +107,9 @@ class Diagnostics:
 
     root: np.ndarray
     f_at_M: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
 
 
 @dataclass(frozen=True)
@@ -353,80 +356,64 @@ def place_cuts(inner: HPolygon | None, rho: float, v, n: int) -> list[Cut]:
     ]
 
 
-def _far_edge(X: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The vertex of the convex cycle X where s is largest and its
-    neighbour with the larger s: the ends of the edge where s is largest,
-    or of an edge through the vertex where it is."""
-    i = int(np.argmax(s))
-    j = (i + 1) % len(s) if s[(i + 1) % len(s)] > s[i - 1] else i - 1
-    return X[[i, j]]
-
-
 def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
                    inner: HPolygon | None = None, rho: float = 0.0,
                    fallbacks: Counter | None = None) -> list[float]:
     """Inradius of each piece of P between consecutive cut offsets along v.
 
-    Interior pieces are settled by the strip lemma when the inner body
-    `inner` = I_rho is given.  A slab {lo <= v.x <= hi} of half-width
-    w = (hi - lo)/2 bounds every disk in it by w, and for 0 < w <= rho
-    I_w contains I_rho, so a point of I_rho on the midline (lo + hi)/2
-    centres a disk of radius w inside both P and the slab: the piece's
-    inradius is exactly w whenever the midline lies within I_rho's
-    extremes [s_min, s_max] along v.  The width test admits
-    w <= rho + eps, where eps = _LEMMA_REL * max(|offset|, rho) over all
-    offsets, capped at vtol, covers the rounding of an honest claim's
-    offsets s_0 + 2 rho j: they round at the size of their terms, which
-    near a zero crossing far exceeds |lo| and |hi|.  In that band the true
-    inradius lies in [rho, w], both within vtol of rho, so no verdict
-    changes.  A midline that rounding puts delta outside I_rho errs by at
-    most delta, since I_(rho - delta) reaches delta further along v.  The
-    reported value is w, from the offsets; rho is never copied in.
+    Given the inner body `inner` = I_rho, one interval rule bounds every
+    piece.  Its slab is [lo, hi] along v, P's own extremes standing in for
+    an end piece's missing cut, of half-width w; [a, z] is I_rho's extent
+    along v, y the slab's midline clipped to it, u = min(y - lo, hi - y).
+    The inradius lies in [L, U]: L = min(rho, u) is the radius of a disk
+    about I_rho's point at height y, which lies in P since I_rho is within
+    I_L; U = min(w, max(rho, u)), since a disk wider than rho is centred
+    in I_rho.  A piece reports U with no LP when L > 0, U - L is within
+    its band, and [L, U] lies on one side of rho + vtol and of rho - vtol,
+    so that U gives the verdict the exact inradius gives.  The band is
+    eps = _LEMMA_REL * max(|offset|, rho), the rounding of an honest
+    claim's offsets s_0 + 2 rho j, plus, for the two end pieces, the width
+    residual along v, |(z - a) - 2 k rho| for k cuts; it is capped at vtol.
+    An honest claim's slabs are 2 rho wide and its end cuts rho beyond
+    I_rho, so each of its pieces settles, at U = w or rho to its band.
 
-    The two end pieces, and any piece that fails the test (a wider or
-    misplaced slab, w <= 0, or no inner body), get an inradius LP.  For
-    those P's boundary is split at the cuts in one sorted pass.  Edge k
-    runs from vertex k-1 to vertex k and spans [lo_k, hi_k] along v, so it
-    meets the pieces from the first whose upper cut is >= lo_k to the last
-    whose lower cut is <= hi_k: two binary searches on the offsets.  The
-    test is widened by vtol, because an extra row of P is valid for a
-    piece but a missing one is not.  A piece's inradius LP reads only its
-    own edges' rows and its one or two slab rows.  A piece at most 1e-12
-    wide along v inside P is degenerate.
-
-    Given I_rho, each end piece's LP starts at I_rho's face farthest
-    along -v (piece 0) or +v (piece k): the ends of its edge there, or
-    of an edge through its vertex there (`_far_edge`).  For an honest
-    claim piece 0 is P's part with v.x <= s_min + rho, so a disk of
-    radius r >= rho in it is centred in I_r, within I_rho, at
-    v.x <= s_min + rho - r: r = rho, and the centre lies on I_rho's face
-    at s_min (likewise for piece k at s_max).  The LP then starts from
-    the rows those disks touch and ends in one round of 4 rows plus the
-    floor and slab rows (`chebyshev_lp`).  The hint comes from I_rho
-    alone and changes only the number of rounds, never a value.  The
-    Counter `fallbacks` counts the LPs whose hinted start was unbounded
-    ("hint") and those whose angle-bin start was ("every_row").
+    The other pieces (a wider or misplaced slab, or no inner body) get an
+    inradius LP.  For those P's boundary is split at the cuts in one
+    sorted pass.  Edge k runs from vertex k-1 to vertex k and spans
+    [lo_k, hi_k] along v, so it meets the pieces from the first whose
+    upper cut is >= lo_k to the last whose lower cut is <= hi_k: two
+    binary searches on the offsets.  The test is widened by vtol, because
+    an extra row of P is valid for a piece but a missing one is not.  A
+    piece's inradius LP reads only its own edges' rows and its one or two
+    slab rows.  A piece at most 1e-12 wide along v inside P is degenerate.
+    The Counter `fallbacks` counts the LPs whose angle-bin start was
+    unbounded ("every_row").
     """
     A, b, V = P.A, P.b, P.vertices
     k = len(offsets)
     if np.any(np.diff(offsets) < 0):
         raise VerificationFailedError("pieces", "cuts are out of order along the direction")
     vx, vy = float(v[0]), float(v[1])
+    proj = V[:, 0] * vx + V[:, 1] * vy
     inradii = np.zeros(k + 1)
     settled = np.zeros(k + 1, dtype=bool)
-    hints = {}
     if inner is not None:
         s = inner.vertices[:, 0] * vx + inner.vertices[:, 1] * vy
-        hints = {k: _far_edge(inner.vertices, s), 0: _far_edge(inner.vertices, -s)}
-        if k >= 2:
-            lo, hi = offsets[:-1], offsets[1:]
-            w = (hi - lo) / 2
-            mid = (lo + hi) / 2
-            eps = min(_LEMMA_REL * max(abs(offsets[0]), abs(offsets[-1]), rho), vtol)
-            settled[1:k] = (w > 0) & (w <= rho + eps) & (mid >= s.min()) & (mid <= s.max())
-            inradii[1:k] = w
+        a, z = float(s.min()), float(s.max())
+        lo = np.insert(offsets, 0, proj.min())
+        hi = np.append(offsets, proj.max())
+        y = np.clip((lo + hi) / 2, a, z)
+        u = np.minimum(y - lo, hi - y)
+        L = np.minimum(rho, u)
+        U = np.minimum((hi - lo) / 2, np.maximum(rho, u))
+        eps = _LEMMA_REL * max(float(np.abs(offsets).max(initial=0.0)), rho)
+        band = np.full(k + 1, min(eps, vtol))
+        band[[0, k]] = min(eps + abs((z - a) - 2 * k * rho), vtol)
+        # [L, U] on one side of each of verify's two thresholds
+        settled = ((L > 0) & (U - L <= band) & ((U <= rho + vtol) | (L > rho + vtol))
+                   & ((U < rho - vtol) | (L >= rho - vtol)))
+        inradii = U
 
-    proj = V[:, 0] * vx + V[:, 1] * vy
     prev = np.roll(proj, 1)
     first = np.searchsorted(offsets, np.minimum(prev, proj) - vtol, side="left")
     last = np.searchsorted(offsets, np.maximum(prev, proj) + vtol, side="right")
@@ -447,7 +434,7 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
             extras.append(((-vx, -vy, 1.0), -float(offsets[j - 1])))
         if j < k:
             extras.append(((vx, vy, 1.0), float(offsets[j])))
-        res = chebyshev_lp(A[E], b[E], extras, hints.get(j), fallbacks)
+        res = chebyshev_lp(A[E], b[E], extras, fallbacks=fallbacks)
         if res.status != OPTIMAL:
             raise VerificationFailedError("pieces", f"piece {j} inradius LP failed")
         inradii[j] = res.value
@@ -482,16 +469,13 @@ def verify_solution(
     r - rho, so P's inradius r, the one piece's when there are no cuts;
     `inner_body` about that centre builds I_rho or finds it empty.
     `solve` passes its own I_rho (`_inner`, none at n = 1) and P's
-    inradius (`_r`) from its own LP, so its check rests on its descent
-    and solves no LP at n = 1.  Interior
-    pieces are settled by the strip lemma against I_rho; the others get
-    an inradius LP over their own edges, an end piece's starting at
-    I_rho's face farthest along the cut normal (`_piece_inradii`).  The
-    start changes the number of LP rounds, never a value.  The report's
-    `fallbacks` counts I_rho's LP when its angle-bin start fell back to
-    every row ("inner_every_row"), the piece LPs whose start at I_rho was
-    unbounded ("piece_hint") and those whose angle-bin start fell back to
-    every row ("piece_every_row").
+    inradius (`_r`) from its own LP, so its check rests on its descent.
+    Each piece's inradius is bounded from I_rho's extent along the cut
+    normal, which settles every piece of an honest claim with no LP; a
+    piece the bounds do not settle gets an inradius LP over its own edges
+    (`_piece_inradii`).  The report's `fallbacks` counts I_rho's LP when
+    its angle-bin start fell back to every row ("inner_every_row") and the
+    piece LPs whose start did ("piece_every_row").
     """
     n = _piece_count(n)
     v = np.asarray(direction, float)
@@ -549,6 +533,5 @@ def verify_solution(
         max_piece_inradius=float(max_r),
         tolerance=vtol,
         ok=True,
-        fallbacks={"inner_every_row": inner_fallbacks["every_row"], "piece_hint": fallbacks["hint"],
-                   "piece_every_row": fallbacks["every_row"]},
+        fallbacks={"inner_every_row": inner_fallbacks["every_row"], "piece_every_row": fallbacks["every_row"]},
     )

@@ -232,7 +232,7 @@ def test_solution_document_schema():
         "piece_inradii",
         "max_piece_inradius",
     }
-    assert doc["stats"]["fallbacks"] == {"incenter_every_row": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
+    assert doc["stats"]["fallbacks"] == {"incenter_every_row": 0, "singular_gap": 0, "inner_every_row": 0, "piece_every_row": 0}
     assert set(doc["stats"]["phases_ms"]) == {"canonicalize", "incenter", "descent", "diagnostics",
                                               "cuts", "verify"}
     assert doc["stats"]["descent_steps"] >= 1

@@ -1,6 +1,5 @@
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geometry_reference import reference_angles, reference_antipodes, reference_diameter, reference_min_width
+from parcut.dome import build_dome, facet_lifetimes
 from parcut.errors import EmptyInteriorError, GeometryError, NonFiniteInputError, UnboundedError
 from parcut.lp import OPTIMAL, small_lp
 from parcut.oracle import random_polygon
@@ -443,25 +443,6 @@ class TestAgainstLoops:
             assert got.status == ref.status == OPTIMAL
             assert got.value == pytest.approx(ref.value, abs=1e-12)
 
-    def test_chebyshev_lp_hint_falls_back(self):
-        # near the middle of a finely sampled arc the 4 rows of least depth
-        # have nearly equal normals, so the hinted start is unbounded; the
-        # LP starts again from every row (m <= 16) or from the angle bins
-        # (m > 16) and reaches the optimum it reaches without the hint
-        floor = ((0.0, 0.0, -1.0), 0.0)
-        for P in (regular_polygon(100), random_polygon(120, seed=3, model="ellipse"),
-                  regular_polygon(1000), random_polygon(700, seed=4, model="smoothed")):
-            scale = float(np.abs(P.b).max())
-            for j in (0, P.m // 3):
-                point = 0.99 * (P.vertices[j - 1] + P.vertices[j]) / 2  # inside, by edge j
-                for extras in ((), (floor,)):
-                    ref = chebyshev_lp(P.A, P.b, extras)
-                    fallbacks = Counter()
-                    got = chebyshev_lp(P.A, P.b, extras, point, fallbacks)
-                    assert got.status == ref.status == OPTIMAL
-                    assert abs(got.value - ref.value) <= 1e-12 * scale
-                    assert fallbacks == Counter(hint=1)
-
     def test_min_width(self):
         rng = np.random.default_rng(21)
         polys = [regular_polygon(m) for m in (3, 4, 6, 64, 1024)]
@@ -601,9 +582,12 @@ class TestInnerBody:
 
     def test_given_incenter_changes_nothing(self):
         # P's incenter decides emptiness as I_t's own Chebyshev LP does, and
-        # the dual hull about it keeps the same rows
+        # the dual hull about it keeps the same rows; emptiness is relative
+        # to the offsets, with no absolute floor, so the square scaled by
+        # 1e-12 keeps its inner bodies
         draws = [random_polygon(int(m), seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
                  for k, m in enumerate(np.geomspace(3, 3000, 30).astype(int))]
+        draws.append(canonicalize(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 1e-12))
         for P in draws:
             r, c = inradius_incenter(P)
             for t in (0.1 * r, 0.5 * r, 0.9 * r):
@@ -637,6 +621,21 @@ class TestInradius:
             r, _ = inradius_incenter(P)
             assert inner_body(P, r * 0.999) is not None
             assert inner_body(P, r * 1.001) is None
+
+
+def test_records_are_read_only():
+    # HPolygon, Dome, Lifetimes and Diagnostics are frozen dataclasses
+    # whose arrays cannot be written into either, whichever way they were
+    # built
+    P = random_polygon(40, seed=2)
+    s = solve(P, 3)
+    D = build_dome(P)
+    records = [P, canonicalize((P.A, P.b)), inner_body(P, s.rho), D, facet_lifetimes(D), s.diagnostics]
+    for record in records:
+        for name, x in vars(record).items():
+            if isinstance(x, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = x[0]
 
 
 def test_diameter_square():

@@ -152,7 +152,7 @@ class TestRandomPolygon:
         P = random_polygon(65536, seed=1, model=model)
         assert P.m == 65536
         s = solve(P, 64)
-        assert s.stats["fallbacks"] == {"incenter_every_row": 0, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 0, "piece_every_row": 0}
+        assert s.stats["fallbacks"] == {"incenter_every_row": 0, "singular_gap": 0, "inner_every_row": 0, "piece_every_row": 0}
         assert verify_solution(P, 64, s.rho, s.direction, s.cuts).ok
 
     def test_bad_model(self):

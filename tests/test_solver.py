@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from parcut.errors import (
     OutOfRangeError,
     VerificationFailedError,
 )
-from parcut.geometry import canonicalize, chebyshev_lp, inradius_incenter, regular_polygon
+from parcut.geometry import canonicalize, chebyshev_lp, diameter, inner_body, inradius_incenter, regular_polygon
 from parcut.hierarchy import build_hierarchy
 from parcut.oracle import oracle_fi, oracle_solve, random_polygon
 from parcut.queries import eval_fi, facet_max_t, root_lp
-from parcut.solver import Cut, place_cuts, solve, verify_solution
+from parcut.solver import Cut, _piece_inradii, place_cuts, solve, verify_solution
 
 SQ3 = math.sqrt(3.0)
 
@@ -395,14 +396,21 @@ class TestLifetimePath:
 
     def test_piece_lp_fallbacks_are_counted(self, monkeypatch):
         # a stand-in small_lp that calls every LP of fewer than 200 rows
-        # unbounded: each end piece of the 1000-gon (about 500 rows) falls
-        # back from its start at I_rho to the angle bins, and from those to
-        # every row, and still finds its inradius
+        # unbounded: the incenter LP falls back from its angle bins to every
+        # row, and the honest claim's pieces need no LP.  With the cut moved
+        # by 1e-6 of the diameter the bounds settle neither piece, and each
+        # piece LP (about 500 rows) falls back from its angle bins to every
+        # row and still finds its inradius
         import parcut.geometry as geometry_mod
         from parcut.lp import UNBOUNDED, LpResult, small_lp
 
         P = random_polygon(1000, seed=5)
         ref = solve(P, 2)
+        v = np.asarray(ref.direction)
+        moved = np.array([ref.cuts[0].offset + 1e-6 * diameter(P)])
+        vtol = 1e-8 * diameter(P)
+        inner = inner_body(P, ref.rho)
+        expected = _piece_inradii(P, v, moved, vtol, inner, ref.rho)
 
         def short_unbounded(rows, *args, **kwargs):
             if len(rows) < 200:
@@ -411,14 +419,18 @@ class TestLifetimePath:
 
         monkeypatch.setattr(geometry_mod, "small_lp", short_unbounded)
         s = solve(P, 2)
-        assert s.stats["fallbacks"] == {"incenter_every_row": 1, "singular_gap": 0, "inner_every_row": 0, "piece_hint": 2, "piece_every_row": 2}
-        assert s.verification.fallbacks == {"inner_every_row": 0, "piece_hint": 2, "piece_every_row": 2}
-        assert s.verification.piece_inradii == pytest.approx(ref.verification.piece_inradii, abs=1e-12 * s.rho)
+        assert s.stats["fallbacks"] == {"incenter_every_row": 1, "singular_gap": 0, "inner_every_row": 0, "piece_every_row": 0}
+        assert s.verification.fallbacks == {"inner_every_row": 0, "piece_every_row": 0}
+        assert s.verification.piece_inradii == ref.verification.piece_inradii
+        fallbacks = Counter()
+        got = _piece_inradii(P, v, moved, vtol, inner, ref.rho, fallbacks)
+        assert fallbacks == Counter(every_row=2)
+        assert got == pytest.approx(expected, abs=1e-12 * s.rho)
 
     def test_inner_lp_fallback_is_counted(self, monkeypatch):
         # the same stand-in under a from-scratch verify: I_rho's Chebyshev
-        # LP over the 1000 rows starts from 16 angle-bin rows, so
-        # it falls back to every row once, besides the two end pieces
+        # LP over the 1000 rows starts from 16 angle-bin rows, so it falls
+        # back to every row once, and the pieces need no LP
         import parcut.geometry as geometry_mod
         from parcut.lp import UNBOUNDED, LpResult, small_lp
 
@@ -432,7 +444,7 @@ class TestLifetimePath:
 
         monkeypatch.setattr(geometry_mod, "small_lp", short_unbounded)
         rep = verify_solution(P, 2, ref.rho, ref.direction, ref.cuts)
-        assert rep.fallbacks == {"inner_every_row": 1, "piece_hint": 2, "piece_every_row": 2}
+        assert rep.fallbacks == {"inner_every_row": 1, "piece_every_row": 0}
         assert rep.piece_inradii == pytest.approx(ref.verification.piece_inradii, abs=1e-12 * ref.rho)
 
     def test_singular_gap_is_counted(self, monkeypatch):
@@ -624,10 +636,16 @@ def test_oracle_invariance_and_monotone_in_n(m, n, seed, model, angle, log_scale
 UNIT_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float)
 
 
-@pytest.mark.xfail(strict=True, raises=VerificationFailedError,
-                   reason="'degenerate piece produced': the piece extent test is an absolute 1e-12")
-def test_unit_square_scaled_by_1e_minus_12():
-    assert solve(UNIT_SQUARE * 1e-12, 2).rho == pytest.approx(0.25e-12, rel=1e-8)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e-12, 1e-13, 1e-15])
+def test_unit_square_scaled_far_below_unit(scale, n):
+    # the bounds settle every piece with no LP, so the LP path's absolute
+    # 1e-12 floors never see these pieces, and a from-scratch verify
+    # rebuilds I_rho at this scale
+    P = canonicalize(UNIT_SQUARE * scale)
+    s = solve(P, n)
+    assert s.rho == pytest.approx(scale / (2 * n), rel=1e-8)
+    assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
 
 
 @pytest.mark.xfail(strict=True, raises=VerificationFailedError,

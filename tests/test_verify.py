@@ -3,18 +3,14 @@
 The reference clips P at every cut in turn, solves each piece's inradius
 LP over every row of P, and finds the inner body's interior point with one
 LP over every row.  The verification under test solves I_rho's Chebyshev
-LP once, which also gives P's inradius, settles interior pieces by the
-strip lemma, splits P's boundary at the cuts, judges a piece degenerate
-by its extent along the cut normal, and gives each remaining piece's LP
-only its own edges.  An end piece's LP starts from
-the rows of least depth at the ends of I_rho's edge farthest along the
-cut normal, I_rho being the inner body that verification rebuilt from P
-and the claim; the start may change the number of LP rounds, never a
-value, so the reference has no such start.
+LP once, which also gives P's inradius, bounds every piece's inradius from
+I_rho's extent along the cut normal, which settles every piece of an
+honest claim, and for the pieces left splits P's boundary at the cuts,
+judges a piece degenerate by its extent along the cut normal, and gives
+each piece's LP only its own edges.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -165,6 +161,12 @@ class TestAgainstReference:
             assert got == _outcome(_verify_ref, *claim)
 
 
+def _verdict(fn, *claim):
+    """"ok", or the clause of the VerificationFailedError it raises."""
+    got = _outcome(fn, *claim)
+    return got if isinstance(got, str) else "ok"
+
+
 def _check_split(P, v, offsets, rho=None):
     """_piece_inradii against the reference, with the strip lemma at rho
     when it is given."""
@@ -245,7 +247,7 @@ class _CountingLp:
 
 
 class TestStripLemma:
-    def test_honest_claim_solves_two_piece_lps(self, monkeypatch):
+    def test_honest_claim_solves_no_piece_lp(self, monkeypatch):
         P = random_polygon(1000, seed=3, model="smoothed")
         s = solve(P, 64)
         v = np.asarray(s.direction)
@@ -254,36 +256,73 @@ class TestStripLemma:
         lp = _CountingLp()
         monkeypatch.setattr(solver, "chebyshev_lp", lp)
         got = _piece_inradii(P, v, offsets, vtol, inner_body(P, s.rho), s.rho)
-        assert lp.calls == 2
+        assert lp.calls == 0
         ref = _pieces_ref(P, v, offsets.tolist())
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
 
-    def test_end_piece_lp_is_one_round(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_end_pieces_need_no_lp(self, monkeypatch, n):
         # I_rho meets the cut normal in an edge (the winner's row) at one end
         # of a random draw and in a vertex at the other, and in an edge at
-        # both ends of the regular 4096-gon; each end piece's LP is a single
-        # small_lp call of at most 6 rows either way
+        # both ends of the regular 4096-gon; the bounds settle both end
+        # pieces either way.  An end piece reports its upper bound, at most
+        # its band above the exact inradius: the offsets' rounding plus the
+        # width residual along v, which at n = 64 reaches 4.8e-12 rho on
+        # the smoothed draw, where I_rho's corners carry ~1e-13 of rounding
         polygons = [random_polygon(4096, seed=s, model=model)
                     for s, model in enumerate(("circle", "ellipse", "smoothed"))]
         for P in polygons + [regular_polygon(4096)]:
-            s = solve(P, 2)
+            s = solve(P, n)
             v = np.asarray(s.direction)
             offsets = np.array([c.offset for c in s.cuts])
             inner = inner_body(P, s.rho)
-            rows = []
-
-            def counting_lp(constraints, *args, **kwargs):
-                rows.append(len(constraints))
-                return small_lp(constraints, *args, **kwargs)
-
-            fallbacks = Counter()
+            lp = _CountingLp()
             with monkeypatch.context() as mp:
-                mp.setattr(geometry, "small_lp", counting_lp)
-                got = _piece_inradii(P, v, offsets, 1e-8 * _diameter_ref(P), inner, s.rho, fallbacks)
-            assert len(rows) == 2 and max(rows) <= 6, rows
-            assert not fallbacks
+                mp.setattr(solver, "chebyshev_lp", lp)
+                got = _piece_inradii(P, v, offsets, 1e-8 * _diameter_ref(P), inner, s.rho)
+            assert lp.calls == 0
             ref = _pieces_ref(P, v, offsets.tolist())
-            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * s.rho
+            err = np.abs(np.subtract(got, ref))
+            extent = inner.vertices @ v
+            band = (solver._LEMMA_REL * max(np.abs(offsets).max(), s.rho)
+                    + abs(np.ptp(extent) - 2 * (n - 1) * s.rho))
+            assert err[1:-1].max(initial=0.0) <= 1e-12 * s.rho
+            assert max(err[0], err[-1]) <= 1e-12 * s.rho + (band if n > 2 else 0.0)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_end_cut_near_its_gap(self, monkeypatch, end):
+        # an end piece's cut placed so that its gap to I_rho is rho or
+        # rho +- eps/2, inside the band of the offsets' rounding eps, which
+        # the bounds settle with no LP; rho +- eps, on the band's edge,
+        # which rounding decides; or rho +- 3 vtol, beyond any band, which
+        # needs an LP.  The rectangle's I_rho ends in an edge parallel to
+        # the cuts, where the end piece's inradius moves by half the gap's
+        # change, so at rho +- 2 vtol it would sit on verify's threshold
+        # rho +- vtol itself.  The random draw's I_rho ends in a vertex at
+        # one end
+        rectangle = canonicalize([(0, 0), (3, 0), (3, 1), (0, 1)])
+        for P, n in ((rectangle, 3), (random_polygon(200, seed=9, model="ellipse"), 4)):
+            s = solve(P, n)
+            v = np.asarray(s.direction)
+            inner = inner_body(P, s.rho)
+            extent = inner.vertices @ v
+            face = extent.min() if end == 0 else extent.max()
+            offsets = np.array([c.offset for c in s.cuts])
+            eps = solver._LEMMA_REL * max(np.abs(offsets).max(), s.rho)
+            vtol = 1e-8 * _diameter_ref(P)
+            for gap, settles in ((s.rho, True), (s.rho + eps / 2, True), (s.rho - eps / 2, True),
+                                 (s.rho + eps, None), (s.rho - eps, None),
+                                 (s.rho + 3 * vtol, False), (s.rho - 3 * vtol, False)):
+                moved = offsets.copy()
+                moved[end] = face + gap if end == 0 else face - gap
+                lp = _CountingLp()
+                with monkeypatch.context() as mp:
+                    mp.setattr(solver, "chebyshev_lp", lp)
+                    _check_split(P, v, moved, s.rho)
+                assert settles is None or (lp.calls == 0) == settles, (gap - s.rho) / vtol
+                claim = (P, n, s.rho, s.direction, [Cut(s.cuts[0].normal, float(x)) for x in moved])
+                assert _verdict(verify_solution, *claim) == _verdict(_verify_ref, *claim)
+                assert (_verdict(verify_solution, *claim) == "ok") == (abs(gap - s.rho) < vtol)
 
     def test_random_slabs(self, monkeypatch):
         # slabs of random half-width up to just over rho, at random starts:
@@ -359,8 +398,8 @@ def test_solve_at_one_piece_solves_one_lp():
 
 
 def test_verify_from_scratch_solves_one_inner_lp(monkeypatch):
-    # the piece LPs aside, a from-scratch verify solves I_rho's Chebyshev
-    # LP once, whatever n is and whether or not I_rho is empty
+    # a from-scratch verify of an honest claim solves I_rho's Chebyshev LP
+    # and no other, whatever n is and whether or not I_rho is empty
     P = random_polygon(300, seed=7, model="smoothed")
     calls = []
 
@@ -375,7 +414,7 @@ def test_verify_from_scratch_solves_one_inner_lp(monkeypatch):
             mp.setattr(geometry, "chebyshev_lp", counting_lp)
             mp.setattr(solver, "chebyshev_lp", counting_lp)
             assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
-        assert calls.count(P.m) == 1, (n, calls)  # a piece LP reads its own edges only
+        assert calls == [P.m], (n, calls)
 
 
 
