@@ -120,8 +120,7 @@ def _winds_convex(x: np.ndarray, y: np.ndarray) -> bool:
     directions winding round once."""
     if len(x) < 3:
         return False
-    xc = np.concatenate((x[-1:], x, x[:1]))
-    yc = np.concatenate((y[-1:], y, y[:1]))
+    xc, yc = _padded(x), _padded(y)
     cross, cut = _turns(xc[:-2], yc[:-2], x, y, xc[2:], yc[2:])
     if np.count_nonzero(cross <= cut):
         return False
@@ -137,54 +136,41 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
 
     Drops interior and collinear points, and of exact duplicates keeps the
     lowest index.  Each corner kept turns left by `_turns` between the
-    corners before and after it, except the first and the last point in
-    (x, y) order, which are corners whatever their turn.
-
-    Points that already run once counterclockwise round a strictly convex
-    polygon come back whole, in order.  Others are sorted by (x, y) and
-    split by the line through the first and the last point into a lower
-    and an upper chain.  With those two points the chains form one cycle,
-    which `_hull_rounds` reduces to its corners.
+    corners before and after it, except the least and the greatest point
+    in (x, y) order, which are corners whatever their turn.  Points that
+    already run once counterclockwise round a strictly convex polygon come
+    back whole, in order.  Others go to `_angle_order_hull` in the order
+    of Graham's scan: by angle about their mean, a point inside their hull,
+    then by distance from it, then by index.  The corners come back from
+    the least point in (x, y) order.
     """
     x, y = points[:, 0], points[:, 1]
-    n = len(points)
     if _winds_convex(x, y):
-        return np.arange(n)
-    order = np.lexsort((y, x))  # stable: equal points keep index order
-    sx, sy = x[order], y[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    if np.count_nonzero(first) < n:
-        order, sx, sy = order[first], sx[first], sy[first]
-    k = len(order)
-    if k < 3:
-        raise EmptyInteriorError("fewer than 3 distinct points")
-    # the cycle: left end, lower chain, right end, upper chain, left end
-    # again; positions in it are the output's order
-    cross, cut = _turns(sx[0], sy[0], sx[1:-1], sy[1:-1], sx[-1], sy[-1])
-    below = cross > cut
-    mid = np.arange(1, k - 1)
-    cyc = np.concatenate(([0], mid[below], [k - 1], mid[~below][::-1], [0]))
-    return order[_hull_rounds(sx, sy, cyc, np.count_nonzero(below) + 1)]
+        return np.arange(len(points))
+    d = points - points[0]  # exact far from the origin (Sterbenz), so a thin hull keeps its mean inside
+    d -= d.mean(axis=0)
+    order = np.lexsort((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], _angles(d)))  # stable: then index
+    hull = order[_angle_order_hull(points[order])]
+    hx, hy = x[hull], y[hull]
+    on = np.flatnonzero(hx == hx.min())
+    return np.roll(hull, -int(on[np.argmin(hy[on])]))
 
 
 def _angle_order_hull(points: np.ndarray) -> np.ndarray:
     """Indices, ascending, of the hull corners of points that run once
-    counterclockwise round the origin in index order, the origin inside
-    their hull: the polar dual a_i / depth_i of rows a_i in angle order,
-    about a point at depth_i > 0 from every row.
+    counterclockwise round a point inside their hull in index order: the
+    polar dual a_i / depth_i of rows a_i in angle order, about a point at
+    depth_i > 0 from every row, or points sorted by `_convex_hull_ccw`.
 
-    The same corners as `_convex_hull_ccw`, with no sort.  Points that run
-    round a strictly convex polygon come back whole.  Otherwise the index
-    order, rotated to start at the least point in (x, y) order, is already
-    a cycle of the kind `_hull_rounds` takes, with the greatest point as
-    its second known corner: the hull's corners come in it
-    counterclockwise, and a point that turns right between two neighbours
-    less than pi apart round the origin lies in their triangle with the
-    origin.  Of the points on one ray only the farthest can be a corner.
-    Exact duplicates share a normal angle, so they are neighbours in index
-    order, and the first, the lowest index, stays.
+    Points that run round a strictly convex polygon come back whole.
+    Otherwise the index order, rotated to start at the least point in
+    (x, y) order, is already a cycle of the kind `_hull_rounds` takes, with
+    the greatest point as its second known corner: the hull's corners come
+    in it counterclockwise, and a point that turns right between two
+    neighbours less than pi apart round the inner point lies in their
+    triangle with it.  Of the points on one ray only the farthest can be a
+    corner.  Exact duplicates share an angle, so they are neighbours in
+    index order, and the first, the lowest index, stays.
     """
     x, y = points[:, 0], points[:, 1]
     if _winds_convex(x, y):
@@ -269,7 +255,7 @@ def _hull_rounds(x: np.ndarray, y: np.ndarray, cyc: np.ndarray, mid: int) -> np.
     hull = cyc[np.flatnonzero(corner)]
     while split:
         hx, hy = x[hull], y[hull]
-        fail, right = _bends(np.concatenate((hx[-1:], hx, hx[:1])), np.concatenate((hy[-1:], hy, hy[:1])))
+        fail, right = _bends(_padded(hx), _padded(hy))
         fail[0] = fail[hull == cyc[mid]] = right[0] = right[hull == cyc[mid]] = False
         split = bool(np.count_nonzero(fail))
         hull = hull[~_spare(fail, right)]
@@ -367,6 +353,10 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
+    """The irredundant rows of {A x <= b} as unit rows: the corners of the
+    polar dual a / (b - A.c) about the Chebyshev centre c.  Emptiness is
+    `_flat`, whose extent reads those rows alone: a far redundant row
+    cannot inflate it."""
     A = np.atleast_2d(np.asarray(A, float))
     b = np.asarray(b, float).ravel()
     if A.shape[0] != b.shape[0] or A.shape[1] != 2:
@@ -374,7 +364,7 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
 
     norm = np.hypot(A[:, 0], A[:, 1])
     trivial = norm <= 1e-300
-    if np.any(b[trivial] < -slack(b[trivial])):
+    if np.any(b[trivial] < 0):
         raise EmptyInteriorError("contradictory trivial row")
     # 0.x <= b with b >= 0 says nothing; unit rows are kept bit for bit
     A, b, norm = A[~trivial], b[~trivial], norm[~trivial]
@@ -384,9 +374,10 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
     A = np.where(rescale[:, None], A / norm[:, None], A)
     b = np.where(rescale, b / norm, b)
 
-    # feasibility first: a contradictory system is empty even when unbounded
+    # feasibility first: a contradictory system is empty even when
+    # unbounded, and `_flat` holds for every radius <= 0
     res = chebyshev_lp(A, b)
-    if res.status == OPTIMAL and res.value <= slack(float(np.abs(b).max())):
+    if res.status == OPTIMAL and res.value <= 0:
         raise EmptyInteriorError("region is empty or lower-dimensional")
 
     ang = _angles(A)
@@ -397,16 +388,18 @@ def _canonicalize_rows(A: np.ndarray, b: np.ndarray) -> HPolygon:
     if res.status != OPTIMAL:
         raise UnboundedError("interior direction escapes to infinity")
     A, b = A[order], b[order]
-    x, y = res.point[:2]
-    return _dual_hull(A, b, b - (A[:, 0] * x + A[:, 1] * y), s)
-
-
-def _dual_hull(A: np.ndarray, b: np.ndarray, depth: np.ndarray, ang: np.ndarray) -> HPolygon:
-    """The irredundant rows of {A x <= b}, rows in angle order with normal
-    angles `ang`, from each row's `depth` b - A.c at a point c inside: the
-    corners of the polar dual a / depth, which keep their order."""
+    depth = b - (A[:, 0] * res.point[0] + A[:, 1] * res.point[1])
     chosen = _angle_order_hull(A / depth[:, None])
-    return _finish_hpolygon(A[chosen], b[chosen], ang[chosen])
+    if _flat(res.value, float(depth[chosen].max())):
+        raise EmptyInteriorError("region is empty or lower-dimensional")
+    return _finish_hpolygon(A[chosen], b[chosen], s[chosen])
+
+
+def _flat(radius: float, extent: float) -> bool:
+    """The one emptiness rule: a polygon's Chebyshev radius about a centre
+    c, min(b - A.c), is at most 1e-9 of its extent about c, max(b - A.c)
+    over the rows that bound it, whatever its size or offset."""
+    return radius <= 1e-9 * extent
 
 
 def _angles(A: np.ndarray) -> np.ndarray:
@@ -473,28 +466,21 @@ def inner_body(P: HPolygon, t: float, incenter=None) -> HPolygon | None:
     """Inner parallel body I_t = {A x <= b - t} of a canonical P, with
     fewer rows when edges disappear; None when it is empty.
 
-    P's `incenter` c centres the largest disk of every nonempty I_t, of
-    radius min(b - t - A.c); without it, I_t's one Chebyshev LP finds c
-    and that radius.  I_t counts as empty when that radius is at most
-    1e-9 of the largest |b - t|: `slack`'s relative part, with no absolute
-    floor, so that a polygon far below unit size keeps its inner bodies.
+    P's `incenter` c centres the largest disk of every nonempty I_t;
+    without it, I_t's one Chebyshev LP finds a centre c.  I_t is empty by
+    `_flat`, its radius min(b - t - A.c) against P's extent max(b - A.c).
     The rows are the polar dual's corners about c.
     """
     if t < 0:
         raise ValueError("offset must be nonnegative")
     A, b = P.A, P.b - t
-    limit = 1e-9 * float(np.abs(b).max())
-    c = incenter
-    if c is None:
-        res = chebyshev_lp(A, b)  # P bounds it, so it is OPTIMAL
-        if res.value <= limit:
-            return None
-        c = res.point[:2]
+    c = chebyshev_lp(A, b).point[:2] if incenter is None else incenter  # OPTIMAL: P bounds it
     depth = b - (A[:, 0] * c[0] + A[:, 1] * c[1])
-    if incenter is not None and depth.min() <= limit:
+    if _flat(float(depth.min()), float(depth.max()) + t):
         return None
     try:
-        return _dual_hull(A, b, depth, P.angles)
+        chosen = _angle_order_hull(A / depth[:, None])
+        return _finish_hpolygon(A[chosen], b[chosen], P.angles[chosen])
     except EmptyInteriorError:
         return None
 

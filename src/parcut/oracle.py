@@ -97,8 +97,8 @@ def _edge_widths(P: HPolygon, t: float, center) -> np.ndarray | None:
     """Width of the inner body I_t along every edge normal of P.
 
     I_t is `inner_body` about P's incenter `center`; the widths project
-    its vertices directly.  None when I_t is empty (or thinner than its
-    emptiness slack).
+    its vertices directly.  None when I_t is empty by `inner_body`'s
+    emptiness rule.
     """
     Q = inner_body(P, t, center)
     if Q is None:

@@ -190,31 +190,30 @@ def _gap_roots(P: HPolygon, S: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
     return np.where(singular, np.inf, b[lo] - A[lo, 0] * x - A[lo, 1] * y)
 
 
+def _alive(P: HPolygon, Ac: np.ndarray, t: float) -> np.ndarray:
+    """The rows of I_t, given A.c for a point c inside it: the polar dual's
+    corners about c, whose points run round c in P's angle order."""
+    depth = (P.b - t) - Ac
+    if not depth.min() > 0:
+        raise GeometryError(f"the incenter left the inner body at offset {t!r}")
+    return _angle_order_hull(P.A / depth[:, None])
+
+
 def _descend(P: HPolygon, n: int, c, r: float, tie: float, work: dict):
     """rho and the winning edge from P's incenter c and inradius r, with
     I_rho's rows S, their antipodes k and gap roots tau, and the number of
     steps taken.
 
     Each step reads S's gap roots, and at n >= 2 the rows of I_t at their
-    least root t: the polar dual's corners about c, whose points run round
-    c in P's angle order.  At n >= 2 the first step, from every row,
-    reads P's stored antipodes; every other step searches those of its
-    S.  A step
-    whose t is the offset S were read at ends the descent with no hull,
-    since I_t's rows are then S.
+    least root t (`_alive`).  At n >= 2 the first step, from every row,
+    reads P's stored antipodes; every other step searches those of its S.
+    A step whose t is the offset S were read at ends the descent with no
+    hull, since I_t's rows are then S.
     """
-    A = P.A
-    Ac = A[:, 0] * c[0] + A[:, 1] * c[1]
-
-    def alive(t):  # the rows of I_t
-        depth = (P.b - t) - Ac
-        if not depth.min() > 0:
-            raise GeometryError(f"the incenter left the inner body at offset {t!r}")
-        work["rows"] += len(depth)
-        return _angle_order_hull(A / depth[:, None])
-
+    Ac = P.A[:, 0] * c[0] + P.A[:, 1] * c[1]
     if n == 1:
-        S = alive(r - tie)
+        work["rows"] += P.m
+        S = _alive(P, Ac, r - tie)
         k = _antipodes(P.angles[S])
     else:
         S, k = np.arange(P.m), P.antipodes
@@ -227,7 +226,8 @@ def _descend(P: HPolygon, n: int, c, r: float, tie: float, work: dict):
             raise VerificationFailedError("no-root", "no edge gap has a root; invalid input?")
         if n == 1 or t == at:
             break
-        S2 = alive(t)
+        work["rows"] += P.m
+        S2 = _alive(P, Ac, t)
         if np.array_equal(S2, S):
             break
         S, at = S2, t
@@ -378,8 +378,8 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     I_rho, so each of its pieces settles, at U = w or rho to its band.
 
     The other pieces (a wider or misplaced slab, or no inner body) get an
-    inradius LP.  For those P's boundary is split at the cuts in one
-    sorted pass.  Edge k runs from vertex k-1 to vertex k and spans
+    inradius LP.  When there are any, P's boundary is split at the cuts in
+    one sorted pass.  Edge k runs from vertex k-1 to vertex k and spans
     [lo_k, hi_k] along v, so it meets the pieces from the first whose
     upper cut is >= lo_k to the last whose lower cut is <= hi_k: two
     binary searches on the offsets.  The test is widened by vtol, because
@@ -414,6 +414,9 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
                    & ((U < rho - vtol) | (L >= rho - vtol)))
         inradii = U
 
+    todo = np.flatnonzero(~settled).tolist()
+    if not todo:
+        return inradii.tolist()
     prev = np.roll(proj, 1)
     first = np.searchsorted(offsets, np.minimum(prev, proj) - vtol, side="left")
     last = np.searchsorted(offsets, np.maximum(prev, proj) + vtol, side="right")
@@ -425,7 +428,7 @@ def _piece_inradii(P: HPolygon, v, offsets: np.ndarray, vtol: float,
     # each piece's extent along v inside P: at most 1e-12 is degenerate
     extent = (np.minimum(np.append(offsets, np.inf), proj.max())
               - np.maximum(np.insert(offsets, 0, -np.inf), proj.min()))
-    for j in np.nonzero(~settled)[0].tolist():
+    for j in todo:
         if extent[j] <= 1e-12:
             raise VerificationFailedError("pieces", "degenerate piece produced")
         E = edge[bounds[j]:bounds[j + 1]]
@@ -467,7 +470,11 @@ def verify_solution(
     reads nothing of the solver's state and runs in O((m + n) log m).  One
     Chebyshev LP of I_rho gives its centre, P's incenter, and its inradius
     r - rho, so P's inradius r, the one piece's when there are no cuts;
-    `inner_body` about that centre builds I_rho or finds it empty.
+    `inner_body` about that centre builds I_rho or finds it empty.  At
+    n = 1 it reads S, the rows of I_t at t = r - tie, as `_descend` does,
+    and `direction` must be, to 1e-8, the normal of a row i of S whose gap
+    vanishes at r: I_r's width along it is at most the tolerance (clause
+    "direction" otherwise).
     `solve` passes its own I_rho (`_inner`, none at n = 1) and P's
     inradius (`_r`) from its own LP, so its check rests on its descent.
     Each piece's inradius is bounded from I_rho's extent along the cut
@@ -493,7 +500,13 @@ def verify_solution(
     if r is None:
         res = chebyshev_lp(P.A, P.b - rho, fallbacks=inner_fallbacks)  # OPTIMAL: P is bounded
         r = rho + res.value  # P's inradius: I_rho's is r - rho
-        inner = inner_body(P, rho, res.point[:2])
+        c = res.point[:2]
+        inner = inner_body(P, rho, c)
+        if n == 1:  # nothing but the direction ties the claim to P
+            S = _alive(P, P.A[:, 0] * c[0] + P.A[:, 1] * c[1], r - _TIE_REL * float(np.abs(P.b).max()))
+            near = np.flatnonzero(np.hypot(*(P.A[S] - v).T) <= 1e-8)
+            if not np.any(_widths(P, S, r, near) <= vtol):
+                raise VerificationFailedError("direction", f"{direction!r} is no normal of a row whose gap vanishes at r")
     if inner is None:
         if rho > r + vtol:
             raise VerificationFailedError("width", f"rho={rho} exceeds inradius {r}")

@@ -73,6 +73,20 @@ class TestCanonicalize:
         with pytest.raises(EmptyInteriorError):
             canonicalize((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0])))
 
+    def test_tiny_rows(self):
+        # emptiness is relative to the polygon's own extent, with no floor at
+        # unit size: the unit square's rows scaled by 1e-12 come back whole
+        P = canonicalize(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 1e-12)
+        Q = canonicalize((P.A, P.b))
+        assert Q.A.tobytes() == P.A.tobytes() and Q.b.tobytes() == P.b.tobytes()
+
+    def test_far_redundant_row(self):
+        # the extent is read over the rows kept, so a redundant row far out
+        # cannot make the square look flat
+        P = unit_square()
+        Q = canonicalize((np.vstack([P.A, [(0.6, 0.8)]]), np.append(P.b, 1e10)))
+        assert Q.A.tobytes() == P.A.tobytes() and Q.b.tobytes() == P.b.tobytes()
+
     def test_unbounded(self):
         with pytest.raises(UnboundedError):
             canonicalize((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])))
@@ -343,9 +357,9 @@ def _graded_cloud(corners=100, run=40, per_halving=4.0):
     return np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1)] + arcs)
 
 
-def _assert_hull_is_loops(points):
+def _assert_hull_is_loops(points, entry=_convex_hull_ccw):
     """Same corners as the loop reference, in the same cyclic order."""
-    got = points[_convex_hull_ccw(points)]
+    got = points[entry(points)]
     start = np.lexsort((got[:, 1], got[:, 0]))[0]
     assert np.array_equal(np.roll(got, -start, axis=0), _hull_loop(points))
 
@@ -369,11 +383,19 @@ class TestConvexHull:
         # a thousand rounds
         P = random_polygon(16384, seed=2, model=model)
         cloud = _dual_cloud(P, solve(P, 2).rho)
-        _assert_hull_is_loops(cloud)
-        assert np.array_equal(_angle_order_hull(cloud), np.sort(_convex_hull_ccw(cloud)))
+        for entry in (_convex_hull_ccw, _angle_order_hull):
+            _assert_hull_is_loops(cloud, entry)
 
     def test_graded_angles(self):
         _assert_hull_is_loops(_graded_cloud())
+
+    def test_far_slivers(self):
+        # slivers 1e-8 thick and 1e7 from the origin, where a mean of the raw
+        # coordinates rounds by more than their thickness
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            sliver = rng.normal(size=(int(rng.integers(3, 200)), 2)) * [1e-5, 1e-8]
+            _assert_hull_is_loops(sliver + rng.normal(size=2) * 1e7)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(
@@ -396,7 +418,8 @@ class TestConvexHull:
             move = rng.choice([0.0, 0.5, -0.5]) * (b[i] - A[i] @ np.asarray(c))
             A, b = np.insert(A, i + 1, A[i], axis=0), np.insert(b, i + 1, b[i] + move)
         cloud = A / (b - A @ np.asarray(c))[:, None]
-        assert np.array_equal(_angle_order_hull(cloud), np.sort(_convex_hull_ccw(cloud)))
+        for entry in (_convex_hull_ccw, _angle_order_hull):
+            _assert_hull_is_loops(cloud, entry)
 
 
 class TestAgainstLoops:
@@ -583,11 +606,13 @@ class TestInnerBody:
     def test_given_incenter_changes_nothing(self):
         # P's incenter decides emptiness as I_t's own Chebyshev LP does, and
         # the dual hull about it keeps the same rows; emptiness is relative
-        # to the offsets, with no absolute floor, so the square scaled by
-        # 1e-12 keeps its inner bodies
+        # to P's extent about the centre, with no absolute floor and no
+        # origin, so the square scaled by 1e-12 and a thin rectangle far from
+        # the origin keep their inner bodies
         draws = [random_polygon(int(m), seed=k, model=("circle", "ellipse", "smoothed")[k % 3])
                  for k, m in enumerate(np.geomspace(3, 3000, 30).astype(int))]
         draws.append(canonicalize(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 1e-12))
+        draws.append(canonicalize(np.array([(0, 0), (1, 0), (1, 1e-3), (0, 1e-3)]) + 1e6))
         for P in draws:
             r, c = inradius_incenter(P)
             for t in (0.1 * r, 0.5 * r, 0.9 * r):

@@ -648,6 +648,21 @@ def test_unit_square_scaled_far_below_unit(scale, n):
     assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("height", [1e-3, 1e-4])
+def test_thin_rectangle_far_from_origin(height, shift):
+    # emptiness is judged against the polygon's extent about its centre,
+    # not against |b|, so the shift alone does not empty I_rho, in a
+    # from-scratch verify or for the half-plane form
+    P = canonicalize(np.array([(0, 0), (1, 0), (1, height), (0, height)]) + shift)
+    Q = canonicalize((P.A, P.b))
+    assert Q.A.tobytes() == P.A.tobytes() and Q.b.tobytes() == P.b.tobytes()
+    for n in (2, 3):
+        s = solve(P, n)
+        assert s.rho == pytest.approx(height / (2 * n), abs=1e-9)  # 1e-9 of the diameter
+        assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
+
+
 @pytest.mark.xfail(strict=True, raises=VerificationFailedError,
                    reason="width residual -2.98e-8: solve works in the input's frame, not a centred one")
 def test_unit_square_shifted_by_1e8():

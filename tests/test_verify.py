@@ -397,6 +397,41 @@ def test_solve_at_one_piece_solves_one_lp():
         assert s.verification.ok and s.cuts == []
 
 
+def test_one_piece_direction_is_a_vanishing_gap_normal():
+    # at n = 1 only the direction ties the claim to P: from scratch it must
+    # be the normal of a row of I_t just below the apex whose gap vanishes
+    # at the inradius.  (0.6, 0.8) is no row normal of the hexagon; the
+    # rectangle's row (1, 0) touches the incircle, but I_r, the apex
+    # segment, is 1 wide along it
+    hexagon = canonicalize([(0, 0), (3, 0), (4, 1.5), (3.2, 3), (1, 3.4), (-0.6, 1.8)])
+    rectangle = canonicalize([(0, 0), (2, 0), (2, 1), (0, 1)])
+    for P, wrong in ((hexagon, (0.6, 0.8)), (rectangle, (1.0, 0.0))):
+        s = solve(P, 1)
+        assert verify_solution(P, 1, s.rho, s.direction, []).ok
+        with pytest.raises(VerificationFailedError) as err:
+            verify_solution(P, 1, s.rho, wrong, [])
+        assert err.value.clause == "direction"
+
+
+def test_boundary_split_only_for_unsettled_pieces(monkeypatch):
+    # an honest claim settles every piece from I_rho, so neither solve nor a
+    # from-scratch verify splits P's boundary at the cuts; a cut moved by
+    # 1e-6 of the diameter leaves its pieces to their LPs, which need it
+    real = solver._expand_ranges
+    calls = []
+    monkeypatch.setattr(solver, "_expand_ranges", lambda *args: calls.append(1) or real(*args))
+    for P, n in ((random_polygon(1000, seed=3, model="smoothed"), 64), (regular_polygon(64), 2)):
+        s = solve(P, n)
+        assert verify_solution(P, n, s.rho, s.direction, s.cuts).ok
+        assert not calls
+        first = s.cuts[0]
+        moved = [Cut(first.normal, first.offset + 1e-6 * diameter(P))] + s.cuts[1:]
+        with pytest.raises(VerificationFailedError):
+            verify_solution(P, n, s.rho, s.direction, moved)
+        assert calls
+        calls.clear()
+
+
 def test_verify_from_scratch_solves_one_inner_lp(monkeypatch):
     # a from-scratch verify of an honest claim solves I_rho's Chebyshev LP
     # and no other, whatever n is and whether or not I_rho is empty
